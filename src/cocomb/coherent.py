@@ -2,21 +2,24 @@
 
 The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
-constraints, and admits four equivalent closed forms, indexed by model
-representation (zero-constrained vs. structural) and by stacking (by-expert vs.
-by-variable):
+constraints. It has one closed form per model representation, each a kernel
+on an error covariance ``W``, a stacked selector ``K`` and base forecasts ``y``:
 
-* ``zc_be``     project the multi-task combined forecast onto the coherent
-                subspace with the oblique projector built from its covariance;
-* ``zc_bv``     the same in the by-variable ordering (J and Sigma);
-* ``struct_be`` GLS on the bottom variables through the structural matrix,
-                then bottom-up expansion;
-* ``struct_bv`` the structural route in the by-variable ordering.
+* ``_zc``     zero-constrained: pool all forecasts by GLS into the multi-task
+              combined forecast, then project it onto ``C y = 0`` with the
+              oblique projector built from its covariance;
+* ``_struct`` structural: GLS on the bottom variables through ``K S``, then
+              bottom-up expansion by ``S``.
 
-The four are implemented independently so their agreement is a genuine
-cross-check. ``mint_reconcile`` is the single-expert (p = 1) specialization;
-``scr`` and ``src`` are the sequential combine-then-reconcile and
-reconcile-then-average baselines.
+Each kernel runs in two stackings, which gives the four ``FORMULATIONS``:
+by-expert (``*_be``) on the panel's own ``W``, ``K`` and ``y_hat``, and
+by-variable (``*_bv``) on the same three restacked by ``bv_order``, with the
+weight rows scattered back to by-expert order. Their agreement is checked in
+the tests against each other and against the independent bordered (KKT)
+solve in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``).
+``mint_reconcile`` is the zero-constrained kernel with ``K = I_n`` (the
+single-expert case); ``scr`` and ``src`` are the sequential
+combine-then-reconcile and reconcile-then-average baselines.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import cho_factor_spd, cho_solve, symmetrize
-from .combiners import WeightScheme, single_task_weights
+from .combiners import WeightScheme, gls_pool, single_task_weights
 from .constraints import ConstraintSystem
 from .covariance import CovarianceEstimate, as_covariance
 from .exceptions import DataError, NumericalError
-from .panel import ForecastPanel, from_availability
+from .panel import ForecastPanel
 
 FORMULATIONS = ("zc_be", "zc_bv", "struct_be", "struct_bv")
 
@@ -41,9 +44,10 @@ class CoherentResult:
 
     ``Psi`` is always stored in the by-expert ordering (m x n), so that
     ``y_tilde = Psi.T @ y_hat``; for by-variable formulations the equivalent
-    by-variable weights are ``P @ Psi``. ``W_tilde`` is the reconciled error
-    covariance. ``M`` and ``W_c`` (projector and combined-forecast covariance)
-    are filled by the zero-constrained routes and by ``mint_reconcile``.
+    by-variable weights are ``Psi[panel.bv_order]``. ``W_tilde`` is the
+    reconciled error covariance. ``M`` and ``W_c`` (projector and
+    combined-forecast covariance) are filled by the zero-constrained kernel,
+    hence also by ``mint_reconcile``.
     """
 
     y_tilde: np.ndarray
@@ -75,16 +79,13 @@ def _check_inputs(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEs
         raise DataError(f"covariance size {cov.m} does not match panel size {panel.m}")
 
 
-def _occ_zc_be(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEstimate) -> CoherentResult:
-    f_w = cho_factor_spd(cov.W, "error covariance")
-    b = cho_solve(f_w, panel.K)
-    wc_inv = symmetrize(panel.K.T @ b)
-    w_c = symmetrize(cho_solve(cho_factor_spd(wc_inv, "combined precision"), np.eye(panel.n)))
-    omega = b @ w_c
-    m_proj = _coherent_projector(w_c, sys.C)
+def _zc(w: np.ndarray, k: np.ndarray, y: np.ndarray, c: np.ndarray) -> CoherentResult:
+    """Zero-constrained kernel: GLS pooling, then the coherent projector."""
+    omega, w_c = gls_pool(w, k)
+    m_proj = _coherent_projector(w_c, c)
     psi = omega @ m_proj.T
     return CoherentResult(
-        y_tilde=psi.T @ panel.y_hat,
+        y_tilde=psi.T @ y,
         Psi=psi,
         W_tilde=m_proj @ w_c,
         formulation="zc_be",
@@ -93,68 +94,18 @@ def _occ_zc_be(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEstim
     )
 
 
-def _occ_zc_bv(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEstimate) -> CoherentResult:
-    p = panel.P
-    sigma = symmetrize(p @ cov.W @ p.T)
-    f_s = cho_factor_spd(sigma, "error covariance (by-variable)")
-    b = cho_solve(f_s, panel.J)
-    sc_inv = symmetrize(panel.J.T @ b)
-    sigma_c = symmetrize(cho_solve(cho_factor_spd(sc_inv, "combined precision"), np.eye(panel.n)))
-    gamma = b @ sigma_c
-    m_proj = _coherent_projector(sigma_c, sys.C)
-    phi = gamma @ m_proj.T
-    return CoherentResult(
-        y_tilde=phi.T @ (p @ panel.y_hat),
-        Psi=p.T @ phi,
-        W_tilde=m_proj @ sigma_c,
-        formulation="zc_bv",
-        W_c=sigma_c,
-        M=m_proj,
-    )
-
-
-def _occ_struct_be(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEstimate) -> CoherentResult:
-    s = sys.S
-    f_w = cho_factor_spd(cov.W, "error covariance")
-    ks = panel.K @ s
-    t1 = cho_solve(f_w, ks)
-    h = symmetrize(ks.T @ t1)
-    f_h = cho_factor_spd(h, "bottom-variable precision")
+def _struct(w: np.ndarray, k: np.ndarray, y: np.ndarray, s: np.ndarray) -> CoherentResult:
+    """Structural kernel: GLS on the bottom variables, then ``S`` expansion."""
+    ks = k @ s
+    t1 = cho_solve(cho_factor_spd(w, "error covariance"), ks)
+    f_h = cho_factor_spd(symmetrize(ks.T @ t1), "bottom-variable precision")
     g = cho_solve(f_h, t1.T)
-    psi = (s @ g).T
     return CoherentResult(
-        y_tilde=s @ (g @ panel.y_hat),
-        Psi=psi,
+        y_tilde=s @ (g @ y),
+        Psi=(s @ g).T,
         W_tilde=s @ cho_solve(f_h, s.T),
         formulation="struct_be",
     )
-
-
-def _occ_struct_bv(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEstimate) -> CoherentResult:
-    s = sys.S
-    p = panel.P
-    sigma = symmetrize(p @ cov.W @ p.T)
-    f_s = cho_factor_spd(sigma, "error covariance (by-variable)")
-    js = panel.J @ s
-    t1 = cho_solve(f_s, js)
-    h = symmetrize(js.T @ t1)
-    f_h = cho_factor_spd(h, "bottom-variable precision")
-    g_bv = cho_solve(f_h, t1.T)
-    phi = (s @ g_bv).T
-    return CoherentResult(
-        y_tilde=s @ (g_bv @ (p @ panel.y_hat)),
-        Psi=p.T @ phi,
-        W_tilde=s @ cho_solve(f_h, s.T),
-        formulation="struct_bv",
-    )
-
-
-_OCC_ROUTES = {
-    "zc_be": _occ_zc_be,
-    "zc_bv": _occ_zc_bv,
-    "struct_be": _occ_struct_be,
-    "struct_bv": _occ_struct_bv,
-}
 
 
 def occ(
@@ -169,10 +120,19 @@ def occ(
     zero constraints. The four formulations agree up to floating-point error;
     ``zc_be`` is the default production route.
     """
-    if formulation not in _OCC_ROUTES:
+    if formulation not in FORMULATIONS:
         raise DataError(f"unknown formulation {formulation!r}; pick one of {FORMULATIONS}")
     _check_inputs(panel, sys, cov)
-    return _OCC_ROUTES[formulation](panel, sys, cov)
+    kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
+    if formulation.endswith("_be"):
+        res = kernel(cov.W, panel.K, panel.y_hat, target)
+    else:
+        bv = panel.bv_order
+        res = kernel(cov.W[np.ix_(bv, bv)], panel.K[bv], panel.y_hat[bv], target)
+        psi = np.empty_like(res.Psi)
+        psi[bv] = res.Psi
+        res = replace(res, Psi=psi)
+    return replace(res, formulation=formulation)
 
 
 def mint_reconcile(
@@ -183,23 +143,21 @@ def mint_reconcile(
     """Single-expert minimum-trace reconciliation (the p = 1 case).
 
     Projects one n-vector of base forecasts onto the coherent subspace with
-    the oblique projector ``M = I - W C'(C W C')^-1 C``. Runs through the same
-    code path as ``occ`` on a one-expert panel, of which it is the exact
-    specialization.
+    the oblique projector ``M = I - W C'(C W C')^-1 C``. Runs the kernel of
+    ``occ`` ``zc_be`` with ``K = I_n``, so it matches ``occ`` on a one-expert
+    panel bit for bit.
     """
     y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
     if y_hat.shape != (sys.n,):
         raise DataError(f"expected a base forecast vector of length {sys.n}")
+    if not np.all(np.isfinite(y_hat)):
+        raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
     if cov.singular:
         raise NumericalError(
             "covariance estimate is flagged singular; use a shrunk or block pattern"
         )
-    panel = from_availability(
-        np.ones((sys.n, 1), dtype=bool), sys, experts=("expert1",), values=y_hat
-    )
-    res = _occ_zc_be(panel, sys, cov)
-    return replace(res, formulation="mint")
+    return replace(_zc(cov.W, np.eye(sys.n), y_hat, sys.C), formulation="mint")
 
 
 def scr(

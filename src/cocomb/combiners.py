@@ -121,6 +121,18 @@ def combine_single_task(
     return ws.apply(panel)
 
 
+def gls_pool(w: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GLS pooling of stacked forecasts with selector ``k`` and error covariance ``w``.
+
+    Returns ``(Omega, W_c)`` with ``W_c = (K' W^-1 K)^-1`` and
+    ``Omega = W^-1 K W_c``; both solves run through Cholesky factorizations.
+    """
+    b = cho_solve(cho_factor_spd(w, "error covariance"), k)
+    f_c = cho_factor_spd(symmetrize(k.T @ b), "combined-forecast precision")
+    w_c = symmetrize(cho_solve(f_c, np.eye(k.shape[1])))
+    return b @ w_c, w_c
+
+
 @dataclass(frozen=True)
 class MultiTaskResult:
     """Multi-task combined forecast with its weights and error covariance."""
@@ -134,8 +146,8 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
     """Minimum-MSE linear pooling of all m base forecasts.
 
     Solves the stacked GLS problem: ``W_c = (K' W^-1 K)^-1``,
-    ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat``. Requires an SPD, untagged
-    covariance; both solves run through Cholesky factorizations.
+    ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``gls_pool``).
+    Requires an SPD, untagged covariance.
     """
     if cov.singular:
         raise NumericalError(
@@ -143,10 +155,5 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
         )
     if cov.m != panel.m:
         raise DataError(f"covariance size {cov.m} does not match panel size {panel.m}")
-    f_w = cho_factor_spd(cov.W, "error covariance")
-    b = cho_solve(f_w, panel.K)
-    wc_inv = symmetrize(panel.K.T @ b)
-    f_c = cho_factor_spd(wc_inv, "combined-forecast precision")
-    w_c = symmetrize(cho_solve(f_c, np.eye(panel.n)))
-    omega = b @ w_c
+    omega, w_c = gls_pool(cov.W, panel.K)
     return MultiTaskResult(y_c=omega.T @ panel.y_hat, Omega=omega, W_c=w_c)

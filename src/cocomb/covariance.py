@@ -8,8 +8,8 @@ ordering. Patterns:
 * ``shrunk``             sample MSE shrunk toward its diagonal;
 * ``bd_expert``          block-diagonal, one block per expert;
 * ``bd_expert_shrunk``   per-expert blocks, each shrunk with its own intensity;
-* ``bd_variable``        block-diagonal per variable (built in the by-variable
-                         ordering, re-permuted to by-expert);
+* ``bd_variable``        block-diagonal per variable, each block placed at
+                         its variable's by-expert rows and columns;
 * ``bd_variable_shrunk`` per-variable shrunk blocks;
 * ``diagonal``           diagonal of the sample MSE.
 
@@ -165,7 +165,6 @@ def block_by_expert(
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
-    T = r.shape[1]
     w = np.zeros((panel.m, panel.m))
     lams: list[float] = []
     singular = False
@@ -177,7 +176,7 @@ def block_by_expert(
             lams.append(float(est.lam))
         else:
             est = sample_mse(block_resid)
-        singular = singular or est.singular or block_resid.shape[0] > T
+        singular = singular or est.singular
         w[rows, rows] = est.W
     pattern = "bd_expert_shrunk" if shrink_blocks else "bd_expert"
     lam = tuple(lams) if shrink_blocks else None
@@ -191,17 +190,16 @@ def block_by_variable(
 ) -> CovarianceEstimate:
     """Block-diagonal estimate assuming errors uncorrelated across variables.
 
-    Blocks are the p_i x p_i per-variable MSE matrices in the by-variable
-    ordering; the result is re-permuted to the by-expert ordering.
+    Each block is the p_i x p_i sample MSE of variable i's residual rows (each
+    shrunk with its own intensity when ``shrink_blocks`` is set), placed at
+    those rows and columns of the by-expert ordering.
     """
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
-    T = r.shape[1]
-    sigma = np.zeros((panel.m, panel.m))
+    w = np.zeros((panel.m, panel.m))
     lams: list[float] = []
     singular = False
-    start = 0
     for i in range(panel.n):
         rows = panel.variable_rows(i)
         block_resid = r[rows]
@@ -210,11 +208,8 @@ def block_by_variable(
             lams.append(float(est.lam))
         else:
             est = sample_mse(block_resid)
-        singular = singular or est.singular or len(rows) > T
-        stop = start + len(rows)
-        sigma[start:stop, start:stop] = est.W
-        start = stop
-    w = panel.P.T @ sigma @ panel.P
+        singular = singular or est.singular
+        w[np.ix_(rows, rows)] = est.W
     pattern = "bd_variable_shrunk" if shrink_blocks else "bd_variable"
     lam = tuple(lams) if shrink_blocks else None
     if not singular:

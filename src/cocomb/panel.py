@@ -1,18 +1,27 @@
-"""Multi-expert base-forecast panels and their selection/permutation machinery.
+"""Multi-expert base-forecast panels: which expert forecasts which variable.
 
 The ``m`` available forecasts (expert j covers ``n_j`` variables, variable i is
 covered by ``p_i`` experts, ``m = sum n_j = sum p_i``) are stacked *by-expert*:
 expert-major, and within each expert the variables follow the constraint-system
 label order. The companion *by-variable* stacking groups the forecasts of each
-variable, experts in panel order; the permutation matrix ``P`` maps the former
-onto the latter.
+variable, experts in panel order.
 
-Matrices built here (dense 0/1):
+A panel stores this structure as integer arrays:
 
-* ``L_j`` (n_j x n): selects expert j's covered variables from ``y``;
+* ``var_idx[r]`` and ``exp_idx[r]``: the variable and the expert of by-expert
+  row r;
+* ``bv_order``: the by-expert rows in by-variable order, so ``x[bv_order]``
+  restacks a by-expert vector by variable;
+* ``var_start``: the n + 1 offsets of each variable's rows within
+  ``bv_order``, so variable i owns ``bv_order[var_start[i]:var_start[i + 1]]``.
+
+The paper's dense 0/1 matrices are properties built from these arrays on
+every access; none of them is stored:
+
+* ``L_j`` (``selection(j)``, n_j x n): selects expert j's covered variables;
 * ``L``  (m x n*p): block-diagonal of the ``L_j``;
-* ``K``  (m x n): ``L (1_p kron I_n)``, i.e. the stacked ``L_j``;
-* ``P``  (m x m): by-expert to by-variable permutation;
+* ``K``  (m x n): the stacked ``L_j``, row r is the unit vector of ``var_idx[r]``;
+* ``P``  (m x m): by-expert to by-variable permutation, ``P x = x[bv_order]``;
 * ``J``  (m x n): ``P K``.
 """
 
@@ -28,21 +37,20 @@ from .exceptions import DataError
 
 @dataclass(frozen=True)
 class ForecastPanel:
-    """Immutable panel of base forecasts with its selection matrices.
+    """Immutable panel of base forecasts with its (variable, expert) index arrays.
 
     ``availability[i, j]`` is True when expert j forecasts variable i; ``y_hat``
-    holds the m stacked values (by-expert order).
+    holds the m stacked values (by-expert order), all finite.
     """
 
     labels: tuple[str, ...]
     experts: tuple[str, ...]
     availability: np.ndarray
     y_hat: np.ndarray
-    pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    L: np.ndarray = field(init=False, repr=False)
-    K: np.ndarray = field(init=False, repr=False)
-    P: np.ndarray = field(init=False, repr=False)
-    J: np.ndarray = field(init=False, repr=False)
+    var_idx: np.ndarray = field(init=False, repr=False)
+    exp_idx: np.ndarray = field(init=False, repr=False)
+    bv_order: np.ndarray = field(init=False, repr=False)
+    var_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         avail = np.asarray(self.availability, dtype=bool)
@@ -62,34 +70,27 @@ class ForecastPanel:
             idle = [self.experts[j] for j in np.flatnonzero(n_j < 1)]
             raise DataError(f"experts without any forecast: {idle}")
 
-        pairs = tuple(
-            (i, j) for j in range(p) for i in range(n) if avail[i, j]
-        )
-        m = len(pairs)
+        exp_idx, var_idx = np.nonzero(avail.T)
+        m = var_idx.size
         y_hat = np.asarray(self.y_hat, dtype=float).reshape(-1).copy()
         if y_hat.shape != (m,):
             raise DataError(f"expected {m} stacked values, got {y_hat.shape[0]}")
+        bad = np.flatnonzero(~np.isfinite(y_hat))
+        if bad.size:
+            cells = [(self.labels[var_idx[r]], self.experts[exp_idx[r]]) for r in bad[:5]]
+            raise DataError(f"non-finite base forecasts for (variable, expert) {cells}")
+        # within one variable the by-expert rows already run in expert order
+        bv_order = np.argsort(var_idx, kind="stable")
+        var_start = np.concatenate(([0], np.cumsum(p_i)))
 
-        var_idx = np.array([i for i, _ in pairs])
-        exp_idx = np.array([j for _, j in pairs])
-        eye = np.eye(n)
-        K = eye[var_idx]
-        L = np.zeros((m, n * p))
-        L[np.arange(m), exp_idx * n + var_idx] = 1.0
-        bv_order = sorted(range(m), key=lambda r: pairs[r])
-        P = np.zeros((m, m))
-        P[np.arange(m), bv_order] = 1.0
-        J = P @ K
-
-        for arr in (avail, y_hat, K, L, P, J):
+        for arr in (avail, y_hat, var_idx, exp_idx, bv_order, var_start):
             arr.setflags(write=False)
         object.__setattr__(self, "availability", avail)
         object.__setattr__(self, "y_hat", y_hat)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "var_idx", var_idx)
+        object.__setattr__(self, "exp_idx", exp_idx)
+        object.__setattr__(self, "bv_order", bv_order)
+        object.__setattr__(self, "var_start", var_start)
 
     # -- sizes ---------------------------------------------------------------
 
@@ -103,7 +104,7 @@ class ForecastPanel:
 
     @property
     def m(self) -> int:
-        return len(self.pairs)
+        return self.var_idx.size
 
     @property
     def n_j(self) -> np.ndarray:
@@ -119,34 +120,57 @@ class ForecastPanel:
 
     # -- views ---------------------------------------------------------------
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(variable, expert) of each by-expert row."""
+        return tuple(zip(self.var_idx.tolist(), self.exp_idx.tolist()))
+
     def selection(self, j: int) -> np.ndarray:
         """L_j: the (n_j x n) selector of expert j's covered variables."""
         return np.eye(self.n)[self.availability[:, j]]
+
+    @property
+    def K(self) -> np.ndarray:
+        """The (m x n) stacked selector; built on each access."""
+        return np.eye(self.n)[self.var_idx]
+
+    @property
+    def L(self) -> np.ndarray:
+        """The (m x n*p) block-diagonal selector; built on each access."""
+        sel = np.zeros((self.m, self.n * self.p))
+        sel[np.arange(self.m), self.exp_idx * self.n + self.var_idx] = 1.0
+        return sel
+
+    @property
+    def P(self) -> np.ndarray:
+        """The (m x m) by-expert to by-variable permutation; built on each access."""
+        perm = np.zeros((self.m, self.m))
+        perm[np.arange(self.m), self.bv_order] = 1.0
+        return perm
+
+    @property
+    def J(self) -> np.ndarray:
+        """The (m x n) by-variable stacked selector ``P K``; built on each access."""
+        return self.K[self.bv_order]
 
     def expert_rows(self, j: int) -> slice:
         """Positions of expert j's forecasts within the by-expert stack."""
         start = int(self.n_j[:j].sum())
         return slice(start, start + int(self.n_j[j]))
 
-    def variable_rows(self, i: int) -> list[int]:
+    def variable_rows(self, i: int) -> np.ndarray:
         """By-expert positions of the forecasts of variable i, expert order."""
-        return [r for r, (vi, _) in enumerate(self.pairs) if vi == i]
+        return self.bv_order[self.var_start[i]:self.var_start[i + 1]]
 
     def expert_vector(self, j: int) -> np.ndarray:
         return self.y_hat[self.expert_rows(j)]
 
     def stack(self, values: np.ndarray) -> np.ndarray:
-        """Stack an (n x p) value matrix into the by-expert m-vector.
-
-        Index-based fast path; agrees bit-for-bit with multiplying through the
-        dense selection matrices.
-        """
+        """Stack an (n x p) value matrix into the by-expert m-vector."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n, self.p):
             raise DataError(f"expected an {self.n}x{self.p} value matrix")
-        var_idx = [i for i, _ in self.pairs]
-        exp_idx = [j for _, j in self.pairs]
-        return values[var_idx, exp_idx]
+        return values[self.var_idx, self.exp_idx]
 
     def with_values(self, y_hat: np.ndarray) -> "ForecastPanel":
         """Same panel structure carrying a different stacked value vector."""
@@ -175,7 +199,7 @@ def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
     """Assemble a panel from (variable label, expert label, value) triples.
 
     Expert order is the input order of first appearance; variable order comes
-    from the constraint system, which makes the stacking (and hence ``P``)
+    from the constraint system, which makes the stacking (and hence ``bv_order``)
     deterministic.
     """
     experts: list[str] = []
@@ -205,7 +229,7 @@ def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
 
 def to_by_variable(panel: ForecastPanel) -> np.ndarray:
     """Reorder the stacked base forecasts variable-major: ``P y_hat``."""
-    return panel.P @ panel.y_hat
+    return panel.y_hat[panel.bv_order]
 
 
 def residual_panel(panel: ForecastPanel, actuals: np.ndarray, fitted) -> np.ndarray:
@@ -246,8 +270,7 @@ def residual_panel(panel: ForecastPanel, actuals: np.ndarray, fitted) -> np.ndar
         missing = int(np.isnan(fit).sum())
         raise DataError(f"missing fitted values for {missing} residual cells")
 
-    var_idx = [i for i, _ in panel.pairs]
-    return actuals.T[var_idx, :] - fit
+    return actuals.T[panel.var_idx] - fit
 
 
 def residuals_from_arrays(
@@ -260,8 +283,4 @@ def residuals_from_arrays(
     """
     actuals = np.asarray(actuals, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
-    T = actuals.shape[0]
-    out = np.empty((panel.m, T))
-    for r, (i, j) in enumerate(panel.pairs):
-        out[r] = actuals[:, i] - forecasts[j, :, i]
-    return out
+    return actuals.T[panel.var_idx] - forecasts[panel.exp_idx, :, panel.var_idx]

@@ -161,6 +161,13 @@ class SimulationConfig:
             raise DataError("seed must be non-negative")
         if self.error_corr not in ("identity", "random_spd"):
             raise DataError("error_corr must be 'identity' or 'random_spd'")
+        # a zero entry probability leaves _participation_mask redrawing forever
+        for name in ("frequent_stay", "infrequent_stay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DataError(f"{name} must lie in [0, 1]")
+        for name in ("frequent_enter", "infrequent_enter"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise DataError(f"{name} must lie in (0, 1]")
 
     @property
     def total_len(self) -> int:
@@ -356,9 +363,7 @@ def _replication_accuracy(cfg: SimulationConfig, rep_index: int, methods: tuple[
     resid = residuals_from_arrays(panel, data.actuals[:n_train], data.forecasts[:, :n_train])
 
     test_actuals = data.actuals[n_train:]
-    stacked = np.empty((panel.m, cfg.test_len))
-    for r, (i, j) in enumerate(panel.pairs):
-        stacked[r] = data.forecasts[j, n_train:, i]
+    stacked = data.forecasts[panel.exp_idx, n_train:, panel.var_idx]
 
     cache: dict = {}
     mae = np.empty((len(methods), panel.n))

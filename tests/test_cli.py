@@ -146,6 +146,28 @@ def test_reconcile_mint_single_expert(tmp_path, rng):
     assert abs(rows["total"] - rows["east"] - rows["west"]) <= 1e-9
 
 
+def test_reconcile_non_finite_forecast_exits_3(tmp_path, rng, capsys):
+    panel_path, resid_path = balanced_fixture(tmp_path, rng)
+    for path in (panel_path, resid_path):
+        rows = [r for r in path.read_text().splitlines() if ",m2," not in r]
+        path.write_text("\n".join(rows) + "\n")
+    rows = panel_path.read_text().splitlines()
+    rows[1] = "total,m1,nan"
+    panel_path.write_text("\n".join(rows) + "\n")
+    code = run(
+        "reconcile",
+        "--constraints", SAMPLE / "constraints.json",
+        "--panel", panel_path,
+        "--residuals", resid_path,
+        "--method", "mint",
+        "--output", tmp_path / "mint.csv",
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema"
+    assert not (tmp_path / "mint.csv").exists()
+
+
 def test_reconcile_src_balanced(tmp_path, rng):
     panel_path, resid_path = balanced_fixture(tmp_path, rng)
     out = tmp_path / "src.csv"

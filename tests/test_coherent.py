@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomb import (
     DataError,
@@ -172,8 +174,31 @@ def test_occ_kkt_oracle_random_instances(rng):
         sys = random_system(rng)
         panel = random_panel(rng, sys)
         w = random_spd(rng, panel.m)
-        res = occ(panel, sys, as_covariance(w))
-        assert kkt_residual(panel.K, w, sys.C, panel.y_hat, res.y_tilde) <= 1e-9
+        for f in FORMULATIONS:
+            res = occ(panel, sys, as_covariance(w), f)
+            assert kkt_residual(panel.K, w, sys.C, panel.y_hat, res.y_tilde) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_occ_invariant_to_expert_relabelling(seed, data):
+    """Permuting the experts permutes the weight rows and leaves y_tilde alone."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys)
+    w = random_spd(rng, panel.m)
+    perm = data.draw(st.permutations(range(panel.p)))
+    relabelled = from_availability(panel.availability[:, perm], sys)
+    # by-expert row of the original panel behind each row of the relabelled one
+    row_of = {pair: r for r, pair in enumerate(panel.pairs)}
+    old = np.array([row_of[(i, perm[j])] for i, j in relabelled.pairs])
+    relabelled = relabelled.with_values(panel.y_hat[old])
+    w_relabelled = as_covariance(w[np.ix_(old, old)])
+    for f in FORMULATIONS:
+        ref = occ(panel, sys, as_covariance(w), f)
+        res = occ(relabelled, sys, w_relabelled, f)
+        assert np.abs(res.y_tilde - ref.y_tilde).max() <= 1e-9 * np.abs(ref.y_tilde).max()
+        assert np.abs(res.Psi - ref.Psi[old]).max() <= 1e-9 * np.abs(ref.Psi).max()
 
 
 def test_occ_rejects_bad_inputs(rng):
@@ -246,6 +271,13 @@ def test_mint_rejects_singular_covariance(rng):
     sys = hierarchy()
     with pytest.raises(NumericalError):
         mint_reconcile(np.zeros(7), sys, np.zeros((7, 7)))
+
+
+def test_mint_rejects_non_finite_forecasts():
+    y_hat = np.zeros(7)
+    y_hat[2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        mint_reconcile(y_hat, hierarchy(), np.eye(7))
 
 
 def test_bv_formulations_store_by_expert_weights(rng):

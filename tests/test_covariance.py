@@ -10,12 +10,13 @@ from cocomb import (
     diagonal_mse,
     from_aggregation,
     from_availability,
+    occ,
     sample_mse,
     shrink,
     shrink_intensity,
 )
 from conftest import random_panel, random_system
-from oracles import loop_mse
+from oracles import kkt_residual, loop_mse
 
 
 def small_panel():
@@ -195,3 +196,19 @@ def test_per_block_intensities_are_reported(rng):
     assert est.pattern == "bd_expert_shrunk"
     assert len(est.lam) == 2
     assert all(0.0 <= lam <= 1.0 for lam in est.lam)
+
+
+@pytest.mark.parametrize("estimator, p", [(block_by_expert, 2), (block_by_variable, 8)])
+def test_shrunk_blocks_wider_than_T_are_not_singular(rng, estimator, p):
+    # every block (9 variables per expert, 8 experts per variable) is wider
+    # than the T = 6 observations, yet each shrunk block is positive definite
+    a = np.kron(np.eye(3), np.ones((1, 2)))
+    sys = from_aggregation(a, [f"v{k}" for k in range(9)])
+    panel = from_availability(
+        np.ones((9, p), dtype=bool), sys, values=rng.standard_normal(9 * p)
+    )
+    resid = rng.standard_normal((panel.m, 6))
+    est = estimator(resid, panel, shrink_blocks=True)
+    assert not est.singular
+    res = occ(panel, sys, est)
+    assert kkt_residual(panel.K, est.W, sys.C, panel.y_hat, res.y_tilde) <= 1e-9

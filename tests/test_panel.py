@@ -103,6 +103,13 @@ def test_build_panel_errors():
         build_panel([("y1", "e1", 1.0), ("y3", "e1", 2.0)], sys)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_forecasts_rejected(bad):
+    values = [1.0, 2.0, bad, 4.0, 5.0, 6.0, 7.0]
+    with pytest.raises(DataError, match="non-finite"):
+        worked_example_panel(values)
+
+
 def test_residual_panel_perfect_fit():
     sys, panel = worked_example_panel()
     actuals = np.arange(12.0).reshape(4, 3)

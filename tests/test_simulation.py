@@ -186,3 +186,20 @@ def test_config_validation():
         SimulationConfig(setting=1, p=4, n_train=10, replications=1, error_corr="huh")
     cfg = SimulationConfig(setting=1, p=4, n_train=10, replications=1)
     assert cfg.total_len == 110
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("frequent_stay", -0.1),
+        ("infrequent_stay", 1.5),
+        ("frequent_enter", 0.0),
+        ("infrequent_enter", 0.0),
+        ("frequent_enter", 1.2),
+        ("infrequent_stay", float("nan")),
+    ],
+)
+def test_config_rejects_participation_probabilities_out_of_range(field, value):
+    # construction only: a config with a zero entry rate would hang the mask draw
+    with pytest.raises(DataError, match=field):
+        SimulationConfig(setting=1, p=4, n_train=10, replications=1, **{field: value})
