@@ -1,9 +1,17 @@
 """Command-line front end: combine, reconcile, simulate and evaluate.
 
-Every run writes its outputs atomically (temp file + rename) and drops a
-``<output>.manifest.json`` recording the command, options, seed and library
-version, so reruns from the same inputs are byte-identical. Numeric output is
-printed with 17 significant digits and round-trips exactly.
+Every run writes its outputs atomically (rows streamed into a temp file, then
+renamed) and drops a ``<output>.manifest.json`` recording the command, options,
+seed and library version, so reruns from the same inputs are byte-identical.
+Numeric output is printed with 17 significant digits and round-trips exactly.
+
+The panel and residual CSVs stream their rows, as (k, series, expert, value)
+records, into ``panel.panel_from_pairs`` and ``panel.fill_cells``, the one place
+that maps labels to by-expert rows. ``reconcile`` and ``combine`` fit their
+weights once, on the first horizon's panel: the weights depend only on the
+panel's availability and the error covariance, so one fit is applied to every
+horizon (``Psi' y_h``, ``Omega' y_h`` or the per-variable weights), and the
+emitted weights and reconciled covariance are those of that fit.
 
 Exit codes: 0 success, 2 bad arguments, 3 data/schema error, 4 numerical
 failure (non-SPD covariance, rank deficiency).
@@ -12,11 +20,11 @@ failure (non-SPD covariance, rank deficiency).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -24,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .coherent import mint_reconcile, occ, scr, src
-from .combiners import combine_multi_task, combine_single_task, single_task_weights
+from .combiners import combine_multi_task, single_task_weights
 from .constraints import read_constraint_file
 from .covariance import (
     block_by_expert,
@@ -35,7 +43,7 @@ from .covariance import (
 )
 from .exceptions import DataError, NumericalError
 from .metrics import accuracy, dm_test
-from .panel import from_availability
+from .panel import fill_cells, panel_from_pairs
 from .simulation import SimulationConfig, run_experiment
 
 COV_CHOICES = {
@@ -55,18 +63,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    """Text file handle on a temp file next to ``path``, renamed onto it on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and the (lazily produced) ``rows`` atomically to ``path``."""
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_manifest(output: Path, command: str, params: dict) -> None:
@@ -75,22 +93,15 @@ def _write_manifest(output: Path, command: str, params: dict) -> None:
         "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
         "version": __version__,
     }
-    _write_atomic(Path(str(output) + ".manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    with _atomic_file(Path(str(output) + ".manifest.json")) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 # -- input readers -------------------------------------------------------------
 
 
-def _read_csv_dicts(path: Path, required: set[str], what: str) -> list[dict]:
+def _read_csv_dicts(path: Path, required: set[str], what: str):
+    """Yield the rows of a CSV file as dicts, after checking its header."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
@@ -100,7 +111,29 @@ def _read_csv_dicts(path: Path, required: set[str], what: str) -> list[dict]:
             raise DataError(
                 f"{what} CSV {path} must have columns {sorted(required)}"
             )
-        return [row for row in reader]
+        for row in reader:
+            if None in row.values():
+                raise DataError(f"{what} CSV {path} line {reader.line_num} has too few fields")
+            yield row
+
+
+def _cell_records(path: Path, what: str, key: str, default=None):
+    """Yield (k, series, expert, value) from a label-keyed CSV; column ``key`` holds k.
+
+    A missing or empty ``key`` cell reads as ``default``; with no default the
+    column is required.
+    """
+    required = {"series", "expert", "value"} | ({key} if default is None else set())
+    for row in _read_csv_dicts(path, required, what):
+        try:
+            k = int(row.get(key) or default)
+        except (TypeError, ValueError):
+            raise DataError(f"bad {key} {row.get(key)!r} in {what} CSV") from None
+        try:
+            value = float(row["value"])
+        except ValueError:
+            raise DataError(f"non-numeric {what} value {row['value']!r}") from None
+        yield k, row["series"].strip(), row["expert"].strip(), value
 
 
 def _read_panel_csv(path: Path, sys_):
@@ -109,97 +142,31 @@ def _read_panel_csv(path: Path, sys_):
     Expert order is first appearance over the whole file; all horizons must
     share the same availability so one weight matrix applies throughout.
     """
-    rows = _read_csv_dicts(path, {"series", "expert", "value"}, "panel")
-    experts: list[str] = []
-    cells: dict[int, dict[tuple[int, int], float]] = {}
-    for row in rows:
-        series, expert = row["series"].strip(), row["expert"].strip()
-        try:
-            h = int(row.get("horizon") or 1)
-        except ValueError as exc:
-            raise DataError(f"bad horizon {row.get('horizon')!r} in panel CSV") from exc
-        i = sys_.index_of(series)
-        if expert not in experts:
-            experts.append(expert)
-        j = experts.index(expert)
-        try:
-            value = float(row["value"])
-        except ValueError as exc:
-            raise DataError(f"non-numeric panel value {row['value']!r}") from exc
-        bucket = cells.setdefault(h, {})
-        if (i, j) in bucket:
-            raise DataError(
-                f"duplicate forecast for series {series!r}, expert {expert!r}, horizon {h}"
-            )
-        bucket[(i, j)] = value
-    if not cells:
+    records = list(_cell_records(path, "panel", "horizon", default=1))
+    if not records:
         raise DataError(f"panel CSV {path} holds no forecasts")
-
-    horizons = sorted(cells)
-    pair_set = set(cells[horizons[0]])
-    for h in horizons[1:]:
-        if set(cells[h]) != pair_set:
-            raise DataError("panel availability differs across horizons")
-    avail = np.zeros((sys_.n, len(experts)), dtype=bool)
-    for i, j in pair_set:
-        avail[i, j] = True
-    panels = {}
-    for h in horizons:
-        values = [cells[h][(i, j)] for j in range(len(experts)) for i in range(sys_.n)
-                  if avail[i, j]]
-        panels[h] = from_availability(avail, sys_, experts=tuple(experts), values=np.array(values))
-    return panels
+    panel = panel_from_pairs(((s, e) for _, s, e, _ in records), sys_, "panel CSV")
+    horizons, values = fill_cells(records, panel, "panel CSV", "horizon")
+    return {h: panel.with_values(values[:, c]) for c, h in enumerate(horizons)}
 
 
 def _read_residual_csv(path: Path, panel) -> np.ndarray:
-    """Residual CSV (t,series,expert,value) -> m x T matrix in panel order."""
-    rows = _read_csv_dicts(path, {"t", "series", "expert", "value"}, "residual")
-    expert_index = {name: j for j, name in enumerate(panel.experts)}
-    row_of = {pair: r for r, pair in enumerate(panel.pairs)}
-    cells: dict[tuple[int, int], float] = {}
-    times: set[int] = set()
-    for row in rows:
-        try:
-            t = int(row["t"])
-            value = float(row["value"])
-        except ValueError as exc:
-            raise DataError(f"bad residual row {row!r}") from exc
-        series, expert = row["series"].strip(), row["expert"].strip()
-        if series not in panel.labels:
-            raise DataError(f"unknown series {series!r} in residual CSV")
-        j = expert_index.get(expert)
-        if j is None:
-            raise DataError(f"unknown expert {expert!r} in residual CSV")
-        r = row_of.get((panel.labels.index(series), j))
-        if r is None:
-            raise DataError(f"residual for pair ({series!r}, {expert!r}) not in the panel")
-        if (r, t) in cells:
-            raise DataError(f"duplicate residual cell for {series!r}/{expert!r} at t={t}")
-        cells[(r, t)] = value
-        times.add(t)
-    t_sorted = sorted(times)
-    if len(t_sorted) < 2:
+    """Residual CSV (t,series,expert,value) -> m x T matrix in panel order, t ascending."""
+    records = _cell_records(path, "residual", "t")
+    _, resid = fill_cells(records, panel, "residual CSV", "t")
+    if resid.shape[1] < 2:
         raise DataError("need residuals for at least two time points")
-    out = np.full((panel.m, len(t_sorted)), np.nan)
-    t_pos = {t: k for k, t in enumerate(t_sorted)}
-    for (r, t), value in cells.items():
-        out[r, t_pos[t]] = value
-    if np.isnan(out).any():
-        raise DataError("residual CSV does not cover every (series, expert, t) cell")
-    return out
+    return resid
 
 
-def _forecast_csv(results: dict[int, np.ndarray], labels) -> str:
+def _write_forecasts(path: Path, results: dict[int, np.ndarray], labels) -> None:
     horizons = sorted(results)
     if horizons == [1]:
-        rows = [[labels[i], _fmt(results[1][i])] for i in range(len(labels))]
-        return _csv_text(["series", "value"], rows)
-    rows = [
-        [labels[i], h, _fmt(results[h][i])]
-        for h in horizons
-        for i in range(len(labels))
-    ]
-    return _csv_text(["series", "horizon", "value"], rows)
+        rows = ([label, _fmt(v)] for label, v in zip(labels, results[1]))
+        _write_csv(path, ["series", "value"], rows)
+    else:
+        rows = ([label, h, _fmt(v)] for h in horizons for label, v in zip(labels, results[h]))
+        _write_csv(path, ["series", "horizon", "value"], rows)
 
 
 # -- command group ---------------------------------------------------------------
@@ -261,13 +228,13 @@ def combine(constraints_path, panel_path, residuals_path, cov_kind, output_path,
     sys_, panels, first, cov, _ = _load_inputs(
         constraints_path, panel_path, residuals_path, cov_kind, need_cov
     )
-    results = {}
-    for h, panel_h in panels.items():
-        if scheme == "multi-task":
-            results[h] = combine_multi_task(panel_h, cov).y_c
-        else:
-            results[h] = combine_single_task(panel_h, _SCHEME_FLAGS[scheme], cov)
-    _write_atomic(output_path, _forecast_csv(results, sys_.labels))
+    if scheme == "multi-task":
+        omega = combine_multi_task(first, cov).Omega
+        results = {h: omega.T @ panel_h.y_hat for h, panel_h in panels.items()}
+    else:
+        ws = single_task_weights(first, _SCHEME_FLAGS[scheme], cov)
+        results = {h: ws.apply(panel_h) for h, panel_h in panels.items()}
+    _write_forecasts(output_path, results, sys_.labels)
     _write_manifest(output_path, "combine", {
         "constraints": constraints_path, "panel": panel_path,
         "residuals": residuals_path, "cov": cov_kind, "scheme": scheme,
@@ -292,42 +259,33 @@ def reconcile(constraints_path, panel_path, residuals_path, cov_kind, output_pat
     sys_, panels, first, cov, resid = _load_inputs(
         constraints_path, panel_path, residuals_path, cov_kind, need_cov=True
     )
-    formulation_key = formulation.replace("-", "_")
-    results = {}
-    last = None
-    for h, panel_h in panels.items():
-        if method == "occ":
-            res = occ(panel_h, sys_, cov, formulation_key)
-        elif method == "mint":
-            if panel_h.p != 1 or not panel_h.balanced:
-                raise DataError("mint expects a single expert covering every series")
-            res = mint_reconcile(panel_h.y_hat, sys_, cov)
-        elif method == "src":
-            covs = [shrink(resid[panel_h.expert_rows(j)]) for j in range(panel_h.p)]
-            res = src(panel_h, sys_, covs)
-        else:
-            scheme = {"scr-ew": "ew", "scr-var": "ow_var", "scr-cov": "ow_cov"}[method]
-            ws = single_task_weights(panel_h, scheme, cov)
-            combined_resid = ws.matrix(panel_h).T @ resid
-            res = scr(panel_h, sys_, ws, cov, shrink(combined_resid))
-        results[h] = res.y_tilde
-        last = (panel_h, res)
-    _write_atomic(output_path, _forecast_csv(results, sys_.labels))
+    if method == "occ":
+        res = occ(first, sys_, cov, formulation.replace("-", "_"))
+    elif method == "mint":
+        if first.p != 1 or not first.balanced:
+            raise DataError("mint expects a single expert covering every series")
+        res = mint_reconcile(first.y_hat, sys_, cov)
+    elif method == "src":
+        res = src(first, sys_, [shrink(resid[first.expert_rows(j)]) for j in range(first.p)])
+    else:
+        scheme = {"scr-ew": "ew", "scr-var": "ow_var", "scr-cov": "ow_cov"}[method]
+        ws = single_task_weights(first, scheme, cov)
+        res = scr(first, sys_, ws, cov, shrink(ws.matrix(first).T @ resid))
+    results = {h: res.Psi.T @ panel_h.y_hat for h, panel_h in panels.items()}
+    _write_forecasts(output_path, results, sys_.labels)
 
-    panel_h, res = last
     if weights_path is not None:
-        rows = [
-            [panel_h.experts[j], panel_h.labels[i], panel_h.labels[k], _fmt(res.Psi[r, k])]
-            for r, (i, j) in enumerate(panel_h.pairs)
-            for k in range(panel_h.n)
-        ]
-        _write_atomic(weights_path, _csv_text(["expert", "series", "target", "weight"], rows))
+        labels, experts = first.labels, first.experts
+        _write_csv(weights_path, ["expert", "series", "target", "weight"], (
+            [experts[j], labels[i], labels[k], _fmt(w)]
+            for (i, j), psi_r in zip(first.pairs, res.Psi)
+            for k, w in enumerate(psi_r.tolist())
+        ))
     if cov_path is not None:
-        rows = [
-            [sys_.labels[i]] + [_fmt(v) for v in res.W_tilde[i]]
-            for i in range(sys_.n)
-        ]
-        _write_atomic(cov_path, _csv_text(["series"] + list(sys_.labels), rows))
+        _write_csv(cov_path, ["series"] + list(sys_.labels), (
+            [label] + [_fmt(v) for v in row.tolist()]
+            for label, row in zip(sys_.labels, res.W_tilde)
+        ))
     _write_manifest(output_path, "reconcile", {
         "constraints": constraints_path, "panel": panel_path,
         "residuals": residuals_path, "cov": cov_kind, "method": method,
@@ -364,14 +322,14 @@ def simulate(setting, n_experts, n_train, test_len, reps, seed, balanced,
         error_corr=error_corr.replace("-", "_"),
     )
     result = run_experiment(cfg, method_keys, n_jobs=jobs)
-    rows = [
+    rows = (
         [r["setting"], r["p"], r["n_train"], r["balanced"], r["method"],
          _fmt(r["avg_rel_mae"]), _fmt(r["avg_rel_mse"])]
         for r in result.summary_rows()
-    ]
-    _write_atomic(output_path, _csv_text(
-        ["setting", "p", "n_train", "balanced", "method", "avg_rel_mae", "avg_rel_mse"], rows
-    ))
+    )
+    _write_csv(output_path,
+               ["setting", "p", "n_train", "balanced", "method", "avg_rel_mae", "avg_rel_mse"],
+               rows)
     _write_manifest(output_path, "simulate", {
         "setting": setting, "p": n_experts, "n_train": n_train, "test_len": test_len,
         "reps": reps, "seed": seed, "balanced": balanced, "error_corr": error_corr,
@@ -405,10 +363,12 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
              output_path, dm_output_path):
     """Score methods against actuals with relative accuracy indices."""
     horizon_list = _parse_horizons(horizons)
-    act_rows = _read_csv_dicts(actuals_path, {"series", "horizon", "q", "value"}, "actuals")
-    fc_rows = _read_csv_dicts(
-        forecasts_path, {"method", "series", "horizon", "q", "value"}, "forecasts"
+    act_rows = list(
+        _read_csv_dicts(actuals_path, {"series", "horizon", "q", "value"}, "actuals")
     )
+    fc_rows = list(_read_csv_dicts(
+        forecasts_path, {"method", "series", "horizon", "q", "value"}, "forecasts"
+    ))
 
     series = sorted({row["series"].strip() for row in act_rows})
     s_index = {s: i for i, s in enumerate(series)}
@@ -466,7 +426,7 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
             for h in table.horizons:
                 rows.append([metric, m, h, _fmt(per_h[m][h])])
             rows.append([metric, m, "all", _fmt(overall[m])])
-    _write_atomic(output_path, _csv_text(["metric", "method", "horizon", "value"], rows))
+    _write_csv(output_path, ["metric", "method", "horizon", "value"], rows)
 
     if run_dm:
         if dm_output_path is None:
@@ -497,9 +457,8 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
                         dm_rows.append([
                             loss_name, h, m_a, m_b, _fmt(100.0 * wins / len(series)),
                         ])
-        _write_atomic(dm_output_path, _csv_text(
-            ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows
-        ))
+        _write_csv(dm_output_path,
+                   ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
     _write_manifest(output_path, "evaluate", {
         "actuals": actuals_path, "forecasts": forecasts_path, "benchmark": benchmark,
         "horizons": horizons, "dm": run_dm, "output": output_path,

@@ -38,7 +38,7 @@ from .panel import ForecastPanel
 FORMULATIONS = ("zc_be", "zc_bv", "struct_be", "struct_bv")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentResult:
     """A coherent combined forecast with its weights and error covariance.
 
@@ -153,6 +153,8 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
+    if cov.m != sys.n:
+        raise DataError(f"covariance size {cov.m} does not match the {sys.n} variables")
     if cov.singular:
         raise NumericalError(
             "covariance estimate is flagged singular; use a shrunk or block pattern"

@@ -26,7 +26,7 @@ from .panel import ForecastPanel
 SINGLE_TASK_SCHEMES = ("ew", "ow_var", "ow_cov")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightScheme:
     """Per-variable combination weights; each vector sums to one."""
 
@@ -133,7 +133,7 @@ def gls_pool(w: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b @ w_c, w_c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTaskResult:
     """Multi-task combined forecast with its weights and error covariance."""
 

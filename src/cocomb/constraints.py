@@ -27,7 +27,7 @@ from .exceptions import DataError, NumericalError
 PIVOT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """Immutable description of the linear constraints on a variable vector.
 

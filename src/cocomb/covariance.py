@@ -39,7 +39,7 @@ PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
     """An m x m error covariance with its pattern tag and shrinkage intensity.
 

@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccuracyTable:
     """Per-(method, series, horizon) losses and their relative aggregates.
 

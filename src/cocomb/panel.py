@@ -23,10 +23,19 @@ every access; none of them is stored:
 * ``K``  (m x n): the stacked ``L_j``, row r is the unit vector of ``var_idx[r]``;
 * ``P``  (m x m): by-expert to by-variable permutation, ``P x = x[bv_order]``;
 * ``J``  (m x n): ``P K``.
+
+Label-keyed records become by-expert rows here and nowhere else:
+``panel_from_pairs`` builds a panel's structure from (series, expert) label
+pairs, experts in first-appearance order, and ``fill_cells`` fills its
+(m x K) cell matrix from streamed (k, series, expert, value) records, one
+column per distinct k in ascending order. ``build_panel``, ``residual_panel``
+(k = t) and the CLI's panel (k = horizon) and residual (k = t) CSV readers all
+go through these two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +44,7 @@ from .constraints import ConstraintSystem
 from .exceptions import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastPanel:
     """Immutable panel of base forecasts with its (variable, expert) index arrays.
 
@@ -195,6 +204,73 @@ def from_availability(
     return ForecastPanel(sys.labels, tuple(experts), avail, y_hat)
 
 
+def panel_from_pairs(pairs, sys: ConstraintSystem, source: str) -> ForecastPanel:
+    """Zero-valued panel covering the given (series, expert) label pairs.
+
+    Experts are numbered in order of first appearance; a pair may repeat (once
+    per horizon or time index). ``source`` names the input in error messages.
+    """
+    index = {label: i for i, label in enumerate(sys.labels)}
+    experts: dict[str, int] = {}
+    cells: set[tuple[int, int]] = set()
+    for label, expert in pairs:
+        i = index.get(label)
+        if i is None:
+            raise DataError(f"unknown series {label!r} in {source}")
+        cells.add((i, experts.setdefault(expert, len(experts))))
+    avail = np.zeros((sys.n, len(experts)), dtype=bool)
+    for i, j in cells:
+        avail[i, j] = True
+    return from_availability(avail, sys, experts=tuple(experts))
+
+
+def fill_cells(records, panel: ForecastPanel, source: str, key: str):
+    """Fill the (m x K) cell matrix of ``panel`` from (k, series, expert, value) records.
+
+    Returns the K distinct ``k`` in ascending order and the matrix with one
+    column per ``k``, rows in by-expert order. Each record must name a pair of
+    the panel and a finite value; each cell may appear once and every cell
+    must be covered. ``source`` names the input and ``key`` the meaning of
+    ``k`` in error messages. Records are consumed one at a time.
+    """
+    row_of = {
+        (panel.labels[i], panel.experts[j]): r for r, (i, j) in enumerate(panel.pairs)
+    }
+    columns: dict = {}
+    for k, label, expert, value in records:
+        r = row_of.get((label, expert))
+        if r is None:
+            if label not in set(panel.labels):
+                raise DataError(f"unknown series {label!r} in {source}")
+            if expert not in set(panel.experts):
+                raise DataError(f"unknown expert {expert!r} in {source}")
+            raise DataError(f"pair ({label!r}, {expert!r}) in {source} is not part of the panel")
+        value = float(value)
+        column = columns.get(k)
+        if column is None:
+            column = columns[k] = np.full(panel.m, np.nan)
+        if not (math.isfinite(value) and math.isnan(column[r])):
+            defect = "duplicate cell" if math.isfinite(value) else f"non-finite value {value!r}"
+            raise DataError(
+                f"{defect} for series {label!r}, expert {expert!r}, {key} {k} in {source}"
+            )
+        column[r] = value
+
+    keys = sorted(columns)
+    values = np.empty((panel.m, len(keys)))
+    for c, k in enumerate(keys):
+        values[:, c] = columns.pop(k)
+    missing = np.argwhere(np.isnan(values))
+    if missing.size:
+        r, c = missing[0]
+        first = (panel.labels[panel.var_idx[r]], panel.experts[panel.exp_idx[r]], keys[c])
+        raise DataError(
+            f"{source} does not cover every (series, expert, {key}) cell: "
+            f"{len(missing)} missing, first {first!r}"
+        )
+    return keys, values
+
+
 def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
     """Assemble a panel from (variable label, expert label, value) triples.
 
@@ -202,29 +278,11 @@ def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
     from the constraint system, which makes the stacking (and hence ``bv_order``)
     deterministic.
     """
-    experts: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    cells: dict[tuple[int, int], float] = {}
-    for var_label, expert_label, value in forecasts:
-        i = sys.index_of(str(var_label))
-        expert_label = str(expert_label)
-        if expert_label not in experts:
-            experts.append(expert_label)
-        j = experts.index(expert_label)
-        if (i, j) in seen:
-            raise DataError(
-                f"duplicate forecast for variable {var_label!r} by expert {expert_label!r}"
-            )
-        seen.add((i, j))
-        cells[(i, j)] = float(value)
-
-    avail = np.zeros((sys.n, len(experts)), dtype=bool)
-    for i, j in seen:
-        avail[i, j] = True
-    values = np.array(
-        [cells[(i, j)] for j in range(len(experts)) for i in range(sys.n) if avail[i, j]]
-    )
-    return ForecastPanel(sys.labels, tuple(experts), avail, values)
+    cells = [(1, str(label), str(expert), value) for label, expert, value in forecasts]
+    pairs = ((label, expert) for _, label, expert, _ in cells)
+    panel = panel_from_pairs(pairs, sys, "forecast list")
+    _, values = fill_cells(cells, panel, "forecast list", "horizon")
+    return panel.with_values(values[:, 0])
 
 
 def to_by_variable(panel: ForecastPanel) -> np.ndarray:
@@ -246,30 +304,10 @@ def residual_panel(panel: ForecastPanel, actuals: np.ndarray, fitted) -> np.ndar
     T = actuals.shape[0]
     if T < 2:
         raise DataError("need at least two residual observations")
-
-    expert_index = {name: j for j, name in enumerate(panel.experts)}
-    row_of = {pair: r for r, pair in enumerate(panel.pairs)}
-    fit = np.full((panel.m, T), np.nan)
-    for t, var_label, expert_label, value in fitted:
-        t = int(t)
-        if not 0 <= t < T:
-            raise DataError(f"time index {t} outside 0..{T - 1}")
-        i = panel.labels.index(str(var_label)) if str(var_label) in panel.labels else -1
-        if i < 0:
-            raise DataError(f"unknown variable label {var_label!r}")
-        j = expert_index.get(str(expert_label))
-        if j is None:
-            raise DataError(f"unknown expert label {expert_label!r}")
-        r = row_of.get((i, j))
-        if r is None:
-            raise DataError(
-                f"pair ({var_label!r}, {expert_label!r}) is not part of the panel"
-            )
-        fit[r, t] = float(value)
-    if np.isnan(fit).any():
-        missing = int(np.isnan(fit).sum())
-        raise DataError(f"missing fitted values for {missing} residual cells")
-
+    records = ((int(t), str(label), str(expert), value) for t, label, expert, value in fitted)
+    times, fit = fill_cells(records, panel, "fitted-value list", "t")
+    if times != list(range(T)):
+        raise DataError(f"fitted values must cover exactly the time indices 0..{T - 1}")
     return actuals.T[panel.var_idx] - fit
 
 

@@ -183,7 +183,7 @@ class SimulationConfig:
         return enter / (1.0 - stay + enter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Replication:
     """One simulated replication: actuals, per-expert forecasts and the mask."""
 
@@ -376,7 +376,7 @@ def _replication_accuracy(cfg: SimulationConfig, rep_index: int, methods: tuple[
     return mae, mse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Accuracy of each method relative to the equal-weight benchmark."""
 

@@ -1,0 +1,102 @@
+"""Malformed panel and residual CSVs: exit 3, a schema error naming the defect, no output."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cocomb.cli import main
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
+
+PANEL_LINES = (SAMPLE / "panel.csv").read_text().splitlines()
+RESID_LINES = (SAMPLE / "residuals.csv").read_text().splitlines()
+
+# (input edited, edit of its lines, fragments the error message must contain)
+DEFECTS = {
+    "resid-unknown-series": (
+        "residuals", lambda ls: ls + ["0,north,alpha,0.5"],
+        ["unknown series 'north'", "residual"]),
+    "resid-unknown-expert": (
+        "residuals", lambda ls: ls + ["0,total,omega,0.5"],
+        ["unknown expert 'omega'", "residual"]),
+    "resid-pair-not-in-panel": (
+        "residuals", lambda ls: ls + ["0,east,alpha,0.5"],
+        ["('east', 'alpha')", "residual", "panel"]),
+    "resid-duplicate-cell": (
+        "residuals", lambda ls: ls + ["0,total,alpha,0.5"],
+        ["duplicate", "residual", "'total'", "'alpha'"]),
+    "resid-missing-cell": (
+        "residuals", lambda ls: ls[:-1],
+        ["residual CSV does not cover every (series, expert, t) cell"]),
+    "resid-non-integer-t": (
+        "residuals", lambda ls: ls + ["1.5,total,alpha,0.5"],
+        ["residual", "'1.5'"]),
+    "resid-single-time-point": (
+        "residuals", lambda ls: ls[:1] + [line for line in ls[1:] if line.startswith("0,")],
+        ["residuals", "two time points"]),
+    "panel-unknown-series": (
+        "panel", lambda ls: ls + ["north,alpha,1,1.0"],
+        ["'north'"]),
+    "panel-duplicate-cell": (
+        "panel", lambda ls: ls + ["total,alpha,1,17.0"],
+        ["duplicate", "'total'", "'alpha'", "horizon 1"]),
+    "panel-bad-horizon": (
+        "panel", lambda ls: ls + ["total,alpha,one,17.0"],
+        ["bad horizon 'one' in panel CSV"]),
+    "panel-non-numeric-value": (
+        "panel", lambda ls: ls + ["total,alpha,2,abc"],
+        ["non-numeric panel value 'abc'"]),
+    "panel-availability-differs": (
+        "panel", lambda ls: ls + ["total,alpha,2,17.0"],
+        ["panel", "horizon"]),
+    "panel-empty": (
+        "panel", lambda ls: ls[:1],
+        ["panel CSV", "no forecasts"]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_malformed_input_exits_3_without_output(tmp_path, capsys, defect):
+    which, edit, fragments = DEFECTS[defect]
+    panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
+    panel_path.write_text("\n".join(PANEL_LINES) + "\n")
+    resid_path.write_text("\n".join(RESID_LINES) + "\n")
+    target = panel_path if which == "panel" else resid_path
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    out = tmp_path / "out" / "coherent.csv"
+    code = main([
+        "reconcile",
+        "--constraints", str(SAMPLE / "constraints.json"),
+        "--panel", str(panel_path),
+        "--residuals", str(resid_path),
+        "--method", "occ",
+        "--output", str(out),
+        "--emit-weights", str(tmp_path / "out" / "weights.csv"),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema"
+    for fragment in fragments:
+        assert fragment in err["message"]
+    assert not out.parent.exists() or not any(out.parent.iterdir())
+
+
+@pytest.mark.parametrize("which", ["panel", "residual"])
+def test_short_row_exits_3(tmp_path, capsys, which):
+    panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
+    panel_path.write_text("\n".join(PANEL_LINES) + "\n")
+    resid_path.write_text("\n".join(RESID_LINES) + "\n")
+    target = panel_path if which == "panel" else resid_path
+    target.write_text(target.read_text() + "west,alpha\n")
+    code = main([
+        "reconcile",
+        "--constraints", str(SAMPLE / "constraints.json"),
+        "--panel", str(panel_path),
+        "--residuals", str(resid_path),
+        "--output", str(tmp_path / "coherent.csv"),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema" and "too few fields" in err["message"]
+    assert not (tmp_path / "coherent.csv").exists()

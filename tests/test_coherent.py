@@ -280,6 +280,13 @@ def test_mint_rejects_non_finite_forecasts():
         mint_reconcile(y_hat, hierarchy(), np.eye(7))
 
 
+@pytest.mark.parametrize("wrap", [np.asarray, as_covariance], ids=["ndarray", "estimate"])
+def test_mint_rejects_covariance_of_wrong_size(wrap):
+    # n = 7 variables against a 5 x 5 covariance
+    with pytest.raises(DataError, match="covariance size 5"):
+        mint_reconcile(np.zeros(7), hierarchy(), wrap(np.eye(5)))
+
+
 def test_bv_formulations_store_by_expert_weights(rng):
     sys, panel = worked_shape_panel(rng)
     cov = as_covariance(random_spd(rng, panel.m))

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from cocomb import (
     DataError,
+    as_covariance,
     build_panel,
     from_aggregation,
     from_availability,
@@ -11,6 +12,7 @@ from cocomb import (
     residuals_from_arrays,
     to_by_variable,
 )
+from cocomb.panel import fill_cells, panel_from_pairs
 from conftest import random_panel, random_system
 
 
@@ -220,3 +222,45 @@ def test_panel_validation_errors():
         from_availability(avail, sys)  # second expert idle
     with pytest.raises(DataError):
         from_availability(np.ones((2, 2), dtype=bool), sys)  # wrong row count
+
+
+def test_fill_cells_orders_columns_by_key_and_checks_each_cell():
+    sys, panel = worked_example_panel()
+    records = [
+        (t, panel.labels[i], panel.experts[j], 10.0 * t + r)
+        for t in (5, 2, 9)
+        for r, (i, j) in enumerate(panel.pairs)
+    ]
+    keys, values = fill_cells(reversed(records), panel, "test records", "t")
+    assert keys == [2, 5, 9]
+    np.testing.assert_array_equal(values, np.arange(7.0)[:, None] + [20.0, 50.0, 90.0])
+    with pytest.raises(DataError, match="duplicate cell .* t 5 in test records"):
+        fill_cells(records + records[:1], panel, "test records", "t")
+    with pytest.raises(DataError, match="non-finite"):
+        fill_cells([(0, "y1", "e1", np.inf)], panel, "test records", "t")
+    with pytest.raises(DataError, match="2 missing, first \\('y1', 'e1', 2\\)"):
+        fill_cells(records[1:7] + records[8:], panel, "test records", "t")
+
+
+def test_panel_from_pairs_numbers_experts_by_first_appearance():
+    sys = three_var_system()
+    panel = panel_from_pairs(
+        [("y3", "e2"), ("y1", "e1"), ("y2", "e2"), ("y3", "e2")], sys, "test pairs"
+    )
+    assert panel.experts == ("e2", "e1")
+    np.testing.assert_array_equal(
+        panel.availability, [[False, True], [True, False], [True, False]]
+    )
+    with pytest.raises(DataError, match="unknown series 'zz' in test pairs"):
+        panel_from_pairs([("zz", "e1")], sys, "test pairs")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: worked_example_panel()[1],
+    three_var_system,
+    lambda: as_covariance(np.eye(3)),
+], ids=["panel", "system", "covariance"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
