@@ -13,6 +13,11 @@ panel's availability and the error covariance, so one fit is applied to every
 horizon (``Psi' y_h``, ``Omega' y_h`` or the per-variable weights), and the
 emitted weights and reconciled covariance are those of that fit.
 
+``evaluate`` streams each evaluation CSV through ``_read_eval_csv`` into one
+array with sorted labels and a last axis over the sorted (horizon, q) keys,
+computes each loss array once, and runs one DM test per unordered method pair
+and series: swapping the pair negates the statistic and keeps the p-value.
+
 Exit codes: 0 success, 2 bad arguments, 3 data/schema error, 4 numerical
 failure (non-SPD covariance, rank deficiency).
 """
@@ -20,7 +25,9 @@ failure (non-SPD covariance, rank deficiency).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -338,11 +345,65 @@ def simulate(setting, n_experts, n_train, test_len, reps, seed, balanced,
 
 
 def _parse_horizons(expr: str) -> list[int]:
-    expr = expr.strip()
-    if ":" in expr:
-        lo, hi = expr.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in expr.split(",") if tok.strip()]
+    lo, colon, hi = expr.partition(":")
+    try:
+        horizons = (list(range(int(lo), int(hi) + 1)) if colon
+                    else [int(tok) for tok in expr.split(",") if tok.strip()])
+    except ValueError:
+        horizons = []
+    if not horizons:
+        raise click.BadParameter(f"no horizons in {expr!r}", param_hint="'--horizons'")
+    return horizons
+
+
+def _read_eval_csv(path: Path, what: str, label_cols: tuple[str, ...], horizons, keep=()):
+    """Evaluation CSV -> (sorted labels of each label column, (h, q) keys, values).
+
+    Rows outside ``horizons``, and rows whose last label is not in a given
+    ``keep``, are skipped. ``values`` has one axis per label column and a last
+    axis over the sorted (horizon, q) ``keys``. The alignment rule: every
+    selected horizon appears, and each (labels, key) cell exactly once, finite.
+    """
+    wanted, cells, values = set(horizons), [], []
+    codes = [{} for _ in label_cols]  # label -> code, in order of first appearance
+    for row in _read_csv_dicts(path, {*label_cols, "horizon", "q", "value"}, what):
+        try:
+            h, q, value = int(row["horizon"]), int(row["q"]), float(row["value"])
+        except ValueError:
+            raise DataError(f"bad evaluation row {row!r}") from None
+        cell_labels = tuple(row[col].strip() for col in label_cols)
+        if h not in wanted or (keep and cell_labels[-1] not in keep):
+            continue
+        cells.append([c.setdefault(x, len(c)) for c, x in zip(codes, cell_labels)] + [h, q])
+        values.append(value)
+    cells = np.array(cells, dtype=np.int64).reshape(len(values), len(label_cols) + 2)
+    missing = wanted - set(cells[:, -2].tolist())
+    if missing:
+        raise DataError(f"no {what} for horizon {min(missing)}")
+    for j, c in enumerate(codes):  # first-appearance codes -> sorted ranks
+        cells[:, j] = np.argsort(np.argsort(list(c)))[cells[:, j]]
+    names = [sorted(c) for c in codes]
+    keys, key_idx = np.unique(cells[:, -2:], axis=0, return_inverse=True)
+    shape = (*map(len, names), len(keys))
+    flat = np.ravel_multi_index((*cells[:, :-2].T, key_idx.reshape(-1)), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    values = np.array(values)
+
+    def cell(i):  # "series 's', horizon 1, q 0" for the flat index i
+        *at, k = np.unravel_index(i, shape)
+        parts = [*(n[a] for n, a in zip(names, at)), *keys[k].tolist()]
+        return ", ".join(f"{c} {v!r}" for c, v in zip((*label_cols, "horizon", "q"), parts))
+
+    if not np.isfinite(values).all():
+        bad = np.argmin(np.isfinite(values))
+        raise DataError(f"non-finite value {values[bad]} for {cell(flat[bad])} in {what} CSV")
+    if (counts != 1).any():
+        i = np.argmax(counts != 1)
+        raise DataError(f"{what} CSV must hold every ({', '.join(label_cols)}, horizon, q) cell "
+                        f"exactly once: {cell(i)} appears {counts[i]} times")
+    grid = np.empty(shape)
+    grid.reshape(-1)[flat] = values
+    return names, keys, grid
 
 
 @cli.command()
@@ -363,100 +424,42 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
              output_path, dm_output_path):
     """Score methods against actuals with relative accuracy indices."""
     horizon_list = _parse_horizons(horizons)
-    act_rows = list(
-        _read_csv_dicts(actuals_path, {"series", "horizon", "q", "value"}, "actuals")
+    (series,), keys, y = _read_eval_csv(actuals_path, "actuals", ("series",), horizon_list)
+    (methods, fc_series), fc_keys, f = _read_eval_csv(
+        forecasts_path, "forecasts", ("method", "series"), horizon_list, keep=set(series))
+    if fc_series != series or not np.array_equal(fc_keys, keys):
+        raise DataError("forecasts CSV does not cover the actuals' series and (horizon, q) cells")
+    cols = {h: np.flatnonzero(keys[:, 0] == h) for h in horizon_list}
+
+    # accuracy() takes Q_h x n arrays per horizon, C-ordered as the sums expect
+    table = accuracy(
+        {h: y[:, c].T.copy() for h, c in cols.items()},
+        {m: {h: f_m[:, c].T.copy() for h, c in cols.items()} for m, f_m in zip(methods, f)},
+        benchmark, series,
     )
-    fc_rows = list(_read_csv_dicts(
-        forecasts_path, {"method", "series", "horizon", "q", "value"}, "forecasts"
+    _write_csv(output_path, ["metric", "method", "horizon", "value"], (
+        [metric, m, h, _fmt(overall[m] if h == "all" else per_h[m][h])]
+        for metric, per_h, overall in (("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
+                                       ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse))
+        for m in table.methods for h in (*table.horizons, "all")
     ))
 
-    series = sorted({row["series"].strip() for row in act_rows})
-    s_index = {s: i for i, s in enumerate(series)}
-    methods = sorted({row["method"].strip() for row in fc_rows})
-
-    def _grid(rows, keys):
-        grid: dict = {}
-        for row in rows:
-            try:
-                h = int(row["horizon"])
-                q = int(row["q"])
-                value = float(row["value"])
-            except ValueError as exc:
-                raise DataError(f"bad evaluation row {row!r}") from exc
-            if h not in horizon_list:
-                continue
-            key = tuple(row[k].strip() for k in keys)
-            grid.setdefault(h, {}).setdefault(key, {})[q] = value
-        return grid
-
-    act_grid = _grid(act_rows, ("series",))
-    fc_grid = _grid(fc_rows, ("method", "series"))
-    actuals: dict[int, np.ndarray] = {}
-    forecasts: dict[str, dict[int, np.ndarray]] = {m: {} for m in methods}
-    for h in horizon_list:
-        if h not in act_grid:
-            raise DataError(f"no actuals for horizon {h}")
-        qs = sorted(next(iter(act_grid[h].values())))
-        y = np.full((len(qs), len(series)), np.nan)
-        for (s,), by_q in act_grid[h].items():
-            if sorted(by_q) != qs:
-                raise DataError(f"actuals for series {s!r} at horizon {h} misaligned")
-            y[:, s_index[s]] = [by_q[q] for q in qs]
-        actuals[h] = y
-        for m in methods:
-            f = np.full_like(y, np.nan)
-            for s in series:
-                by_q = fc_grid.get(h, {}).get((m, s))
-                if by_q is None or sorted(by_q) != qs:
-                    raise DataError(
-                        f"forecasts for method {m!r}, series {s!r}, horizon {h} misaligned"
-                    )
-                f[:, s_index[s]] = [by_q[q] for q in qs]
-            forecasts[m][h] = f
-    if np.isnan(actuals[horizon_list[0]]).any():
-        raise DataError("actuals grid is incomplete")
-
-    table = accuracy(actuals, forecasts, benchmark, series)
-    rows = []
-    for metric, per_h, overall in (
-        ("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
-        ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse),
-    ):
-        for m in table.methods:
-            for h in table.horizons:
-                rows.append([metric, m, h, _fmt(per_h[m][h])])
-            rows.append([metric, m, "all", _fmt(overall[m])])
-    _write_csv(output_path, ["metric", "method", "horizon", "value"], rows)
-
     if run_dm:
-        if dm_output_path is None:
-            dm_output_path = Path(str(output_path) + ".dm.csv")
-        dm_rows = []
+        dm_output_path = dm_output_path or Path(str(output_path) + ".dm.csv")
+        n_m, dm_rows = len(methods), []
         for loss_name, power in (("absolute", 1), ("squared", 2)):
+            loss = np.abs(y - f) ** power  # methods x series x keys
             for h in horizon_list + ["all"]:
                 hs = horizon_list if h == "all" else [h]
-                lag = max(hs)
-                for m_a in methods:
-                    for m_b in methods:
-                        if m_a == m_b:
-                            continue
-                        wins = 0
-                        for s in series:
-                            i = s_index[s]
-                            loss_a = np.concatenate(
-                                [np.abs(actuals[hh][:, i] - forecasts[m_a][hh][:, i]) ** power
-                                 for hh in hs]
-                            )
-                            loss_b = np.concatenate(
-                                [np.abs(actuals[hh][:, i] - forecasts[m_b][hh][:, i]) ** power
-                                 for hh in hs]
-                            )
-                            res = dm_test(loss_a, loss_b, h=lag)
-                            if res.p_value < 0.05 and res.statistic < 0:
-                                wins += 1
-                        dm_rows.append([
-                            loss_name, h, m_a, m_b, _fmt(100.0 * wins / len(series)),
-                        ])
+                idx = np.concatenate([cols[hh] for hh in hs])
+                wins = np.zeros((n_m, n_m), dtype=np.int64)
+                for a, b in itertools.combinations(range(n_m), 2):
+                    for i in range(len(series)):
+                        res = dm_test(loss[a, i, idx], loss[b, i, idx], h=max(hs))
+                        if res.p_value < 0.05:
+                            wins[(a, b) if res.statistic < 0 else (b, a)] += 1
+                dm_rows += ([loss_name, h, methods[a], methods[b], _fmt(100.0 * w / len(series))]
+                            for (a, b), w in np.ndenumerate(wins) if a != b)
         _write_csv(dm_output_path,
                    ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
     _write_manifest(output_path, "evaluate", {

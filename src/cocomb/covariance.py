@@ -14,8 +14,8 @@ ordering. Patterns:
 * ``diagonal``           diagonal of the sample MSE.
 
 Sample estimates with more coordinates than observations are returned but
-tagged ``singular``; solvers refuse tagged estimates instead of regularizing
-behind the caller's back.
+tagged ``singular``, block patterns when one of their blocks is; solvers
+refuse tagged estimates instead of regularizing behind the caller's back.
 """
 
 from __future__ import annotations
@@ -180,8 +180,6 @@ def block_by_expert(
         w[rows, rows] = est.W
     pattern = "bd_expert_shrunk" if shrink_blocks else "bd_expert"
     lam = tuple(lams) if shrink_blocks else None
-    if not singular:
-        singular = not _cholesky_ok(w)
     return CovarianceEstimate(w, pattern, lam=lam, singular=singular)
 
 
@@ -212,8 +210,6 @@ def block_by_variable(
         w[np.ix_(rows, rows)] = est.W
     pattern = "bd_variable_shrunk" if shrink_blocks else "bd_variable"
     lam = tuple(lams) if shrink_blocks else None
-    if not singular:
-        singular = not _cholesky_ok(w)
     return CovarianceEstimate(w, pattern, lam=lam, singular=singular)
 
 

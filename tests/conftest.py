@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,37 @@ def random_spd(rng, m, lo=0.5, hi=3.0):
     eigs = rng.uniform(lo, hi, size=m)
     w = (q * eigs) @ q.T
     return 0.5 * (w + w.T)
+
+
+def evaluation_csvs(tmp_path, rng):
+    """Actuals and forecast CSVs for ``evaluate``, rows shuffled, Q_h unequal.
+
+    Returns the two paths, the sorted series, ``actuals[h]`` (Q_h x n) and
+    ``forecasts[method][h]`` as written (values round-trip exactly), methods sorted.
+    """
+    series = ("east", "north", "south", "total", "west")
+    methods = ("base", "ew", "occ", "scr")
+    actuals, forecasts = {}, {m: {} for m in methods}
+    act_rows, fc_rows = [], []
+    for h, q in ((1, 30), (2, 24), (3, 18)):
+        actuals[h] = rng.standard_normal((q, len(series))) + 5.0
+        act_rows += [(s, h, k, repr(float(actuals[h][k, i])))
+                     for k in range(q) for i, s in enumerate(series)]
+        for j, m in enumerate(methods):
+            forecasts[m][h] = (actuals[h] + 0.3 * j
+                               + (0.4 + 0.3 * j) * rng.standard_normal(actuals[h].shape))
+            fc_rows += [(m, s, h, k, repr(float(forecasts[m][h][k, i])))
+                        for k in range(q) for i, s in enumerate(series)]
+    paths = tmp_path / "actuals.csv", tmp_path / "forecasts.csv"
+    for path, header, rows in (
+        (paths[0], ["series", "horizon", "q", "value"], act_rows),
+        (paths[1], ["method", "series", "horizon", "q", "value"], fc_rows),
+    ):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows[i] for i in rng.permutation(len(rows)))
+    return paths, series, actuals, forecasts
 
 
 @pytest.fixture

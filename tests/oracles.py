@@ -92,3 +92,36 @@ def simplex_grid_min(sigma, step=0.01):
 
     rec([], k, ticks)
     return best
+
+
+def dm_win_table(actuals, forecasts, methods, series, horizon_list):
+    """Pairwise DM win shares by one test per ordered pair and series.
+
+    ``actuals[h]`` is Q_h x n and ``forecasts[method][h]`` matches it. Each
+    row is (loss, horizon, method_a, method_b, pct): the share of series on
+    which a is significantly (5%) more accurate than b, the losses of every
+    horizon in ``hs`` concatenated per series and the lag set to ``max(hs)``.
+    """
+    from cocomb.metrics import dm_test
+
+    rows = []
+    for loss_name, power in (("absolute", 1), ("squared", 2)):
+        for h in list(horizon_list) + ["all"]:
+            hs = list(horizon_list) if h == "all" else [h]
+            for m_a in methods:
+                for m_b in methods:
+                    if m_a == m_b:
+                        continue
+                    wins = 0
+                    for i in range(len(series)):
+                        loss_a = np.concatenate(
+                            [np.abs(actuals[hh][:, i] - forecasts[m_a][hh][:, i]) ** power
+                             for hh in hs])
+                        loss_b = np.concatenate(
+                            [np.abs(actuals[hh][:, i] - forecasts[m_b][hh][:, i]) ** power
+                             for hh in hs])
+                        res = dm_test(loss_a, loss_b, h=max(hs))
+                        if res.p_value < 0.05 and res.statistic < 0:
+                            wins += 1
+                    rows.append((loss_name, h, m_a, m_b, 100.0 * wins / len(series)))
+    return rows

@@ -1,4 +1,5 @@
-"""Malformed panel and residual CSVs: exit 3, a schema error naming the defect, no output."""
+"""Malformed panel, residual and evaluation CSVs: exit 3, a schema error naming the
+defect, no output; an unusable ``--horizons`` exits 2."""
 
 import json
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cocomb.cli import main
+from conftest import evaluation_csvs
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -100,3 +102,68 @@ def test_short_row_exits_3(tmp_path, capsys, which):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "schema" and "too few fields" in err["message"]
     assert not (tmp_path / "coherent.csv").exists()
+
+
+def with_value(line, value):
+    return line.rsplit(",", 1)[0] + "," + value
+
+
+def edit_value(lines, match, value):
+    """Set the value of the first data line whose fields satisfy ``match``."""
+    k = next(k for k, line in enumerate(lines) if k and match(line.split(",")))
+    return lines[:k] + [with_value(lines[k], value)] + lines[k + 1:]
+
+
+# evaluation input that gives numbers without complaint unless rejected:
+# (input edited, edit of its lines, fragments the error message must contain)
+EVAL_DEFECTS = {
+    "actuals-duplicate-cell": (
+        "actuals", lambda ls: ls + [with_value(ls[1], "0.0")],
+        ["actuals CSV must hold every (series, horizon, q) cell exactly once", "appears 2 times"]),
+    "forecasts-duplicate-cell": (
+        "forecasts", lambda ls: ls + [with_value(ls[1], "0.0")],
+        ["forecasts CSV must hold every (method, series, horizon, q) cell exactly once",
+         "appears 2 times"]),
+    "actuals-nan": (
+        "actuals", lambda ls: edit_value(ls, lambda f: f[1] == "2", "nan"),
+        ["non-finite value nan", "horizon 2", "actuals CSV"]),
+    "forecasts-inf": (
+        "forecasts", lambda ls: edit_value(ls, lambda f: f[0] == "occ", "inf"),
+        ["non-finite value inf", "method 'occ'", "forecasts CSV"]),
+    "actuals-series-missing-at-one-horizon": (
+        "actuals", lambda ls: [line for line in ls if not line.startswith("east,2,")],
+        ["actuals CSV must hold every", "series 'east', horizon 2, q 0 appears 0 times"]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(EVAL_DEFECTS))
+def test_malformed_evaluation_input_exits_3_without_output(tmp_path, rng, capsys, defect):
+    which, edit, fragments = EVAL_DEFECTS[defect]
+    (actuals_path, forecasts_path), *_ = evaluation_csvs(tmp_path, rng)
+    target = actuals_path if which == "actuals" else forecasts_path
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    code = main([
+        "evaluate", "--actuals", str(actuals_path), "--forecasts", str(forecasts_path),
+        "--horizons", "1:3", "--dm",
+        "--output", str(out / "accuracy.csv"), "--dm-output", str(out / "dm.csv"),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema"
+    for fragment in fragments:
+        assert fragment in err["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("horizons", ["1:x", "a,b", "3:1", ""])
+def test_bad_horizons_exits_2(tmp_path, rng, capsys, horizons):
+    (actuals_path, forecasts_path), *_ = evaluation_csvs(tmp_path, rng)
+    out = tmp_path / "out" / "accuracy.csv"
+    code = main([
+        "evaluate", "--actuals", str(actuals_path), "--forecasts", str(forecasts_path),
+        "--horizons", horizons, "--output", str(out),
+    ])
+    assert code == 2
+    assert "--horizons" in capsys.readouterr().err
+    assert not out.parent.exists()

@@ -212,3 +212,23 @@ def test_shrunk_blocks_wider_than_T_are_not_singular(rng, estimator, p):
     assert not est.singular
     res = occ(panel, sys, est)
     assert kkt_residual(panel.K, est.W, sys.C, panel.y_hat, res.y_tilde) <= 1e-9
+
+
+@pytest.mark.parametrize("estimator", [block_by_expert, block_by_variable])
+@pytest.mark.parametrize("shrink_blocks", [False, True])
+def test_block_patterns_factor_blocks_only(rng, monkeypatch, estimator, shrink_blocks):
+    # a block-diagonal matrix is positive definite exactly when its blocks are,
+    # so the m x m estimate is never factored just to set the singular tag
+    import cocomb.covariance
+
+    shapes = []
+    check = cocomb.covariance._cholesky_ok
+    monkeypatch.setattr(cocomb.covariance, "_cholesky_ok",
+                        lambda w: shapes.append(w.shape) or check(w))
+    sys = from_aggregation(np.kron(np.eye(2), np.ones((1, 2))), [f"v{k}" for k in range(6)])
+    panel = from_availability(np.ones((6, 3), dtype=bool), sys, values=np.arange(18.0))
+    resid = rng.standard_normal((panel.m, 40))
+    est = estimator(resid, panel, shrink_blocks=shrink_blocks)
+    assert not est.singular
+    assert shapes and (panel.m, panel.m) not in shapes
+    scipy.linalg.cho_factor(est.W)
