@@ -7,11 +7,13 @@ Numeric output is printed with 17 significant digits and round-trips exactly.
 
 The panel and residual CSVs stream their rows, as (k, series, expert, value)
 records, into ``panel.panel_from_pairs`` and ``panel.fill_cells``, the one place
-that maps labels to by-expert rows. ``reconcile`` and ``combine`` fit their
-weights once, on the first horizon's panel: the weights depend only on the
-panel's availability and the error covariance, so one fit is applied to every
-horizon (``Psi' y_h``, ``Omega' y_h`` or the per-variable weights), and the
-emitted weights and reconciled covariance are those of that fit.
+that maps labels to by-expert rows. ``--cov`` names a pattern of
+``covariance.ESTIMATORS`` through ``COV_CHOICES``, and ``reconcile`` hands its
+method to ``coherent.fit``, which the simulation shares. ``reconcile`` and
+``combine`` fit their weights once, on the first horizon's panel: the weights
+depend only on the panel's availability and the error covariance, so one fit is
+applied to every horizon (``Psi' y_h``, ``Omega' y_h`` or the per-variable
+weights), and the emitted weights and reconciled covariance are those of that fit.
 
 ``evaluate`` streams each evaluation CSV through ``_read_eval_csv`` into one
 array with sorted labels and a last axis over the sorted (horizon, q) keys,
@@ -38,32 +40,25 @@ import click
 import numpy as np
 
 from . import __version__
-from .coherent import mint_reconcile, occ, scr, src
+from .coherent import fit
 from .combiners import combine_multi_task, single_task_weights
 from .constraints import read_constraint_file
-from .covariance import (
-    block_by_expert,
-    block_by_variable,
-    diagonal_mse,
-    sample_mse,
-    shrink,
-)
+from .covariance import ESTIMATORS
 from .exceptions import DataError, NumericalError
 from .metrics import accuracy, dm_test
 from .panel import fill_cells, panel_from_pairs
 from .simulation import SimulationConfig, run_experiment
 
+# --cov flag -> covariance pattern
 COV_CHOICES = {
-    "sample": lambda resid, panel: sample_mse(resid),
-    "shrink": lambda resid, panel: shrink(resid),
-    "bd-expert": lambda resid, panel: block_by_expert(resid, panel, shrink_blocks=False),
-    "bd-expert-shrink": lambda resid, panel: block_by_expert(resid, panel, shrink_blocks=True),
-    "bd-variable": lambda resid, panel: block_by_variable(resid, panel, shrink_blocks=False),
-    "bd-variable-shrink": lambda resid, panel: block_by_variable(resid, panel, shrink_blocks=True),
-    "diag": lambda resid, panel: diagonal_mse(resid),
+    "sample": "sample",
+    "shrink": "shrunk",
+    "bd-expert": "bd_expert",
+    "bd-expert-shrink": "bd_expert_shrunk",
+    "bd-variable": "bd_variable",
+    "bd-variable-shrink": "bd_variable_shrunk",
+    "diag": "diagonal",
 }
-
-_SCHEME_FLAGS = {"ew": "ew", "ow-var": "ow_var", "ow-cov": "ow_cov"}
 
 
 def _fmt(x: float) -> str:
@@ -217,7 +212,7 @@ def _load_inputs(constraints_path, panel_path, residuals_path, cov_kind, need_co
     resid = None
     if residuals_path is not None:
         resid = _read_residual_csv(residuals_path, first)
-        cov = COV_CHOICES[cov_kind](resid, first)
+        cov = ESTIMATORS[COV_CHOICES[cov_kind]](resid, first)
     elif need_cov:
         raise DataError("this method requires --residuals to estimate a covariance")
     return sys_, panels, first, cov, resid
@@ -239,7 +234,7 @@ def combine(constraints_path, panel_path, residuals_path, cov_kind, output_path,
         omega = combine_multi_task(first, cov).Omega
         results = {h: omega.T @ panel_h.y_hat for h, panel_h in panels.items()}
     else:
-        ws = single_task_weights(first, _SCHEME_FLAGS[scheme], cov)
+        ws = single_task_weights(first, scheme.replace("-", "_"), cov)
         results = {h: ws.apply(panel_h) for h, panel_h in panels.items()}
     _write_forecasts(output_path, results, sys_.labels)
     _write_manifest(output_path, "combine", {
@@ -266,18 +261,7 @@ def reconcile(constraints_path, panel_path, residuals_path, cov_kind, output_pat
     sys_, panels, first, cov, resid = _load_inputs(
         constraints_path, panel_path, residuals_path, cov_kind, need_cov=True
     )
-    if method == "occ":
-        res = occ(first, sys_, cov, formulation.replace("-", "_"))
-    elif method == "mint":
-        if first.p != 1 or not first.balanced:
-            raise DataError("mint expects a single expert covering every series")
-        res = mint_reconcile(first.y_hat, sys_, cov)
-    elif method == "src":
-        res = src(first, sys_, [shrink(resid[first.expert_rows(j)]) for j in range(first.p)])
-    else:
-        scheme = {"scr-ew": "ew", "scr-var": "ow_var", "scr-cov": "ow_cov"}[method]
-        ws = single_task_weights(first, scheme, cov)
-        res = scr(first, sys_, ws, cov, shrink(ws.matrix(first).T @ resid))
+    res = fit(method.replace("-", "_"), first, sys_, resid, cov, formulation.replace("-", "_"))
     results = {h: res.Psi.T @ panel_h.y_hat for h, panel_h in panels.items()}
     _write_forecasts(output_path, results, sys_.labels)
 
@@ -316,7 +300,7 @@ def reconcile(constraints_path, panel_path, residuals_path, cov_kind, output_pat
               help="Comma-separated: ew, ow-var, ow-cov, src, scr-ew, scr-var, "
                    "scr-cov, occ-be, occ-bv, occ-shr, occ-wls, base-star, "
                    "base-star-shr, base-shr.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel replication workers; results are identical to a serial run.")
 @click.option("--output", "output_path", required=True, type=Path)
 def simulate(setting, n_experts, n_train, test_len, reps, seed, balanced,

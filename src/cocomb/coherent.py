@@ -20,6 +20,11 @@ solve in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``).
 ``mint_reconcile`` is the zero-constrained kernel with ``K = I_n`` (the
 single-expert case); ``scr`` and ``src`` are the sequential
 combine-then-reconcile and reconcile-then-average baselines.
+
+``fit`` dispatches a method name (``occ``, ``mint``, ``src``, ``scr_*``) for
+``cocomb reconcile`` and the simulation alike, and holds the baselines'
+covariance policy: ``src`` reconciles each expert with the shrunk MSE of its
+own residual rows, ``scr_*`` with the shrunk MSE of the combined residuals.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ import numpy as np
 from ._linalg import cho_factor_spd, cho_solve, symmetrize
 from .combiners import WeightScheme, gls_pool, single_task_weights
 from .constraints import ConstraintSystem
-from .covariance import CovarianceEstimate, as_covariance
-from .exceptions import DataError, NumericalError
+from .covariance import CovarianceEstimate, _check_solvable, as_covariance, shrink
+from .exceptions import DataError
 from .panel import ForecastPanel
 
 FORMULATIONS = ("zc_be", "zc_bv", "struct_be", "struct_bv")
+_SCR_SCHEMES = {"scr_ew": "ew", "scr_var": "ow_var", "scr_cov": "ow_cov"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +72,6 @@ def _coherent_projector(w_c: np.ndarray, c: np.ndarray) -> np.ndarray:
     cwc = symmetrize(c @ w_c @ c.T)
     f = cho_factor_spd(cwc, "constraint-space covariance")
     return np.eye(n) - w_c @ c.T @ cho_solve(f, c)
-
-
-def _check_inputs(panel: ForecastPanel, sys: ConstraintSystem, cov: CovarianceEstimate) -> None:
-    if panel.labels != sys.labels:
-        raise DataError("panel and constraint system must share the variable set")
-    if cov.singular:
-        raise NumericalError(
-            "covariance estimate is flagged singular; use a shrunk or block pattern"
-        )
-    if cov.m != panel.m:
-        raise DataError(f"covariance size {cov.m} does not match panel size {panel.m}")
 
 
 def _zc(w: np.ndarray, k: np.ndarray, y: np.ndarray, c: np.ndarray) -> CoherentResult:
@@ -122,7 +117,9 @@ def occ(
     """
     if formulation not in FORMULATIONS:
         raise DataError(f"unknown formulation {formulation!r}; pick one of {FORMULATIONS}")
-    _check_inputs(panel, sys, cov)
+    if panel.labels != sys.labels:
+        raise DataError("panel and constraint system must share the variable set")
+    _check_solvable(cov, panel.m, f"panel size {panel.m}")
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
     if formulation.endswith("_be"):
         res = kernel(cov.W, panel.K, panel.y_hat, target)
@@ -153,12 +150,7 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
-    if cov.m != sys.n:
-        raise DataError(f"covariance size {cov.m} does not match the {sys.n} variables")
-    if cov.singular:
-        raise NumericalError(
-            "covariance estimate is flagged singular; use a shrunk or block pattern"
-        )
+    _check_solvable(cov, sys.n, f"the {sys.n} variables")
     return replace(_zc(cov.W, np.eye(sys.n), y_hat, sys.C), formulation="mint")
 
 
@@ -220,3 +212,30 @@ def src(panel: ForecastPanel, sys: ConstraintSystem, cov_per_expert) -> Coherent
         W_tilde=w_tilde,
         formulation="src",
     )
+
+
+def fit(
+    method: str,
+    panel: ForecastPanel,
+    sys: ConstraintSystem,
+    resid: np.ndarray,
+    cov: CovarianceEstimate | None,
+    formulation: str = "zc_be",
+) -> CoherentResult:
+    """Fit ``method`` on ``panel`` with its m x T residuals ``resid``.
+
+    ``cov`` backs ``occ`` (in ``formulation``), ``mint`` and the combination
+    step of ``scr_*``; the baselines reconcile as the module docstring says.
+    """
+    if method == "occ":
+        return occ(panel, sys, cov, formulation)
+    if method == "mint":
+        if panel.p != 1 or not panel.balanced:
+            raise DataError("mint expects a single expert covering every series")
+        return mint_reconcile(panel.y_hat, sys, cov)
+    if method == "src":
+        return src(panel, sys, [shrink(resid[panel.expert_rows(j)]) for j in range(panel.p)])
+    if method not in _SCR_SCHEMES:
+        raise DataError(f"unknown method {method!r}")
+    ws = single_task_weights(panel, _SCR_SCHEMES[method], cov)
+    return scr(panel, sys, ws, cov, shrink(ws.matrix(panel).T @ resid))

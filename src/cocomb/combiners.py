@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cho_factor_spd, cho_solve, symmetrize
-from .covariance import CovarianceEstimate
+from .covariance import CovarianceEstimate, _check_solvable
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
 
@@ -149,11 +149,6 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
     ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``gls_pool``).
     Requires an SPD, untagged covariance.
     """
-    if cov.singular:
-        raise NumericalError(
-            "covariance estimate is flagged singular; use a shrunk or block pattern"
-        )
-    if cov.m != panel.m:
-        raise DataError(f"covariance size {cov.m} does not match panel size {panel.m}")
+    _check_solvable(cov, panel.m, f"panel size {panel.m}")
     omega, w_c = gls_pool(cov.W, panel.K)
     return MultiTaskResult(y_c=omega.T @ panel.y_hat, Omega=omega, W_c=w_c)

@@ -185,20 +185,30 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
             payload = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise DataError(f"constraint JSON in {path} must be an object")
+
+        def matrix(key):
+            try:
+                out = np.array(payload[key], dtype=float)
+                if out.ndim <= 2:
+                    return out
+            except (TypeError, ValueError):
+                pass
+            raise DataError(f"'{key}' in constraint JSON must be a numeric rectangular matrix")
+
         if "A" in payload:
             try:
                 upper = payload["upper"]
                 bottom = payload["bottom"]
             except KeyError as exc:
                 raise DataError("A-form JSON requires 'upper' and 'bottom' lists") from exc
-            sys = from_aggregation(np.asarray(payload["A"], dtype=float),
-                                   list(upper) + list(bottom))
+            sys = from_aggregation(matrix("A"), list(upper) + list(bottom))
             return sys, tuple(range(sys.n))
         if "C" in payload:
             if "vars" not in payload:
                 raise DataError("C-form JSON requires a 'vars' list")
-            return from_general_constraints(np.asarray(payload["C"], dtype=float),
-                                            payload["vars"])
+            return from_general_constraints(matrix("C"), payload["vars"])
         raise DataError("constraint JSON must provide either 'A' or 'C'")
 
     with path.open(newline="") as fh:

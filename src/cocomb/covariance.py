@@ -2,7 +2,8 @@
 
 All estimators use the MSE convention (divide by T, no mean-centering, since
 base forecasts are assumed unbiased) and return matrices in the by-expert
-ordering. Patterns:
+ordering. ``ESTIMATORS`` maps each pattern name to its estimator, called as
+``ESTIMATORS[pattern](residuals, panel)``; ``PATTERNS`` lists its keys:
 
 * ``sample``             full sample MSE matrix;
 * ``shrunk``             sample MSE shrunk toward its diagonal;
@@ -13,9 +14,11 @@ ordering. Patterns:
 * ``bd_variable_shrunk`` per-variable shrunk blocks;
 * ``diagonal``           diagonal of the sample MSE.
 
+The two block patterns share one loop over row groups, ``_block_diagonal``.
 Sample estimates with more coordinates than observations are returned but
 tagged ``singular``, block patterns when one of their blocks is; solvers
-refuse tagged estimates instead of regularizing behind the caller's back.
+refuse tagged estimates (``_check_solvable``, the one check shared by every
+solver) instead of regularizing behind the caller's back.
 """
 
 from __future__ import annotations
@@ -27,16 +30,6 @@ import scipy.linalg
 
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
-
-PATTERNS = (
-    "sample",
-    "shrunk",
-    "bd_expert",
-    "bd_expert_shrunk",
-    "bd_variable",
-    "bd_variable_shrunk",
-    "diagonal",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +58,16 @@ class CovarianceEstimate:
     @property
     def m(self) -> int:
         return self.W.shape[0]
+
+
+def _check_solvable(cov: CovarianceEstimate, m: int, what: str) -> None:
+    """Refuse an estimate that cannot back a solve of size ``m`` (``what`` names it)."""
+    if cov.m != m:
+        raise DataError(f"covariance size {cov.m} does not match {what}")
+    if cov.singular:
+        raise NumericalError(
+            "covariance estimate is flagged singular; use a shrunk or block pattern"
+        )
 
 
 def _cholesky_ok(w: np.ndarray) -> bool:
@@ -154,6 +157,33 @@ def diagonal_mse(residuals: np.ndarray) -> CovarianceEstimate:
     return CovarianceEstimate(w, "diagonal", lam=None, singular=bool(np.any(np.diag(w) <= 0)))
 
 
+def _block_diagonal(
+    residuals: np.ndarray, panel: ForecastPanel, groups, kind: str, shrink_blocks: bool
+) -> CovarianceEstimate:
+    """Block-diagonal estimate with one block per group of the panel's residual rows.
+
+    Each block is the sample MSE of its rows, shrunk with its own intensity
+    when ``shrink_blocks`` is set, placed at those rows and columns.
+    """
+    r = _check_residuals(residuals)
+    if r.shape[0] != panel.m:
+        raise DataError(f"residuals must have {panel.m} rows")
+    w = np.zeros((panel.m, panel.m))
+    lams: list[float] = []
+    singular = False
+    for rows in groups:
+        if shrink_blocks:
+            est = shrink(r[rows])
+            lams.append(float(est.lam))
+        else:
+            est = sample_mse(r[rows])
+        singular = singular or est.singular
+        w[np.ix_(rows, rows)] = est.W
+    pattern = f"{kind}_shrunk" if shrink_blocks else kind
+    lam = tuple(lams) if shrink_blocks else None
+    return CovarianceEstimate(w, pattern, lam=lam, singular=singular)
+
+
 def block_by_expert(
     residuals: np.ndarray, panel: ForecastPanel, shrink_blocks: bool = False
 ) -> CovarianceEstimate:
@@ -162,25 +192,9 @@ def block_by_expert(
     Each block is the n_j x n_j sample MSE of expert j's residual rows, each
     shrunk with its own intensity when ``shrink_blocks`` is set.
     """
-    r = _check_residuals(residuals)
-    if r.shape[0] != panel.m:
-        raise DataError(f"residuals must have {panel.m} rows")
-    w = np.zeros((panel.m, panel.m))
-    lams: list[float] = []
-    singular = False
-    for j in range(panel.p):
-        rows = panel.expert_rows(j)
-        block_resid = r[rows]
-        if shrink_blocks:
-            est = shrink(block_resid)
-            lams.append(float(est.lam))
-        else:
-            est = sample_mse(block_resid)
-        singular = singular or est.singular
-        w[rows, rows] = est.W
-    pattern = "bd_expert_shrunk" if shrink_blocks else "bd_expert"
-    lam = tuple(lams) if shrink_blocks else None
-    return CovarianceEstimate(w, pattern, lam=lam, singular=singular)
+    rows = np.arange(panel.m)
+    groups = (rows[panel.expert_rows(j)] for j in range(panel.p))
+    return _block_diagonal(residuals, panel, groups, "bd_expert", shrink_blocks)
 
 
 def block_by_variable(
@@ -192,25 +206,8 @@ def block_by_variable(
     shrunk with its own intensity when ``shrink_blocks`` is set), placed at
     those rows and columns of the by-expert ordering.
     """
-    r = _check_residuals(residuals)
-    if r.shape[0] != panel.m:
-        raise DataError(f"residuals must have {panel.m} rows")
-    w = np.zeros((panel.m, panel.m))
-    lams: list[float] = []
-    singular = False
-    for i in range(panel.n):
-        rows = panel.variable_rows(i)
-        block_resid = r[rows]
-        if shrink_blocks:
-            est = shrink(block_resid)
-            lams.append(float(est.lam))
-        else:
-            est = sample_mse(block_resid)
-        singular = singular or est.singular
-        w[np.ix_(rows, rows)] = est.W
-    pattern = "bd_variable_shrunk" if shrink_blocks else "bd_variable"
-    lam = tuple(lams) if shrink_blocks else None
-    return CovarianceEstimate(w, pattern, lam=lam, singular=singular)
+    groups = (panel.variable_rows(i) for i in range(panel.n))
+    return _block_diagonal(residuals, panel, groups, "bd_variable", shrink_blocks)
 
 
 def as_covariance(w: np.ndarray, pattern: str = "sample") -> CovarianceEstimate:
@@ -219,3 +216,17 @@ def as_covariance(w: np.ndarray, pattern: str = "sample") -> CovarianceEstimate:
     if not _cholesky_ok(w):
         raise NumericalError("supplied covariance is not positive definite")
     return CovarianceEstimate(w, pattern, lam=None, singular=False)
+
+
+# Entries call the estimators by their module names, so a wrapped estimator
+# (as perfbench's tracer installs) is reached through the table too.
+ESTIMATORS = {
+    "sample": lambda r, panel: sample_mse(r),
+    "shrunk": lambda r, panel: shrink(r),
+    "bd_expert": lambda r, panel: block_by_expert(r, panel),
+    "bd_expert_shrunk": lambda r, panel: block_by_expert(r, panel, shrink_blocks=True),
+    "bd_variable": lambda r, panel: block_by_variable(r, panel),
+    "bd_variable_shrunk": lambda r, panel: block_by_variable(r, panel, shrink_blocks=True),
+    "diagonal": lambda r, panel: diagonal_mse(r),
+}
+PATTERNS = tuple(ESTIMATORS)

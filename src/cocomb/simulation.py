@@ -14,6 +14,11 @@ and factor persistence; expert participation is either balanced or governed by
 a two-state (frequent/infrequent) participation mechanism. Replications carry
 independent, counter-based random streams derived from (seed, replication
 index), so parallel and serial runs produce identical results.
+
+Each method is a single-task scheme or a ``coherent.fit`` method on one
+covariance pattern (``_METHOD_FITS``), or one expert's raw or reconciled
+forecasts (``base_*``); a replication fits each method's weights once, and
+estimates each covariance and per-expert projector they share once.
 """
 
 from __future__ import annotations
@@ -24,16 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import symmetrize
-from .coherent import mint_reconcile, occ, scr, src
+from .coherent import fit, mint_reconcile
 from .constraints import ConstraintSystem, from_aggregation
-from .covariance import (
-    block_by_expert,
-    block_by_variable,
-    diagonal_mse,
-    sample_mse,
-    shrink,
-)
-from .combiners import single_task_weights
+from .covariance import ESTIMATORS, shrink
+from .combiners import SINGLE_TASK_SCHEMES, single_task_weights
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel, from_availability, residuals_from_arrays
 
@@ -46,24 +45,24 @@ _DGP_A = np.array(
     ]
 )
 
-SIMULATION_METHODS = (
-    "base_star",
-    "base_star_shr",
-    "base_shr",
-    "ew",
-    "ow_var",
-    "ow_cov",
-    "src",
-    "scr_ew",
-    "scr_var",
-    "scr_cov",
-    "occ_be",
-    "occ_bv",
-    "occ_shr",
-    "occ_wls",
-)
-
-_BALANCED_ONLY = ("src", "base_star", "base_star_shr", "base_shr")
+# method -> (single-task scheme or ``coherent.fit`` method, covariance pattern)
+_METHOD_FITS = {
+    "ew": ("ew", None),
+    "ow_var": ("ow_var", "sample"),
+    "ow_cov": ("ow_cov", "sample"),
+    "src": ("src", None),
+    "scr_ew": ("scr_ew", None),
+    "scr_var": ("scr_var", "sample"),
+    "scr_cov": ("scr_cov", "sample"),
+    "occ_be": ("occ", "bd_expert_shrunk"),
+    "occ_bv": ("occ", "bd_variable_shrunk"),
+    "occ_shr": ("occ", "shrunk"),
+    "occ_wls": ("occ", "diagonal"),
+}
+# one expert's forecasts, raw or reconciled (see ``_method_weights``)
+_BASE_METHODS = ("base_star", "base_star_shr", "base_shr")
+SIMULATION_METHODS = (*_BASE_METHODS, *_METHOD_FITS)
+_BALANCED_ONLY = ("src", *_BASE_METHODS)
 
 # Two-state participation chain: probability of forecasting a variable given
 # the expert's previous participation state; the per-variable coverage rate is
@@ -290,16 +289,6 @@ def generate_replication(cfg: SimulationConfig, rep_index: int) -> Replication:
 # -- per-replication method evaluation ----------------------------------------
 
 
-def _mint_projector(sys: ConstraintSystem, cov_n) -> np.ndarray:
-    return mint_reconcile(np.zeros(sys.n), sys, cov_n).Psi.T
-
-
-def _expert_selector(panel: ForecastPanel, j: int) -> np.ndarray:
-    sel = np.zeros((panel.n, panel.m))
-    sel[:, panel.expert_rows(j)] = np.eye(panel.n)
-    return sel
-
-
 def _method_weights(
     method: str,
     panel: ForecastPanel,
@@ -307,52 +296,41 @@ def _method_weights(
     resid: np.ndarray,
     cache: dict,
 ) -> np.ndarray:
-    """The fixed (n x m) map from stacked base forecasts to the method output."""
-    if method == "ew":
-        return single_task_weights(panel, "ew").matrix(panel).T
-    if method in ("ow_var", "ow_cov"):
-        if "sample" not in cache:
-            cache["sample"] = sample_mse(resid)
-        return single_task_weights(panel, method, cache["sample"]).matrix(panel).T
-    if method.startswith("scr_"):
-        scheme = {"scr_ew": "ew", "scr_var": "ow_var", "scr_cov": "ow_cov"}[method]
-        if scheme == "ew":
-            ws = single_task_weights(panel, "ew")
-        else:
-            if "sample" not in cache:
-                cache["sample"] = sample_mse(resid)
-            ws = single_task_weights(panel, scheme, cache["sample"])
-        combined_resid = ws.matrix(panel).T @ resid
-        return scr(panel, sys, ws, None, shrink(combined_resid)).Psi.T
-    if method == "src":
-        covs = [shrink(resid[panel.expert_rows(j)]) for j in range(panel.p)]
-        return src(panel, sys, covs).Psi.T
-    if method == "occ_be":
-        return occ(panel, sys, block_by_expert(resid, panel, shrink_blocks=True)).Psi.T
-    if method == "occ_bv":
-        return occ(panel, sys, block_by_variable(resid, panel, shrink_blocks=True)).Psi.T
-    if method == "occ_shr":
-        return occ(panel, sys, shrink(resid)).Psi.T
-    if method == "occ_wls":
-        return occ(panel, sys, diagonal_mse(resid)).Psi.T
-    if method in ("base_star", "base_star_shr"):
-        if "best_expert" not in cache:
-            mses = [np.mean(resid[panel.expert_rows(j)] ** 2) for j in range(panel.p)]
-            cache["best_expert"] = int(np.argmin(mses))
-        j_star = cache["best_expert"]
-        sel = _expert_selector(panel, j_star)
-        if method == "base_star":
-            return sel
-        return _mint_projector(sys, shrink(resid[panel.expert_rows(j_star)])) @ sel
+    """The fixed (n x m) map from stacked base forecasts to the method output.
+
+    ``cache`` holds the replication's covariance estimates by pattern and, by
+    ``("mint", j)``, expert j's mint projector under its own shrunk MSE.
+    ``base_star`` takes the expert of least MSE, ``base_star_shr`` reconciles
+    it, ``base_shr`` reconciles the expert of least reconciled MSE.
+    """
+
+    def cached(key, compute):
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    if method in _METHOD_FITS:
+        how, pattern = _METHOD_FITS[method]
+        cov = pattern and cached(pattern, lambda: ESTIMATORS[pattern](resid, panel))
+        if how in SINGLE_TASK_SCHEMES:
+            return single_task_weights(panel, how, cov).matrix(panel).T
+        return fit(how, panel, sys, resid, cov).Psi.T
+    if method not in _BASE_METHODS:
+        raise DataError(f"unknown simulation method {method!r}")
+
+    def projector(j):
+        return cached(("mint", j), lambda: mint_reconcile(
+            np.zeros(sys.n), sys, shrink(resid[panel.expert_rows(j)])).Psi.T)
+
+    experts = range(panel.p)
     if method == "base_shr":
-        best, best_mse = None, np.inf
-        for j in range(panel.p):
-            m_j = _mint_projector(sys, shrink(resid[panel.expert_rows(j)]))
-            rec_mse = np.mean((m_j @ resid[panel.expert_rows(j)]) ** 2)
-            if rec_mse < best_mse:
-                best, best_mse = m_j @ _expert_selector(panel, j), rec_mse
-        return best
-    raise DataError(f"unknown simulation method {method!r}")
+        mse = [np.mean((projector(j) @ resid[panel.expert_rows(j)]) ** 2) for j in experts]
+    else:
+        mse = [np.mean(resid[panel.expert_rows(j)] ** 2) for j in experts]
+    j = int(np.argmin(mse))
+    weights = np.zeros((panel.n, panel.m))
+    weights[:, panel.expert_rows(j)] = np.eye(panel.n) if method == "base_star" else projector(j)
+    return weights
 
 
 def _replication_accuracy(cfg: SimulationConfig, rep_index: int, methods: tuple[str, ...]):
@@ -415,6 +393,8 @@ def run_experiment(
     variables, of its per-series MAE (and MSE) relative to the equal-weight
     combination.
     """
+    if n_jobs < 1:
+        raise DataError("n_jobs must be at least 1")
     methods = tuple(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in SIMULATION_METHODS]
     if unknown:

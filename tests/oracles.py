@@ -125,3 +125,69 @@ def dm_win_table(actuals, forecasts, methods, series, horizon_list):
                             wins += 1
                     rows.append((loss_name, h, m_a, m_b, 100.0 * wins / len(series)))
     return rows
+
+
+def method_weights_chain(method, panel, sys, resid, cache):
+    """The simulation's (n x m) method weights, one branch per method.
+
+    Each method builds its own covariance and reconciliation; only the sample
+    MSE and the best raw expert are shared through ``cache``.
+    """
+    from cocomb.coherent import mint_reconcile, occ, scr, src
+    from cocomb.combiners import single_task_weights
+    from cocomb.covariance import (
+        block_by_expert, block_by_variable, diagonal_mse, sample_mse, shrink)
+
+    def mint_projector(cov_n):
+        return mint_reconcile(np.zeros(sys.n), sys, cov_n).Psi.T
+
+    def expert_selector(j):
+        sel = np.zeros((panel.n, panel.m))
+        sel[:, panel.expert_rows(j)] = np.eye(panel.n)
+        return sel
+
+    if method == "ew":
+        return single_task_weights(panel, "ew").matrix(panel).T
+    if method in ("ow_var", "ow_cov"):
+        if "sample" not in cache:
+            cache["sample"] = sample_mse(resid)
+        return single_task_weights(panel, method, cache["sample"]).matrix(panel).T
+    if method.startswith("scr_"):
+        scheme = {"scr_ew": "ew", "scr_var": "ow_var", "scr_cov": "ow_cov"}[method]
+        if scheme == "ew":
+            ws = single_task_weights(panel, "ew")
+        else:
+            if "sample" not in cache:
+                cache["sample"] = sample_mse(resid)
+            ws = single_task_weights(panel, scheme, cache["sample"])
+        combined_resid = ws.matrix(panel).T @ resid
+        return scr(panel, sys, ws, None, shrink(combined_resid)).Psi.T
+    if method == "src":
+        covs = [shrink(resid[panel.expert_rows(j)]) for j in range(panel.p)]
+        return src(panel, sys, covs).Psi.T
+    if method == "occ_be":
+        return occ(panel, sys, block_by_expert(resid, panel, shrink_blocks=True)).Psi.T
+    if method == "occ_bv":
+        return occ(panel, sys, block_by_variable(resid, panel, shrink_blocks=True)).Psi.T
+    if method == "occ_shr":
+        return occ(panel, sys, shrink(resid)).Psi.T
+    if method == "occ_wls":
+        return occ(panel, sys, diagonal_mse(resid)).Psi.T
+    if method in ("base_star", "base_star_shr"):
+        if "best_expert" not in cache:
+            mses = [np.mean(resid[panel.expert_rows(j)] ** 2) for j in range(panel.p)]
+            cache["best_expert"] = int(np.argmin(mses))
+        j_star = cache["best_expert"]
+        sel = expert_selector(j_star)
+        if method == "base_star":
+            return sel
+        return mint_projector(shrink(resid[panel.expert_rows(j_star)])) @ sel
+    if method == "base_shr":
+        best, best_mse = None, np.inf
+        for j in range(panel.p):
+            m_j = mint_projector(shrink(resid[panel.expert_rows(j)]))
+            rec_mse = np.mean((m_j @ resid[panel.expert_rows(j)]) ** 2)
+            if rec_mse < best_mse:
+                best, best_mse = m_j @ expert_selector(j), rec_mse
+        return best
+    raise ValueError(f"unknown simulation method {method!r}")

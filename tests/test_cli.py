@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cocomb import read_constraint_file
-from cocomb.cli import _read_panel_csv, _read_residual_csv, main
+from cocomb.cli import COV_CHOICES, _read_panel_csv, _read_residual_csv, main
+from cocomb.covariance import PATTERNS
 from oracles import kkt_residual
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
@@ -297,6 +298,11 @@ def test_singular_covariance_exits_4(tmp_path, capsys):
     assert code == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "numeric"
+
+
+def test_cov_choices_map_one_to_one_onto_patterns():
+    assert sorted(COV_CHOICES.values()) == sorted(PATTERNS)
+    assert len(set(COV_CHOICES.values())) == len(COV_CHOICES)
 
 
 def test_bad_flag_exits_2(capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import cocomb.cli
+import cocomb.coherent
 from cocomb.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
@@ -117,12 +117,12 @@ def test_multi_horizon_run_matches_single_horizon_runs(tmp_path, rng, experts, c
 def test_reconcile_solves_occ_once_per_run(tmp_path, rng, monkeypatch):
     paths, resid = sample_panels(tmp_path, rng)
     calls = []
-    original = cocomb.cli.occ
+    original = cocomb.coherent.occ
 
     def counting_occ(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cocomb.cli, "occ", counting_occ)
+    monkeypatch.setattr(cocomb.coherent, "occ", counting_occ)
     run(tmp_path, "all", "reconcile", paths["all"], resid, ["--method", "occ"], emit=True)
     assert len(calls) == 1

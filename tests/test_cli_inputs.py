@@ -1,5 +1,6 @@
-"""Malformed panel, residual and evaluation CSVs: exit 3, a schema error naming the
-defect, no output; an unusable ``--horizons`` exits 2."""
+"""Malformed constraint JSON and panel, residual and evaluation CSVs: exit 3, a
+schema error naming the defect, no output; an unusable ``--horizons`` or
+``--jobs`` exits 2."""
 
 import json
 from pathlib import Path
@@ -167,3 +168,48 @@ def test_bad_horizons_exits_2(tmp_path, rng, capsys, horizons):
     assert code == 2
     assert "--horizons" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+# JSON that parses but is no constraint system: (file text, message fragment)
+BAD_CONSTRAINT_JSON = {
+    "not-an-object": ("42", "must be an object"),
+    "A-not-a-matrix": ('{"A": "x", "upper": ["total"], "bottom": ["east", "west"]}',
+                       "'A' in constraint JSON must be a numeric rectangular matrix"),
+    "C-non-numeric-entry": ('{"C": [[1, -1, "z"]], "vars": ["total", "east", "west"]}',
+                            "'C' in constraint JSON must be a numeric rectangular matrix"),
+    "A-ragged": ('{"A": [[1, 1], [1]], "upper": ["total", "t2"], "bottom": ["east", "west"]}',
+                 "'A' in constraint JSON must be a numeric rectangular matrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRAINT_JSON))
+def test_malformed_constraint_json_exits_3_without_output(tmp_path, capsys, case):
+    text, fragment = BAD_CONSTRAINT_JSON[case]
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(text)
+    out = tmp_path / "coherent.csv"
+    code = main([
+        "reconcile",
+        "--constraints", str(constraints),
+        "--panel", str(SAMPLE / "panel.csv"),
+        "--residuals", str(SAMPLE / "residuals.csv"),
+        "--output", str(out),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema" and fragment in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_simulate_jobs_below_one_exits_2(tmp_path, capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("cocomb.simulation.ProcessPoolExecutor", no_pool)
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--setting", "1", "--reps", "2", "--jobs", jobs,
+                 "--output", str(out)])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()

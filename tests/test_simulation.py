@@ -10,7 +10,14 @@ from cocomb import (
     nearest_correlation,
     run_experiment,
 )
-from cocomb.simulation import _participation_mask
+from cocomb.panel import from_availability, residuals_from_arrays
+from cocomb.simulation import (
+    SIMULATION_METHODS,
+    _BALANCED_ONLY,
+    _method_weights,
+    _participation_mask,
+)
+from oracles import method_weights_chain
 
 
 def test_dgp_system_shape():
@@ -145,6 +152,37 @@ def test_run_experiment_validates_methods():
         run_experiment(cfg, ["nope"])
     with pytest.raises(DataError):
         run_experiment(cfg, ["src"])  # balanced only
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_method_table_matches_branch_chain(balanced):
+    # every method's weights equal the per-method branch chain bit for bit,
+    # whichever order the methods fill the shared cache in
+    cfg = SimulationConfig(setting=5, p=4, n_train=40, test_len=5, replications=1,
+                           seed=21, balanced=balanced)
+    sys = dgp_system()
+    data = generate_replication(cfg, 0)
+    panel = from_availability(data.availability, sys)
+    resid = residuals_from_arrays(panel, data.actuals[:40], data.forecasts[:, :40])
+    methods = [m for m in SIMULATION_METHODS if balanced or m not in _BALANCED_ONLY]
+    assert len(methods) == (14 if balanced else 10)
+    oracle_cache = {}
+    expected = {m: method_weights_chain(m, panel, sys, resid, oracle_cache) for m in methods}
+    for order in (methods, methods[::-1]):
+        cache = {}
+        for m in order:
+            assert np.array_equal(_method_weights(m, panel, sys, resid, cache), expected[m]), m
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_experiment_rejects_jobs_below_one(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("cocomb.simulation.ProcessPoolExecutor", no_pool)
+    cfg = SimulationConfig(setting=1, p=3, n_train=40, replications=2)
+    with pytest.raises(DataError, match="n_jobs"):
+        run_experiment(cfg, ["ew"], n_jobs=jobs)
 
 
 def test_improvement_ordering_settings_one_to_three():
