@@ -3,7 +3,7 @@
 The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
 constraints. It has one closed form per model representation, each a kernel
-on an error covariance ``W``, a stacked selector ``K`` and base forecasts ``y``:
+on a solve ``x -> W^-1 x``, a stacked selector ``K`` and base forecasts ``y``:
 
 * ``_zc``     zero-constrained: pool all forecasts by GLS into the multi-task
               combined forecast, then project it onto ``C y = 0`` with the
@@ -11,12 +11,13 @@ on an error covariance ``W``, a stacked selector ``K`` and base forecasts ``y``:
 * ``_struct`` structural: GLS on the bottom variables through ``K S``, then
               bottom-up expansion by ``S``.
 
-Each kernel runs in two stackings, which gives the four ``FORMULATIONS``:
-by-expert (``*_be``) on the panel's own ``W``, ``K`` and ``y_hat``, and
-by-variable (``*_bv``) on the same three restacked by ``bv_order``, with the
-weight rows scattered back to by-expert order. Their agreement is checked in
-the tests against each other and against the independent bordered (KKT)
-solve in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``).
+The solve is ``CovarianceEstimate.solve`` (no kernel factors ``W``). Each
+kernel runs in two stackings, which gives the four ``FORMULATIONS``: by-expert
+(``*_be``) on the panel's own ``K`` and ``y_hat``, and by-variable (``*_bv``)
+on both restacked by ``bv_order``, with the solve conjugated by that
+permutation and the weight rows put back in by-expert order. Their agreement
+is checked in the tests against each other and against the independent
+bordered (KKT) solve in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``).
 ``mint_reconcile`` is the zero-constrained kernel with ``K = I_n`` (the
 single-expert case); ``scr`` and ``src`` are the sequential
 combine-then-reconcile and reconcile-then-average baselines.
@@ -36,7 +37,7 @@ import numpy as np
 from ._linalg import cho_factor_spd, cho_solve, symmetrize
 from .combiners import WeightScheme, gls_pool, single_task_weights
 from .constraints import ConstraintSystem
-from .covariance import CovarianceEstimate, _check_solvable, as_covariance, shrink
+from .covariance import CovarianceEstimate, as_covariance, shrink
 from .exceptions import DataError
 from .panel import ForecastPanel
 
@@ -74,9 +75,9 @@ def _coherent_projector(w_c: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.eye(n) - w_c @ c.T @ cho_solve(f, c)
 
 
-def _zc(w: np.ndarray, k: np.ndarray, y: np.ndarray, c: np.ndarray) -> CoherentResult:
+def _zc(solve, k: np.ndarray, y: np.ndarray, c: np.ndarray) -> CoherentResult:
     """Zero-constrained kernel: GLS pooling, then the coherent projector."""
-    omega, w_c = gls_pool(w, k)
+    omega, w_c = gls_pool(solve, k)
     m_proj = _coherent_projector(w_c, c)
     psi = omega @ m_proj.T
     return CoherentResult(
@@ -89,10 +90,10 @@ def _zc(w: np.ndarray, k: np.ndarray, y: np.ndarray, c: np.ndarray) -> CoherentR
     )
 
 
-def _struct(w: np.ndarray, k: np.ndarray, y: np.ndarray, s: np.ndarray) -> CoherentResult:
+def _struct(solve, k: np.ndarray, y: np.ndarray, s: np.ndarray) -> CoherentResult:
     """Structural kernel: GLS on the bottom variables, then ``S`` expansion."""
     ks = k @ s
-    t1 = cho_solve(cho_factor_spd(w, "error covariance"), ks)
+    t1 = solve(ks)
     f_h = cho_factor_spd(symmetrize(ks.T @ t1), "bottom-variable precision")
     g = cho_solve(f_h, t1.T)
     return CoherentResult(
@@ -119,16 +120,14 @@ def occ(
         raise DataError(f"unknown formulation {formulation!r}; pick one of {FORMULATIONS}")
     if panel.labels != sys.labels:
         raise DataError("panel and constraint system must share the variable set")
-    _check_solvable(cov, panel.m, f"panel size {panel.m}")
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
     if formulation.endswith("_be"):
-        res = kernel(cov.W, panel.K, panel.y_hat, target)
+        res = kernel(cov.solve, panel.K, panel.y_hat, target)
     else:
         bv = panel.bv_order
-        res = kernel(cov.W[np.ix_(bv, bv)], panel.K[bv], panel.y_hat[bv], target)
-        psi = np.empty_like(res.Psi)
-        psi[bv] = res.Psi
-        res = replace(res, Psi=psi)
+        be = np.argsort(bv)
+        res = kernel(lambda x: cov.solve(x[be])[bv], panel.K[bv], panel.y_hat[bv], target)
+        res = replace(res, Psi=res.Psi[be])
     return replace(res, formulation=formulation)
 
 
@@ -150,8 +149,7 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
-    _check_solvable(cov, sys.n, f"the {sys.n} variables")
-    return replace(_zc(cov.W, np.eye(sys.n), y_hat, sys.C), formulation="mint")
+    return replace(_zc(cov.solve, np.eye(sys.n), y_hat, sys.C), formulation="mint")
 
 
 def scr(

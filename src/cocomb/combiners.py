@@ -9,7 +9,8 @@ Single-task schemes weight the experts of one variable at a time:
 
 The multi-task combination pools all m forecasts at once through the stacked
 regression of the base forecasts on the target vector, yielding the combined
-vector, its weight matrix and its error covariance.
+vector, its weight matrix and its error covariance. ``gls_pool`` takes ``W``
+as a solve ``x -> W^-1 x`` (``CovarianceEstimate.solve``), never as a matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cho_factor_spd, cho_solve, symmetrize
-from .covariance import CovarianceEstimate, _check_solvable
+from .covariance import CovarianceEstimate
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
 
@@ -121,13 +122,13 @@ def combine_single_task(
     return ws.apply(panel)
 
 
-def gls_pool(w: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GLS pooling of stacked forecasts with selector ``k`` and error covariance ``w``.
+def gls_pool(solve, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GLS pooling of stacked forecasts with selector ``k``; ``solve(x) = W^-1 x``.
 
     Returns ``(Omega, W_c)`` with ``W_c = (K' W^-1 K)^-1`` and
-    ``Omega = W^-1 K W_c``; both solves run through Cholesky factorizations.
+    ``Omega = W^-1 K W_c``; the pooled precision is Cholesky-factored.
     """
-    b = cho_solve(cho_factor_spd(w, "error covariance"), k)
+    b = solve(k)
     f_c = cho_factor_spd(symmetrize(k.T @ b), "combined-forecast precision")
     w_c = symmetrize(cho_solve(f_c, np.eye(k.shape[1])))
     return b @ w_c, w_c
@@ -147,8 +148,7 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
 
     Solves the stacked GLS problem: ``W_c = (K' W^-1 K)^-1``,
     ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``gls_pool``).
-    Requires an SPD, untagged covariance.
+    Requires an SPD, untagged covariance of size m.
     """
-    _check_solvable(cov, panel.m, f"panel size {panel.m}")
-    omega, w_c = gls_pool(cov.W, panel.K)
+    omega, w_c = gls_pool(cov.solve, panel.K)
     return MultiTaskResult(y_c=omega.T @ panel.y_hat, Omega=omega, W_c=w_c)

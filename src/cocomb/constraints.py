@@ -174,8 +174,9 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
     """Load a constraint system from JSON or CSV.
 
     JSON accepts either ``{"A": [[...]], "upper": [...], "bottom": [...]}`` or
-    ``{"C": [[...]], "vars": [...]}``. CSV holds a header row of variable names
-    followed by one row of coefficients per constraint (general C form).
+    ``{"C": [[...]], "vars": [...]}``, labels as lists of strings. CSV holds a
+    header row of variable names followed by one row of coefficients per
+    constraint (general C form).
     """
     path = Path(path)
     if not path.exists():
@@ -197,18 +198,20 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
                 pass
             raise DataError(f"'{key}' in constraint JSON must be a numeric rectangular matrix")
 
+        def names(key):
+            if isinstance(payload[key], list) and all(isinstance(x, str) for x in payload[key]):
+                return payload[key]
+            raise DataError(f"'{key}' in constraint JSON must be a list of strings")
+
         if "A" in payload:
-            try:
-                upper = payload["upper"]
-                bottom = payload["bottom"]
-            except KeyError as exc:
-                raise DataError("A-form JSON requires 'upper' and 'bottom' lists") from exc
-            sys = from_aggregation(matrix("A"), list(upper) + list(bottom))
+            if "upper" not in payload or "bottom" not in payload:
+                raise DataError("A-form JSON requires 'upper' and 'bottom' lists")
+            sys = from_aggregation(matrix("A"), names("upper") + names("bottom"))
             return sys, tuple(range(sys.n))
         if "C" in payload:
             if "vars" not in payload:
                 raise DataError("C-form JSON requires a 'vars' list")
-            return from_general_constraints(matrix("C"), payload["vars"])
+            return from_general_constraints(matrix("C"), names("vars"))
         raise DataError("constraint JSON must provide either 'A' or 'C'")
 
     with path.open(newline="") as fh:

@@ -1,4 +1,4 @@
-"""Estimators of the m x m base-forecast-error covariance.
+"""Estimators of the m x m base-forecast-error covariance, and its solves.
 
 All estimators use the MSE convention (divide by T, no mean-centering, since
 base forecasts are assumed unbiased) and return matrices in the by-expert
@@ -14,20 +14,23 @@ ordering. ``ESTIMATORS`` maps each pattern name to its estimator, called as
 * ``bd_variable_shrunk`` per-variable shrunk blocks;
 * ``diagonal``           diagonal of the sample MSE.
 
-The two block patterns share one loop over row groups, ``_block_diagonal``.
-Sample estimates with more coordinates than observations are returned but
-tagged ``singular``, block patterns when one of their blocks is; solvers
-refuse tagged estimates (``_check_solvable``, the one check shared by every
-solver) instead of regularizing behind the caller's back.
+Solvers use the covariance only through ``W^-1``, which this module applies:
+a ``CovarianceEstimate`` keeps the row groups of its diagonal blocks (one per
+expert or variable for the block patterns, set by ``_block_diagonal``; one
+group of all rows otherwise), Cholesky-factors each block once when built,
+and ``solve(b)`` returns ``W^-1 b`` block by block. A block that fails to
+factor tags the estimate ``singular``, as does an estimator for sample blocks
+wider than T (left unfactored); ``solve`` refuses tagged or mis-sized
+estimates instead of regularizing behind the caller's back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from ._linalg import cho_factor_spd, cho_solve
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
 
@@ -44,38 +47,45 @@ class CovarianceEstimate:
     pattern: str
     lam: float | tuple[float, ...] | None = None
     singular: bool = False
+    _factors: tuple | None = field(init=False, repr=False)
+    _groups: tuple | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.W, dtype=float)
+        w = np.array(self.W, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DataError("covariance must be square")
+        if not np.all(np.isfinite(w)):
+            raise DataError("covariance contains non-finite entries")
         if self.pattern not in PATTERNS:
             raise DataError(f"unknown covariance pattern {self.pattern!r}")
-        w = w.copy()
         w.setflags(write=False)
+        groups = self._groups or (slice(None),)
+        try:
+            factors = None if self.singular else tuple(
+                cho_factor_spd(w[rows][:, rows]) for rows in groups)
+        except NumericalError:
+            factors = None
         object.__setattr__(self, "W", w)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "singular", factors is None)
 
     @property
     def m(self) -> int:
         return self.W.shape[0]
 
-
-def _check_solvable(cov: CovarianceEstimate, m: int, what: str) -> None:
-    """Refuse an estimate that cannot back a solve of size ``m`` (``what`` names it)."""
-    if cov.m != m:
-        raise DataError(f"covariance size {cov.m} does not match {what}")
-    if cov.singular:
-        raise NumericalError(
-            "covariance estimate is flagged singular; use a shrunk or block pattern"
-        )
-
-
-def _cholesky_ok(w: np.ndarray) -> bool:
-    try:
-        scipy.linalg.cho_factor(w, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return False
-    return True
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``W^-1 b`` for an m-row ``b``, one diagonal block at a time."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.m:
+            raise DataError(f"covariance size {self.m} does not match {b.shape[0]} rows")
+        if self.singular:
+            raise NumericalError("covariance estimate is flagged singular; "
+                                 "use a shrunk or block pattern")
+        out = np.empty(b.shape)
+        for rows, factor in zip(self._groups, self._factors):
+            out[rows] = cho_solve(factor, b[rows])
+        return out
 
 
 def _check_residuals(residuals: np.ndarray) -> np.ndarray:
@@ -98,10 +108,7 @@ def _mse(residuals: np.ndarray) -> np.ndarray:
 def sample_mse(residuals: np.ndarray) -> CovarianceEstimate:
     """Sample forecast MSE matrix ``(1/T) sum_t e_t e_t'``."""
     r = _check_residuals(residuals)
-    m, T = r.shape
-    w = _mse(r)
-    singular = m > T or not _cholesky_ok(w)
-    return CovarianceEstimate(w, "sample", lam=None, singular=singular)
+    return CovarianceEstimate(_mse(r), "sample", singular=r.shape[0] > r.shape[1])
 
 
 def shrink_intensity(residuals: np.ndarray) -> float:
@@ -131,13 +138,8 @@ def shrink_intensity(residuals: np.ndarray) -> float:
     return float(min(1.0, max(0.0, lam)))
 
 
-def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimate:
-    """Sample MSE shrunk toward its diagonal: ``lam*diag(W) + (1-lam)*W``.
-
-    ``lam`` defaults to the estimated intensity; passing an explicit value
-    overrides it (used to pin the endpoints in tests).
-    """
-    r = _check_residuals(residuals)
+def _shrunk(r: np.ndarray, lam: float | None) -> tuple[np.ndarray, float]:
+    """The MSE of ``r`` shrunk toward its diagonal, and the intensity used."""
     w = _mse(r)
     if np.any(np.diag(w) <= 0):
         raise NumericalError("zero-variance residual coordinate; cannot shrink")
@@ -145,16 +147,23 @@ def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimat
         lam = shrink_intensity(r)
     if not 0.0 <= lam <= 1.0:
         raise DataError("shrinkage intensity must lie in [0, 1]")
-    w_shr = lam * np.diag(np.diag(w)) + (1.0 - lam) * w
-    singular = not _cholesky_ok(w_shr)
-    return CovarianceEstimate(w_shr, "shrunk", lam=lam, singular=singular)
+    return lam * np.diag(np.diag(w)) + (1.0 - lam) * w, lam
+
+
+def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimate:
+    """Sample MSE shrunk toward its diagonal: ``lam*diag(W) + (1-lam)*W``.
+
+    ``lam`` defaults to the estimated intensity; passing an explicit value
+    overrides it (used to pin the endpoints in tests).
+    """
+    w, lam = _shrunk(_check_residuals(residuals), lam)
+    return CovarianceEstimate(w, "shrunk", lam=lam)
 
 
 def diagonal_mse(residuals: np.ndarray) -> CovarianceEstimate:
     """Diagonal of the sample MSE matrix."""
     r = _check_residuals(residuals)
-    w = np.diag(np.einsum("it,it->i", r, r) / r.shape[1])
-    return CovarianceEstimate(w, "diagonal", lam=None, singular=bool(np.any(np.diag(w) <= 0)))
+    return CovarianceEstimate(np.diag(np.einsum("it,it->i", r, r) / r.shape[1]), "diagonal")
 
 
 def _block_diagonal(
@@ -168,20 +177,18 @@ def _block_diagonal(
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
+    groups = tuple(groups)
     w = np.zeros((panel.m, panel.m))
-    lams: list[float] = []
-    singular = False
+    lams = []
     for rows in groups:
-        if shrink_blocks:
-            est = shrink(r[rows])
-            lams.append(float(est.lam))
-        else:
-            est = sample_mse(r[rows])
-        singular = singular or est.singular
-        w[np.ix_(rows, rows)] = est.W
+        block, lam = _shrunk(r[rows], None) if shrink_blocks else (_mse(r[rows]), None)
+        lams.append(lam)
+        w[np.ix_(rows, rows)] = block
     pattern = f"{kind}_shrunk" if shrink_blocks else kind
     lam = tuple(lams) if shrink_blocks else None
-    return CovarianceEstimate(w, pattern, lam=lam, singular=singular)
+    # an unshrunk block wider than T is rank deficient
+    wide = not shrink_blocks and max(map(len, groups)) > r.shape[1]
+    return CovarianceEstimate(w, pattern, lam=lam, singular=wide, _groups=groups)
 
 
 def block_by_expert(
@@ -192,8 +199,7 @@ def block_by_expert(
     Each block is the n_j x n_j sample MSE of expert j's residual rows, each
     shrunk with its own intensity when ``shrink_blocks`` is set.
     """
-    rows = np.arange(panel.m)
-    groups = (rows[panel.expert_rows(j)] for j in range(panel.p))
+    groups = (np.arange(panel.m)[panel.expert_rows(j)] for j in range(panel.p))
     return _block_diagonal(residuals, panel, groups, "bd_expert", shrink_blocks)
 
 
@@ -212,10 +218,10 @@ def block_by_variable(
 
 def as_covariance(w: np.ndarray, pattern: str = "sample") -> CovarianceEstimate:
     """Wrap a user-supplied SPD matrix; raises if it cannot back a solve."""
-    w = np.asarray(w, dtype=float)
-    if not _cholesky_ok(w):
+    est = CovarianceEstimate(w, pattern)
+    if est.singular:
         raise NumericalError("supplied covariance is not positive definite")
-    return CovarianceEstimate(w, pattern, lam=None, singular=False)
+    return est
 
 
 # Entries call the estimators by their module names, so a wrapped estimator

@@ -179,6 +179,14 @@ BAD_CONSTRAINT_JSON = {
                             "'C' in constraint JSON must be a numeric rectangular matrix"),
     "A-ragged": ('{"A": [[1, 1], [1]], "upper": ["total", "t2"], "bottom": ["east", "west"]}',
                  "'A' in constraint JSON must be a numeric rectangular matrix"),
+    "upper-a-number": ('{"A": [[1, 1]], "upper": 5, "bottom": ["east", "west"]}',
+                       "'upper' in constraint JSON must be a list of strings"),
+    "upper-a-string": ('{"A": [[1, 1]], "upper": "total", "bottom": ["east", "west"]}',
+                       "'upper' in constraint JSON must be a list of strings"),
+    "vars-a-string": ('{"C": [[1, -1, -1]], "vars": "tew"}',
+                      "'vars' in constraint JSON must be a list of strings"),
+    "bottom-holds-a-number": ('{"A": [[1, 1]], "upper": ["total"], "bottom": ["east", 7]}',
+                              "'bottom' in constraint JSON must be a list of strings"),
 }
 
 

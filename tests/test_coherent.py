@@ -8,6 +8,9 @@ from cocomb import (
     NumericalError,
     CovarianceEstimate,
     as_covariance,
+    block_by_expert,
+    block_by_variable,
+    combine_multi_task,
     from_aggregation,
     from_availability,
     is_coherent,
@@ -199,6 +202,52 @@ def test_occ_invariant_to_expert_relabelling(seed, data):
         res = occ(relabelled, sys, w_relabelled, f)
         assert np.abs(res.y_tilde - ref.y_tilde).max() <= 1e-9 * np.abs(ref.y_tilde).max()
         assert np.abs(res.Psi - ref.Psi[old]).max() <= 1e-9 * np.abs(ref.Psi).max()
+
+
+def _assert_close(new, ref, tol=1e-12):
+    assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("estimator", [block_by_expert, block_by_variable])
+@pytest.mark.parametrize("shrink_blocks", [False, True])
+@pytest.mark.parametrize("balanced", [True, False])
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_solve_matches_one_block_solve(estimator, shrink_blocks, balanced, seed):
+    """Solving a block estimate block by block gives what its dense W gives."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys, balanced=balanced)
+    one_expert = from_availability(
+        np.ones((sys.n, 1), dtype=bool), sys, values=rng.standard_normal(sys.n)
+    )
+    for pan in (panel, one_expert):
+        T = 2 * max(pan.n, pan.p) + 10  # wider than every block
+        resid = rng.standard_normal((pan.m, T)) + rng.standard_normal(T)
+        est = estimator(resid, pan, shrink_blocks=shrink_blocks)
+        dense = as_covariance(est.W)
+        if pan is one_expert:
+            pairs = [(mint_reconcile(pan.y_hat, sys, est), mint_reconcile(pan.y_hat, sys, dense))]
+        else:
+            pairs = [(occ(pan, sys, est, f), occ(pan, sys, dense, f)) for f in FORMULATIONS]
+            new, ref = combine_multi_task(pan, est), combine_multi_task(pan, dense)
+            for a, b in ((new.y_c, ref.y_c), (new.Omega, ref.Omega), (new.W_c, ref.W_c)):
+                _assert_close(a, b)
+        for new, ref in pairs:
+            _assert_close(new.y_tilde, ref.y_tilde)
+            _assert_close(new.Psi, ref.Psi)
+            _assert_close(new.W_tilde, ref.W_tilde)
+
+
+def test_mint_rejects_non_finite_or_non_square_covariance(rng):
+    sys = hierarchy()
+    y_hat = rng.standard_normal(7)
+    w = np.eye(7)
+    w[3, 3] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        mint_reconcile(y_hat, sys, w)
+    with pytest.raises(DataError, match="square"):
+        mint_reconcile(y_hat, sys, np.ones((7, 6)))
 
 
 def test_occ_rejects_bad_inputs(rng):

@@ -3,10 +3,13 @@ import pytest
 import scipy.linalg
 
 from cocomb import (
+    CovarianceEstimate,
     DataError,
     NumericalError,
+    as_covariance,
     block_by_expert,
     block_by_variable,
+    combine_multi_task,
     diagonal_mse,
     from_aggregation,
     from_availability,
@@ -15,6 +18,7 @@ from cocomb import (
     shrink,
     shrink_intensity,
 )
+from cocomb.coherent import FORMULATIONS
 from conftest import random_panel, random_system
 from oracles import kkt_residual, loop_mse
 
@@ -217,18 +221,39 @@ def test_shrunk_blocks_wider_than_T_are_not_singular(rng, estimator, p):
 @pytest.mark.parametrize("estimator", [block_by_expert, block_by_variable])
 @pytest.mark.parametrize("shrink_blocks", [False, True])
 def test_block_patterns_factor_blocks_only(rng, monkeypatch, estimator, shrink_blocks):
-    # a block-diagonal matrix is positive definite exactly when its blocks are,
-    # so the m x m estimate is never factored just to set the singular tag
-    import cocomb.covariance
-
-    shapes = []
-    check = cocomb.covariance._cholesky_ok
-    monkeypatch.setattr(cocomb.covariance, "_cholesky_ok",
-                        lambda w: shapes.append(w.shape) or check(w))
+    # the estimate factors each diagonal block exactly once; occ and the
+    # multi-task pool solve with those factors, so they factor neither the
+    # m x m W nor one of its blocks again
+    factored = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda a, *args, **kw: factored.append(np.array(a))
+                        or cho_factor(a, *args, **kw))
     sys = from_aggregation(np.kron(np.eye(2), np.ones((1, 2))), [f"v{k}" for k in range(6)])
     panel = from_availability(np.ones((6, 3), dtype=bool), sys, values=np.arange(18.0))
     resid = rng.standard_normal((panel.m, 40))
     est = estimator(resid, panel, shrink_blocks=shrink_blocks)
     assert not est.singular
-    assert shapes and (panel.m, panel.m) not in shapes
+    if estimator is block_by_expert:
+        groups = [np.arange(panel.m)[panel.expert_rows(j)] for j in range(panel.p)]
+    else:
+        groups = [panel.variable_rows(i) for i in range(panel.n)]
+    blocks = [est.W[np.ix_(rows, rows)] for rows in groups]
+    assert len(factored) == len(blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(factored, blocks))
+
+    factored.clear()
+    for f in FORMULATIONS:
+        occ(panel, sys, est, f)
+    combine_multi_task(panel, est)
+    assert factored  # the pooled precisions are still factored
+    assert all(a.shape != (panel.m, panel.m) for a in factored)
+    assert not any(np.array_equal(a, b) for a in factored for b in blocks)
     scipy.linalg.cho_factor(est.W)
+
+
+def test_user_covariance_must_be_finite_and_square():
+    with pytest.raises(DataError, match="non-finite"):
+        CovarianceEstimate(np.diag([1.0, np.nan, 1.0]), "sample")
+    with pytest.raises(DataError, match="square"):
+        as_covariance(np.ones((2, 3)))
