@@ -12,8 +12,9 @@ that maps labels to by-expert rows. ``--cov`` names a pattern of
 method to ``coherent.fit``, which the simulation shares. ``reconcile`` and
 ``combine`` fit their weights once, on the first horizon's panel: the weights
 depend only on the panel's availability and the error covariance, so one fit is
-applied to every horizon (``Psi' y_h``, ``Omega' y_h`` or the per-variable
-weights), and the emitted weights and reconciled covariance are those of that fit.
+applied to every horizon as one apply, ``Psi' y_h`` (``combine``: ``Omega`` or
+``WeightScheme.matrix`` as ``Psi``); the emitted weights and reconciled
+covariance are those of that fit.
 
 ``evaluate`` streams each evaluation CSV through ``_read_eval_csv`` into one
 array with sorted labels and a last axis over the sorted (horizon, q) keys,
@@ -74,6 +75,8 @@ def _atomic_file(path: Path):
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
+        os.umask(umask := os.umask(0))  # mkstemp made it 0600; honour the umask
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -231,11 +234,10 @@ def combine(constraints_path, panel_path, residuals_path, cov_kind, output_path,
         constraints_path, panel_path, residuals_path, cov_kind, need_cov
     )
     if scheme == "multi-task":
-        omega = combine_multi_task(first, cov).Omega
-        results = {h: omega.T @ panel_h.y_hat for h, panel_h in panels.items()}
+        weights = combine_multi_task(first, cov).Omega
     else:
-        ws = single_task_weights(first, scheme.replace("-", "_"), cov)
-        results = {h: ws.apply(panel_h) for h, panel_h in panels.items()}
+        weights = single_task_weights(first, scheme.replace("-", "_"), cov).matrix(first)
+    results = {h: weights.T @ panel_h.y_hat for h, panel_h in panels.items()}
     _write_forecasts(output_path, results, sys_.labels)
     _write_manifest(output_path, "combine", {
         "constraints": constraints_path, "panel": panel_path,
@@ -421,14 +423,7 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
         {m: {h: f_m[:, c].T.copy() for h, c in cols.items()} for m, f_m in zip(methods, f)},
         benchmark, series,
     )
-    _write_csv(output_path, ["metric", "method", "horizon", "value"], (
-        [metric, m, h, _fmt(overall[m] if h == "all" else per_h[m][h])]
-        for metric, per_h, overall in (("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
-                                       ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse))
-        for m in table.methods for h in (*table.horizons, "all")
-    ))
-
-    if run_dm:
+    if run_dm:  # DM rows first: a failing test must leave no output behind
         dm_output_path = dm_output_path or Path(str(output_path) + ".dm.csv")
         n_m, dm_rows = len(methods), []
         for loss_name, power in (("absolute", 1), ("squared", 2)):
@@ -446,6 +441,12 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
                             for (a, b), w in np.ndenumerate(wins) if a != b)
         _write_csv(dm_output_path,
                    ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
+    _write_csv(output_path, ["metric", "method", "horizon", "value"], (
+        [metric, m, h, _fmt(overall[m] if h == "all" else per_h[m][h])]
+        for metric, per_h, overall in (("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
+                                       ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse))
+        for m in table.methods for h in (*table.horizons, "all")
+    ))
     _write_manifest(output_path, "evaluate", {
         "actuals": actuals_path, "forecasts": forecasts_path, "benchmark": benchmark,
         "horizons": horizons, "dm": run_dm, "output": output_path,

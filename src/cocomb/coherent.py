@@ -3,24 +3,28 @@
 The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
 constraints. It has one closed form per model representation, each a kernel
-on a solve ``x -> W^-1 x``, a stacked selector ``K`` and base forecasts ``y``:
+on a solve ``x -> W^-1 x`` and a stacked selector ``K``. Both pool through
+``combiners.gls_pool``, the one place that factors a pooled precision:
 
-* ``_zc``     zero-constrained: pool all forecasts by GLS into the multi-task
-              combined forecast, then project it onto ``C y = 0`` with the
-              oblique projector built from its covariance;
-* ``_struct`` structural: GLS on the bottom variables through ``K S``, then
-              bottom-up expansion by ``S``.
+* ``_zc``     zero-constrained: pool all forecasts through ``K`` into the
+              multi-task combined forecast, then project it onto ``C y = 0``
+              with the oblique projector built from its covariance;
+* ``_struct`` structural: pool through ``K S`` onto the bottom variables,
+              then expand by ``S``: ``Psi = Omega S'``, ``W_tilde = S W_b S'``.
 
-The solve is ``CovarianceEstimate.solve`` (no kernel factors ``W``). Each
-kernel runs in two stackings, which gives the four ``FORMULATIONS``: by-expert
-(``*_be``) on the panel's own ``K`` and ``y_hat``, and by-variable (``*_bv``)
-on both restacked by ``bv_order``, with the solve conjugated by that
-permutation and the weight rows put back in by-expert order. Their agreement
-is checked in the tests against each other and against the independent
-bordered (KKT) solve in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``).
-``mint_reconcile`` is the zero-constrained kernel with ``K = I_n`` (the
-single-expert case); ``scr`` and ``src`` are the sequential
-combine-then-reconcile and reconcile-then-average baselines.
+The kernels return weights and covariances only. Every public entry (``occ``,
+``mint_reconcile``, ``scr``, ``src``) sets ``y_tilde = Psi' y_hat`` once, on
+the by-expert ``Psi``, the same apply that ``cocomb reconcile`` runs per
+horizon. The solve is ``CovarianceEstimate.solve`` (no kernel factors ``W``).
+Each kernel runs in two stackings, which gives the four ``FORMULATIONS``:
+by-expert (``*_be``) on the panel's own ``K``, and by-variable (``*_bv``) on
+``K`` restacked by ``bv_order``, with the solve conjugated by that permutation
+and the weight rows put back in by-expert order. Their agreement is checked in
+the tests against each other and against the independent bordered (KKT) solve
+in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``). ``mint_reconcile``
+is the zero-constrained kernel with ``K = I_n`` (the single-expert case);
+``scr`` and ``src`` are the sequential combine-then-reconcile and
+reconcile-then-average baselines.
 
 ``fit`` dispatches a method name (``occ``, ``mint``, ``src``, ``scr_*``) for
 ``cocomb reconcile`` and the simulation alike, and holds the baselines'
@@ -30,7 +34,7 @@ own residual rows, ``scr_*`` with the shrunk MSE of the combined residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,33 +79,24 @@ def _coherent_projector(w_c: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.eye(n) - w_c @ c.T @ cho_solve(f, c)
 
 
-def _zc(solve, k: np.ndarray, y: np.ndarray, c: np.ndarray) -> CoherentResult:
-    """Zero-constrained kernel: GLS pooling, then the coherent projector."""
+def _zc(solve, k: np.ndarray, c: np.ndarray):
+    """Zero-constrained kernel: GLS pooling, then the coherent projector.
+
+    Returns ``(Psi, W_tilde, W_c, M)`` with ``Psi = Omega M'``.
+    """
     omega, w_c = gls_pool(solve, k)
     m_proj = _coherent_projector(w_c, c)
-    psi = omega @ m_proj.T
-    return CoherentResult(
-        y_tilde=psi.T @ y,
-        Psi=psi,
-        W_tilde=m_proj @ w_c,
-        formulation="zc_be",
-        W_c=w_c,
-        M=m_proj,
-    )
+    return omega @ m_proj.T, m_proj @ w_c, w_c, m_proj
 
 
-def _struct(solve, k: np.ndarray, y: np.ndarray, s: np.ndarray) -> CoherentResult:
-    """Structural kernel: GLS on the bottom variables, then ``S`` expansion."""
-    ks = k @ s
-    t1 = solve(ks)
-    f_h = cho_factor_spd(symmetrize(ks.T @ t1), "bottom-variable precision")
-    g = cho_solve(f_h, t1.T)
-    return CoherentResult(
-        y_tilde=s @ (g @ y),
-        Psi=(s @ g).T,
-        W_tilde=s @ cho_solve(f_h, s.T),
-        formulation="struct_be",
-    )
+def _struct(solve, k: np.ndarray, s: np.ndarray):
+    """Structural kernel: GLS pooling through ``K S``, then ``S`` expansion.
+
+    Returns ``(Psi, W_tilde, None, None)`` with ``Psi = Omega S'`` and
+    ``W_tilde = S W_b S'``, ``(Omega, W_b)`` pooling the bottom variables.
+    """
+    omega, w_b = gls_pool(solve, k @ s)
+    return omega @ s.T, s @ w_b @ s.T, None, None
 
 
 def occ(
@@ -122,13 +117,13 @@ def occ(
         raise DataError("panel and constraint system must share the variable set")
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
     if formulation.endswith("_be"):
-        res = kernel(cov.solve, panel.K, panel.y_hat, target)
+        psi, w_tilde, w_c, m_proj = kernel(cov.solve, panel.K, target)
     else:
         bv = panel.bv_order
         be = np.argsort(bv)
-        res = kernel(lambda x: cov.solve(x[be])[bv], panel.K[bv], panel.y_hat[bv], target)
-        res = replace(res, Psi=res.Psi[be])
-    return replace(res, formulation=formulation)
+        psi, w_tilde, w_c, m_proj = kernel(lambda x: cov.solve(x[be])[bv], panel.K[bv], target)
+        psi = psi[be]
+    return CoherentResult(psi.T @ panel.y_hat, psi, w_tilde, formulation, w_c, m_proj)
 
 
 def mint_reconcile(
@@ -149,7 +144,8 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
-    return replace(_zc(cov.solve, np.eye(sys.n), y_hat, sys.C), formulation="mint")
+    psi, w_tilde, w_c, m_proj = _zc(cov.solve, np.eye(sys.n), sys.C)
+    return CoherentResult(psi.T @ y_hat, psi, w_tilde, "mint", w_c, m_proj)
 
 
 def scr(
@@ -169,17 +165,11 @@ def scr(
     ws = scheme if isinstance(scheme, WeightScheme) else single_task_weights(
         panel, scheme, cov_combine
     )
-    y_c = ws.apply(panel)
-    rec = mint_reconcile(y_c, sys, cov_reconcile)
-    psi = ws.matrix(panel) @ rec.Psi
-    return CoherentResult(
-        y_tilde=rec.y_tilde,
-        Psi=psi,
-        W_tilde=rec.W_tilde,
-        formulation=f"scr_{ws.scheme}",
-        W_c=rec.W_c,
-        M=rec.M,
-    )
+    g = ws.matrix(panel)
+    rec = mint_reconcile(g.T @ panel.y_hat, sys, cov_reconcile)
+    psi = g @ rec.Psi
+    return CoherentResult(psi.T @ panel.y_hat, psi, rec.W_tilde, f"scr_{ws.scheme}",
+                          rec.W_c, rec.M)
 
 
 def src(panel: ForecastPanel, sys: ConstraintSystem, cov_per_expert) -> CoherentResult:
@@ -195,21 +185,11 @@ def src(panel: ForecastPanel, sys: ConstraintSystem, cov_per_expert) -> Coherent
     cov_list = list(cov_per_expert)
     if len(cov_list) != panel.p:
         raise DataError(f"need one covariance per expert ({panel.p}), got {len(cov_list)}")
-    n, p = panel.n, panel.p
-    psi_blocks = []
-    y_parts = []
-    w_tilde = np.zeros((n, n))
-    for j, cov_j in enumerate(cov_list):
-        res_j = mint_reconcile(panel.expert_vector(j), sys, cov_j)
-        psi_blocks.append(res_j.Psi / p)
-        y_parts.append(res_j.y_tilde)
-        w_tilde += res_j.W_tilde / p**2
-    return CoherentResult(
-        y_tilde=np.mean(y_parts, axis=0),
-        Psi=np.vstack(psi_blocks),
-        W_tilde=w_tilde,
-        formulation="src",
-    )
+    p = panel.p
+    fits = [mint_reconcile(panel.expert_vector(j), sys, c) for j, c in enumerate(cov_list)]
+    psi = np.vstack([res_j.Psi / p for res_j in fits])
+    w_tilde = sum(res_j.W_tilde / p**2 for res_j in fits)
+    return CoherentResult(psi.T @ panel.y_hat, psi, w_tilde, "src")
 
 
 def fit(

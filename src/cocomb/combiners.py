@@ -7,10 +7,14 @@ Single-task schemes weight the experts of one variable at a time:
 * ``ow_cov``  minimum-variance weights on the unit simplex (non-negative,
   summing to one), using the full per-variable error covariance.
 
+A scheme's weights are the m x n matrix ``G`` (``WeightScheme.matrix``), and
+``WeightScheme.apply`` is ``G' y_hat``, the one apply every method shares.
+
 The multi-task combination pools all m forecasts at once through the stacked
 regression of the base forecasts on the target vector, yielding the combined
-vector, its weight matrix and its error covariance. ``gls_pool`` takes ``W``
-as a solve ``x -> W^-1 x`` (``CovarianceEstimate.solve``), never as a matrix.
+vector, its weight matrix and its error covariance. ``gls_pool``, the one GLS
+pooling step (both ``occ`` kernels use it too), takes ``W`` as a solve
+``x -> W^-1 x`` (``CovarianceEstimate.solve``), never as a matrix.
 """
 
 from __future__ import annotations
@@ -42,11 +46,9 @@ class WeightScheme:
         return g
 
     def apply(self, panel: ForecastPanel, y_hat: np.ndarray | None = None) -> np.ndarray:
+        """The combined forecast ``G' y_hat`` (the panel's own forecasts by default)."""
         values = panel.y_hat if y_hat is None else np.asarray(y_hat, dtype=float)
-        out = np.empty(panel.n)
-        for i in range(panel.n):
-            out[i] = self.weights[i] @ values[panel.variable_rows(i)]
-        return out
+        return self.matrix(panel).T @ values
 
 
 def simplex_weights(sigma: np.ndarray, tol: float = 1e-8, max_iter: int = 200) -> np.ndarray:
@@ -123,9 +125,10 @@ def combine_single_task(
 
 
 def gls_pool(solve, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GLS pooling of stacked forecasts with selector ``k``; ``solve(x) = W^-1 x``.
+    """GLS pooling of stacked forecasts with design ``k``; ``solve(x) = W^-1 x``.
 
-    Returns ``(Omega, W_c)`` with ``W_c = (K' W^-1 K)^-1`` and
+    ``k`` is the selector ``K``, or ``K S`` when pooling onto the bottom
+    variables. Returns ``(Omega, W_c)`` with ``W_c = (K' W^-1 K)^-1`` and
     ``Omega = W^-1 K W_c``; the pooled precision is Cholesky-factored.
     """
     b = solve(k)

@@ -309,6 +309,13 @@ def _method_weights(
             cache[key] = compute()
         return cache[key]
 
+    def projector(j):
+        return cached(("mint", j), lambda: mint_reconcile(
+            np.zeros(sys.n), sys, shrink(resid[panel.expert_rows(j)])).Psi.T)
+
+    experts = range(panel.p)
+    if method == "src" and panel.balanced:  # fit("src").Psi.T from the shared projectors
+        return np.hstack([projector(j) / panel.p for j in experts])
     if method in _METHOD_FITS:
         how, pattern = _METHOD_FITS[method]
         cov = pattern and cached(pattern, lambda: ESTIMATORS[pattern](resid, panel))
@@ -317,12 +324,6 @@ def _method_weights(
         return fit(how, panel, sys, resid, cov).Psi.T
     if method not in _BASE_METHODS:
         raise DataError(f"unknown simulation method {method!r}")
-
-    def projector(j):
-        return cached(("mint", j), lambda: mint_reconcile(
-            np.zeros(sys.n), sys, shrink(resid[panel.expert_rows(j)])).Psi.T)
-
-    experts = range(panel.p)
     if method == "base_shr":
         mse = [np.mean((projector(j) @ resid[panel.expert_rows(j)]) ** 2) for j in experts]
     else:

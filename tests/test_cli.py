@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -417,3 +419,17 @@ def test_evaluate_misaligned_grid_exits_3(tmp_path, rng, capsys):
         "--output", tmp_path / "x.csv",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_outputs_honour_the_umask(tmp_path, umask):
+    out = tmp_path / "combined.csv"
+    old = os.umask(umask)
+    try:
+        code = run("combine", "--constraints", SAMPLE / "constraints.json",
+                   "--panel", SAMPLE / "panel.csv", "--scheme", "ew", "--output", out)
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, Path(str(out) + ".manifest.json")):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path

@@ -45,3 +45,21 @@ def test_evaluate_runs_one_dm_test_per_unordered_pair(tmp_path, rng, monkeypatch
     run_evaluate(tmp_path, paths, "1:3")
     # 4 methods -> 6 unordered pairs; 5 series; 3 horizons + "all"; 2 losses
     assert len(calls) == 6 * 5 * 4 * 2
+
+
+def test_evaluate_dm_failure_writes_nothing(tmp_path, rng, capsys):
+    """Five origins per series is too few for a DM test: exit 3, no accuracy CSV either."""
+    paths, *_ = evaluation_csvs(tmp_path, rng)
+    for path in paths:  # keep the header and the rows with q < 5
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(
+            [lines[0]] + [line for line in lines[1:] if int(line.split(",")[-2]) < 5]) + "\n")
+    out = tmp_path / "out"
+    code = main([
+        "evaluate", "--actuals", str(paths[0]), "--forecasts", str(paths[1]),
+        "--horizons", "1:3", "--dm",
+        "--output", str(out / "accuracy.csv"), "--dm-output", str(out / "dm.csv"),
+    ])
+    assert code == 3
+    assert "need at least 10 loss observations" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

@@ -20,7 +20,8 @@ from cocomb import (
     shrink,
     src,
 )
-from cocomb.coherent import FORMULATIONS
+from cocomb.coherent import FORMULATIONS, fit
+from cocomb.covariance import ESTIMATORS, PATTERNS
 from conftest import random_panel, random_spd, random_system
 from oracles import kkt_residual, kkt_solve, orthogonal_projector
 
@@ -353,3 +354,87 @@ def test_scr_uses_shrunk_reconciliation_covariance(rng):
     combined_resid = ws.matrix(panel).T @ resid
     res = scr(panel, sys, ws, None, shrink(combined_resid))
     assert is_coherent(sys, res.y_tilde, tol=1e-9 * (1 + np.abs(res.y_tilde).max()))
+
+
+def _coherence(sys, y):
+    """max|C y| relative to max(1, max|y|)."""
+    return np.abs(sys.C @ y).max() / max(1.0, np.abs(y).max())
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-3, 6))
+def test_every_fit_is_psi_applied_once_and_coherent(balanced, seed, log_scale):
+    """Every fit method on every covariance pattern returns ``Psi' y_hat``, coherent."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys, balanced=balanced)
+    panel = panel.with_values(panel.y_hat * 10.0**log_scale)
+    one_expert = from_availability(
+        np.ones((sys.n, 1), dtype=bool), sys, values=rng.standard_normal(sys.n)
+    )
+    cases = [(pan, "occ", f) for pan in (panel, one_expert) for f in FORMULATIONS]
+    cases += [(panel, m, "zc_be") for m in ("scr_ew", "scr_var", "scr_cov")]
+    cases += [(one_expert, "mint", "zc_be")] + ([(panel, "src", "zc_be")] if balanced else [])
+    resid = {}
+    for pan in (panel, one_expert):  # T wider than every block: every pattern is SPD
+        T = 2 * pan.m + 10
+        resid[pan] = rng.standard_normal((pan.m, T)) + rng.standard_normal(T)
+    for pattern in PATTERNS:
+        covs = {pan: ESTIMATORS[pattern](r, pan) for pan, r in resid.items()}
+        for pan, method, formulation in cases:
+            res = fit(method, pan, sys, resid[pan], covs[pan], formulation)
+            case = (pattern, method, formulation)
+            assert np.array_equal(res.y_tilde, res.Psi.T @ pan.y_hat), case
+            assert _coherence(sys, res.y_tilde) <= 1e-9, case
+
+
+@pytest.mark.parametrize("spread", [1e6, 1e9, 1e12])
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_formulations_under_extreme_conditioning(spread, seed):
+    """W with eigenvalues spread over ``spread`` and random eigenvectors.
+
+    Each formulation raises ``NumericalError`` or returns a coherent forecast,
+    and those that return agree within 1e-9 relative or, where that is below
+    double precision, within ``spread * eps`` (the forward error of a
+    backward-stable solve: against a 50-digit bordered solve every formulation
+    errs by up to ~1e-6 relative at a spread of 1e12).
+    """
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys)
+    q, _ = np.linalg.qr(rng.standard_normal((panel.m, panel.m)))
+    w = (q * np.logspace(0.0, np.log10(spread), panel.m)) @ q.T
+    cov = as_covariance(0.5 * (w + w.T))
+    ys = []
+    for f in FORMULATIONS:
+        try:
+            ys.append(occ(panel, sys, cov, f).y_tilde)
+        except NumericalError:
+            continue
+        assert _coherence(sys, ys[-1]) <= 1e-9, f
+    tol = max(1e-9, spread * np.finfo(float).eps)
+    for y in ys[1:]:
+        assert np.abs(y - ys[0]).max() <= tol * max(1.0, np.abs(ys[0]).max())
+
+
+# zc routes: C M = C - (C W_c C')(C W_c C')^-1 C leaves a residual of about
+# eps * cond(C W_c C'), which a sole far-noisier expert drives to 1e9 and beyond
+_ZC_COHERENCE_GAP = pytest.mark.xfail(
+    strict=True,
+    reason="the zero-constrained projector loses coherence when C W_c C' is ill-conditioned",
+)
+
+
+@pytest.mark.parametrize("formulation", [
+    pytest.param(f, marks=_ZC_COHERENCE_GAP) if f.startswith("zc") else f for f in FORMULATIONS
+])
+def test_coherent_when_a_sole_expert_is_far_noisier(formulation, rng):
+    """Expert 1, alone on AB and BB, has 1e9 times expert 0's error variance (WLS)."""
+    sys = hierarchy()
+    avail = np.array([[1, 1], [1, 0], [1, 0], [1, 0], [0, 1], [1, 0], [0, 1]], dtype=bool)
+    panel = from_availability(avail, sys, values=rng.standard_normal(int(avail.sum())))
+    w = np.diag(np.where(panel.exp_idx == 1, 1e9, 1.0))
+    res = occ(panel, sys, as_covariance(w), formulation)
+    assert _coherence(sys, res.y_tilde) <= 1e-9
