@@ -1,20 +1,20 @@
 """Command-line front end: combine, reconcile, simulate and evaluate.
 
 Every run writes its outputs atomically (rows streamed into a temp file, then
-renamed) and drops a ``<output>.manifest.json`` recording the command, options,
-seed and library version, so reruns from the same inputs are byte-identical.
-Numeric output is printed with 17 significant digits and round-trips exactly.
+renamed) and drops a ``<output>.manifest.json`` recording the command, every
+option as parsed (read from the click context) and the library version, so
+reruns from the same inputs are byte-identical. Numeric output is printed with
+17 significant digits and round-trips exactly.
 
 The panel and residual CSVs stream their rows, as (k, series, expert, value)
 records, into ``panel.panel_from_pairs`` and ``panel.fill_cells``, the one place
-that maps labels to by-expert rows. ``--cov`` names a pattern of
-``covariance.ESTIMATORS`` through ``COV_CHOICES``, and ``reconcile`` hands its
-method to ``coherent.fit``, which the simulation shares. ``reconcile`` and
-``combine`` fit their weights once, on the first horizon's panel: the weights
-depend only on the panel's availability and the error covariance, so one fit is
-applied to every horizon as one apply, ``Psi' y_h`` (``combine``: ``Omega`` or
-``WeightScheme.matrix`` as ``Psi``); the emitted weights and reconciled
-covariance are those of that fit.
+that maps labels to by-expert rows. A panel CSV is one zero-valued panel (its
+availability, shared by every horizon) and one m x H forecast matrix ``Y``.
+``--cov`` names a pattern of ``covariance.ESTIMATORS`` through ``COV_CHOICES``,
+and ``reconcile`` hands its method to ``coherent.fit``, which the simulation
+shares. The weights depend only on the availability and the error covariance,
+so ``reconcile`` and ``combine`` fit once and apply once, ``Psi' Y``
+(``combine``: ``Omega`` or ``WeightScheme.matrix`` as ``Psi``).
 
 ``evaluate`` streams each evaluation CSV through ``_read_eval_csv`` into one
 array with sorted labels and a last axis over the sorted (horizon, q) keys,
@@ -41,14 +41,14 @@ import click
 import numpy as np
 
 from . import __version__
-from .coherent import fit
-from .combiners import combine_multi_task, single_task_weights
+from .coherent import FORMULATIONS, fit
+from .combiners import SINGLE_TASK_SCHEMES, combine_multi_task, single_task_weights
 from .constraints import read_constraint_file
 from .covariance import ESTIMATORS
 from .exceptions import DataError, NumericalError
 from .metrics import accuracy, dm_test
 from .panel import fill_cells, panel_from_pairs
-from .simulation import SimulationConfig, run_experiment
+from .simulation import SIMULATION_METHODS, SimulationConfig, run_experiment
 
 # --cov flag -> covariance pattern
 COV_CHOICES = {
@@ -64,6 +64,11 @@ COV_CHOICES = {
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _dashed(names) -> list[str]:
+    """Library names (``ow_var``) as the command line spells them (``ow-var``)."""
+    return [name.replace("_", "-") for name in names]
 
 
 @contextmanager
@@ -92,13 +97,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(output: Path, command: str, params: dict) -> None:
+def _write_manifest(**resolved) -> None:
+    """Manifest of the running command; ``resolved`` overrides parsed options."""
+    ctx = click.get_current_context()
+    options = {**ctx.params, **resolved}
     manifest = {
-        "command": command,
-        "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
+        "command": ctx.info_name,
+        "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in options.items()},
         "version": __version__,
     }
-    with _atomic_file(Path(str(output) + ".manifest.json")) as fh:
+    with _atomic_file(Path(str(options["output"]) + ".manifest.json")) as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -142,35 +150,34 @@ def _cell_records(path: Path, what: str, key: str, default=None):
 
 
 def _read_panel_csv(path: Path, sys_):
-    """Panel CSV (series,expert[,horizon],value) -> per-horizon panels.
+    """Panel CSV (series,expert[,horizon],value) -> (panel, horizons, y_hat).
 
-    Expert order is first appearance over the whole file; all horizons must
-    share the same availability so one weight matrix applies throughout.
+    The panel is zero-valued, experts in first-appearance order over the whole
+    file; ``y_hat`` is m x H, one column per ascending horizon, and every
+    horizon covers every (series, expert) pair of the panel.
     """
     records = list(_cell_records(path, "panel", "horizon", default=1))
     if not records:
         raise DataError(f"panel CSV {path} holds no forecasts")
     panel = panel_from_pairs(((s, e) for _, s, e, _ in records), sys_, "panel CSV")
-    horizons, values = fill_cells(records, panel, "panel CSV", "horizon")
-    return {h: panel.with_values(values[:, c]) for c, h in enumerate(horizons)}
+    horizons, y_hat = fill_cells(records, panel, "panel CSV", "horizon")
+    return panel, horizons, y_hat
 
 
 def _read_residual_csv(path: Path, panel) -> np.ndarray:
     """Residual CSV (t,series,expert,value) -> m x T matrix in panel order, t ascending."""
     records = _cell_records(path, "residual", "t")
-    _, resid = fill_cells(records, panel, "residual CSV", "t")
-    if resid.shape[1] < 2:
-        raise DataError("need residuals for at least two time points")
-    return resid
+    return fill_cells(records, panel, "residual CSV", "t")[1]
 
 
-def _write_forecasts(path: Path, results: dict[int, np.ndarray], labels) -> None:
-    horizons = sorted(results)
+def _write_forecasts(path: Path, horizons: list[int], y: np.ndarray, labels) -> None:
+    """Write the n x H forecasts ``y``, one column per horizon."""
     if horizons == [1]:
-        rows = ([label, _fmt(v)] for label, v in zip(labels, results[1]))
+        rows = ([label, _fmt(v)] for label, v in zip(labels, y[:, 0]))
         _write_csv(path, ["series", "value"], rows)
     else:
-        rows = ([label, h, _fmt(v)] for h in horizons for label, v in zip(labels, results[h]))
+        rows = ([label, h, _fmt(v)]
+                for h, y_h in zip(horizons, y.T) for label, v in zip(labels, y_h))
         _write_csv(path, ["series", "horizon", "value"], rows)
 
 
@@ -183,113 +190,95 @@ def cli() -> None:
     """Coherent combination of multi-expert forecasts under linear constraints."""
 
 
-_common_inputs = [
-    click.option("--constraints", "constraints_path", required=True, type=Path,
-                 help="Constraint file (JSON with A/upper/bottom or C/vars, or CSV)."),
-    click.option("--panel", "panel_path", required=True, type=Path,
-                 help="Base forecast CSV: series,expert[,horizon],value."),
-    click.option("--residuals", "residuals_path", type=Path, default=None,
-                 help="In-sample residual CSV: t,series,expert,value."),
-    click.option("--cov", "cov_kind", default="shrink",
-                 type=click.Choice(sorted(COV_CHOICES)), show_default=True,
-                 help="Covariance estimator; the shrinkage intensity is the "
-                      "closed-form estimate on standardized residuals, clamped to [0,1]."),
-    click.option("--output", "output_path", required=True, type=Path,
-                 help="Output CSV path."),
-]
+def _common_inputs(fn):
+    """The input and output options that ``combine`` and ``reconcile`` share."""
+    for option in reversed([
+        click.option("--constraints", required=True, type=Path,
+                     help="Constraint file (JSON with A/upper/bottom or C/vars, or CSV)."),
+        click.option("--panel", required=True, type=Path,
+                     help="Base forecast CSV: series,expert[,horizon],value."),
+        click.option("--residuals", type=Path, default=None,
+                     help="In-sample residual CSV: t,series,expert,value."),
+        click.option("--cov", default="shrink",
+                     type=click.Choice(sorted(COV_CHOICES)), show_default=True,
+                     help="Covariance estimator; the shrinkage intensity is the "
+                          "closed-form estimate on standardized residuals, clamped to [0,1]."),
+        click.option("--output", required=True, type=Path, help="Output CSV path."),
+    ]):
+        fn = option(fn)
+    return fn
 
 
-def _with_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
-
-
-def _load_inputs(constraints_path, panel_path, residuals_path, cov_kind, need_cov):
-    sys_, _ = read_constraint_file(constraints_path)
-    panels = _read_panel_csv(panel_path, sys_)
-    first = panels[sorted(panels)[0]]
-    cov = None
-    resid = None
-    if residuals_path is not None:
-        resid = _read_residual_csv(residuals_path, first)
-        cov = ESTIMATORS[COV_CHOICES[cov_kind]](resid, first)
+def _load_inputs(constraints, panel, residuals, cov, need_cov):
+    """-> (system, zero-valued panel, horizons, m x H forecasts, residuals, estimate)."""
+    sys_, _ = read_constraint_file(constraints)
+    frame, horizons, y_hat = _read_panel_csv(panel, sys_)
+    resid = est = None
+    if residuals is not None:
+        resid = _read_residual_csv(residuals, frame)
+        est = ESTIMATORS[COV_CHOICES[cov]](resid, frame)
     elif need_cov:
         raise DataError("this method requires --residuals to estimate a covariance")
-    return sys_, panels, first, cov, resid
+    return sys_, frame, horizons, y_hat, resid, est
 
 
 @cli.command()
-@_with_options(_common_inputs)
+@_common_inputs
 @click.option("--scheme", default="ew", show_default=True,
-              type=click.Choice(["ew", "ow-var", "ow-cov", "multi-task"]),
+              type=click.Choice([*_dashed(SINGLE_TASK_SCHEMES), "multi-task"]),
               help="Combination scheme; ow-cov solves for non-negative weights "
                    "summing to one via an active-set iteration.")
-def combine(constraints_path, panel_path, residuals_path, cov_kind, output_path, scheme):
+def combine(constraints, panel, residuals, cov, output, scheme):
     """Combine the panel per variable (or jointly) without reconciling."""
-    need_cov = scheme != "ew"
-    sys_, panels, first, cov, _ = _load_inputs(
-        constraints_path, panel_path, residuals_path, cov_kind, need_cov
+    sys_, frame, horizons, y_hat, _, est = _load_inputs(
+        constraints, panel, residuals, cov, need_cov=scheme != "ew"
     )
     if scheme == "multi-task":
-        weights = combine_multi_task(first, cov).Omega
+        weights = combine_multi_task(frame, est).Omega
     else:
-        weights = single_task_weights(first, scheme.replace("-", "_"), cov).matrix(first)
-    results = {h: weights.T @ panel_h.y_hat for h, panel_h in panels.items()}
-    _write_forecasts(output_path, results, sys_.labels)
-    _write_manifest(output_path, "combine", {
-        "constraints": constraints_path, "panel": panel_path,
-        "residuals": residuals_path, "cov": cov_kind, "scheme": scheme,
-        "output": output_path,
-    })
+        weights = single_task_weights(frame, scheme.replace("-", "_"), est).matrix(frame)
+    _write_forecasts(output, horizons, weights.T @ y_hat, sys_.labels)
+    _write_manifest()
 
 
 @cli.command()
-@_with_options(_common_inputs)
+@_common_inputs
 @click.option("--method", default="occ", show_default=True,
               type=click.Choice(["occ", "mint", "src", "scr-ew", "scr-var", "scr-cov"]))
 @click.option("--formulation", default="zc-be", show_default=True,
-              type=click.Choice(["zc-be", "zc-bv", "struct-be", "struct-bv"]),
+              type=click.Choice(_dashed(FORMULATIONS)),
               help="Equivalent closed forms of the occ solution.")
-@click.option("--emit-weights", "weights_path", type=Path, default=None,
+@click.option("--emit-weights", type=Path, default=None,
               help="Also write the combination weight matrix as CSV.")
-@click.option("--emit-cov", "cov_path", type=Path, default=None,
+@click.option("--emit-cov", type=Path, default=None,
               help="Also write the reconciled error covariance as CSV.")
-def reconcile(constraints_path, panel_path, residuals_path, cov_kind, output_path,
-              method, formulation, weights_path, cov_path):
+def reconcile(constraints, panel, residuals, cov, output, method, formulation,
+              emit_weights, emit_cov):
     """Produce coherent forecasts from the panel."""
-    sys_, panels, first, cov, resid = _load_inputs(
-        constraints_path, panel_path, residuals_path, cov_kind, need_cov=True
+    sys_, frame, horizons, y_hat, resid, est = _load_inputs(
+        constraints, panel, residuals, cov, need_cov=True
     )
-    res = fit(method.replace("-", "_"), first, sys_, resid, cov, formulation.replace("-", "_"))
-    results = {h: res.Psi.T @ panel_h.y_hat for h, panel_h in panels.items()}
-    _write_forecasts(output_path, results, sys_.labels)
+    res = fit(method.replace("-", "_"), frame, sys_, resid, est, formulation.replace("-", "_"))
+    _write_forecasts(output, horizons, res.Psi.T @ y_hat, sys_.labels)
 
-    if weights_path is not None:
-        labels, experts = first.labels, first.experts
-        _write_csv(weights_path, ["expert", "series", "target", "weight"], (
+    if emit_weights is not None:
+        labels, experts = frame.labels, frame.experts
+        _write_csv(emit_weights, ["expert", "series", "target", "weight"], (
             [experts[j], labels[i], labels[k], _fmt(w)]
-            for (i, j), psi_r in zip(first.pairs, res.Psi)
+            for (i, j), psi_r in zip(frame.pairs, res.Psi)
             for k, w in enumerate(psi_r.tolist())
         ))
-    if cov_path is not None:
-        _write_csv(cov_path, ["series"] + list(sys_.labels), (
+    if emit_cov is not None:
+        _write_csv(emit_cov, ["series"] + list(sys_.labels), (
             [label] + [_fmt(v) for v in row.tolist()]
             for label, row in zip(sys_.labels, res.W_tilde)
         ))
-    _write_manifest(output_path, "reconcile", {
-        "constraints": constraints_path, "panel": panel_path,
-        "residuals": residuals_path, "cov": cov_kind, "method": method,
-        "formulation": formulation, "output": output_path,
-        "emit_weights": weights_path, "emit_cov": cov_path,
-    })
+    _write_manifest()
 
 
 @cli.command()
 @click.option("--setting", type=click.IntRange(1, 6), required=True)
-@click.option("--p", "n_experts", type=int, default=4, show_default=True)
+@click.option("--p", type=int, default=4, show_default=True)
 @click.option("--n-train", type=int, default=200, show_default=True)
 @click.option("--test-len", type=int, default=100, show_default=True)
 @click.option("--reps", type=int, default=500, show_default=True)
@@ -299,38 +288,30 @@ def reconcile(constraints_path, panel_path, residuals_path, cov_kind, output_pat
               default="random-spd", show_default=True,
               help="Expert error correlation: a random correlation matrix or none.")
 @click.option("--methods", default="ew,scr-ew,occ-be", show_default=True,
-              help="Comma-separated: ew, ow-var, ow-cov, src, scr-ew, scr-var, "
-                   "scr-cov, occ-be, occ-bv, occ-shr, occ-wls, base-star, "
-                   "base-star-shr, base-shr.")
+              help=f"Comma-separated: {', '.join(_dashed(SIMULATION_METHODS))}.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel replication workers; results are identical to a serial run.")
-@click.option("--output", "output_path", required=True, type=Path)
-def simulate(setting, n_experts, n_train, test_len, reps, seed, balanced,
-             error_corr, methods, jobs, output_path):
+@click.option("--output", required=True, type=Path)
+def simulate(setting, p, n_train, test_len, reps, seed, balanced, error_corr, methods,
+             jobs, output):
     """Run the Monte-Carlo experiment and write the relative-accuracy table."""
     method_keys = tuple(m.strip().replace("-", "_") for m in methods.split(",") if m.strip())
+    if not method_keys:
+        raise click.BadParameter(f"no methods in {methods!r}", param_hint="'--methods'")
     cfg = SimulationConfig(
-        setting=setting, p=n_experts, n_train=n_train, test_len=test_len,
+        setting=setting, p=p, n_train=n_train, test_len=test_len,
         replications=reps, seed=seed, balanced=balanced,
         error_corr=error_corr.replace("-", "_"),
     )
-    result = run_experiment(cfg, method_keys, n_jobs=jobs)
-    rows = (
-        [r["setting"], r["p"], r["n_train"], r["balanced"], r["method"],
-         _fmt(r["avg_rel_mae"]), _fmt(r["avg_rel_mse"])]
-        for r in result.summary_rows()
-    )
-    _write_csv(output_path,
-               ["setting", "p", "n_train", "balanced", "method", "avg_rel_mae", "avg_rel_mse"],
-               rows)
-    _write_manifest(output_path, "simulate", {
-        "setting": setting, "p": n_experts, "n_train": n_train, "test_len": test_len,
-        "reps": reps, "seed": seed, "balanced": balanced, "error_corr": error_corr,
-        "methods": methods, "output": output_path,
-    })
+    rows = run_experiment(cfg, method_keys, n_jobs=jobs).summary_rows()
+    _write_csv(output, list(rows[0]), (  # the accuracies are the floats
+        [_fmt(v) if isinstance(v, float) else v for v in row.values()] for row in rows
+    ))
+    _write_manifest()
 
 
 def _parse_horizons(expr: str) -> list[int]:
+    """``lo:hi`` or a comma list -> horizons, each once, in order of first appearance."""
     lo, colon, hi = expr.partition(":")
     try:
         horizons = (list(range(int(lo), int(hi) + 1)) if colon
@@ -339,7 +320,7 @@ def _parse_horizons(expr: str) -> list[int]:
         horizons = []
     if not horizons:
         raise click.BadParameter(f"no horizons in {expr!r}", param_hint="'--horizons'")
-    return horizons
+    return list(dict.fromkeys(horizons))
 
 
 def _read_eval_csv(path: Path, what: str, label_cols: tuple[str, ...], horizons, keep=()):
@@ -393,26 +374,25 @@ def _read_eval_csv(path: Path, what: str, label_cols: tuple[str, ...], horizons,
 
 
 @cli.command()
-@click.option("--actuals", "actuals_path", required=True, type=Path,
+@click.option("--actuals", required=True, type=Path,
               help="Actuals CSV: series,horizon,q,value.")
-@click.option("--forecasts", "forecasts_path", required=True, type=Path,
+@click.option("--forecasts", required=True, type=Path,
               help="Forecast CSV: method,series,horizon,q,value.")
 @click.option("--benchmark", default="ew", show_default=True)
 @click.option("--horizons", default="1:1", show_default=True,
               help="Range 'lo:hi' or comma list of horizons to evaluate.")
-@click.option("--dm/--no-dm", "run_dm", default=False, show_default=True,
+@click.option("--dm/--no-dm", default=False, show_default=True,
               help="Also write the pairwise equal-predictive-accuracy matrix "
                    "(Bartlett kernel with h-1 lags, two-sided normal p-values, "
                    "no small-sample correction).")
-@click.option("--output", "output_path", required=True, type=Path)
-@click.option("--dm-output", "dm_output_path", type=Path, default=None)
-def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
-             output_path, dm_output_path):
+@click.option("--output", required=True, type=Path)
+@click.option("--dm-output", type=Path, default=None)
+def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
     """Score methods against actuals with relative accuracy indices."""
     horizon_list = _parse_horizons(horizons)
-    (series,), keys, y = _read_eval_csv(actuals_path, "actuals", ("series",), horizon_list)
+    (series,), keys, y = _read_eval_csv(actuals, "actuals", ("series",), horizon_list)
     (methods, fc_series), fc_keys, f = _read_eval_csv(
-        forecasts_path, "forecasts", ("method", "series"), horizon_list, keep=set(series))
+        forecasts, "forecasts", ("method", "series"), horizon_list, keep=set(series))
     if fc_series != series or not np.array_equal(fc_keys, keys):
         raise DataError("forecasts CSV does not cover the actuals' series and (horizon, q) cells")
     cols = {h: np.flatnonzero(keys[:, 0] == h) for h in horizon_list}
@@ -423,8 +403,8 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
         {m: {h: f_m[:, c].T.copy() for h, c in cols.items()} for m, f_m in zip(methods, f)},
         benchmark, series,
     )
-    if run_dm:  # DM rows first: a failing test must leave no output behind
-        dm_output_path = dm_output_path or Path(str(output_path) + ".dm.csv")
+    if dm:  # DM rows first: a failing test must leave no output behind
+        dm_output = dm_output or Path(str(output) + ".dm.csv")
         n_m, dm_rows = len(methods), []
         for loss_name, power in (("absolute", 1), ("squared", 2)):
             loss = np.abs(y - f) ** power  # methods x series x keys
@@ -439,19 +419,15 @@ def evaluate(actuals_path, forecasts_path, benchmark, horizons, run_dm,
                             wins[(a, b) if res.statistic < 0 else (b, a)] += 1
                 dm_rows += ([loss_name, h, methods[a], methods[b], _fmt(100.0 * w / len(series))]
                             for (a, b), w in np.ndenumerate(wins) if a != b)
-        _write_csv(dm_output_path,
+        _write_csv(dm_output,
                    ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
-    _write_csv(output_path, ["metric", "method", "horizon", "value"], (
+    _write_csv(output, ["metric", "method", "horizon", "value"], (
         [metric, m, h, _fmt(overall[m] if h == "all" else per_h[m][h])]
         for metric, per_h, overall in (("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
                                        ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse))
         for m in table.methods for h in (*table.horizons, "all")
     ))
-    _write_manifest(output_path, "evaluate", {
-        "actuals": actuals_path, "forecasts": forecasts_path, "benchmark": benchmark,
-        "horizons": horizons, "dm": run_dm, "output": output_path,
-        "dm_output": dm_output_path,
-    })
+    _write_manifest(dm_output=dm_output)
 
 
 def main(argv=None) -> int:

@@ -93,7 +93,7 @@ def _check_residuals(residuals: np.ndarray) -> np.ndarray:
     if r.ndim != 2:
         raise DataError("residuals must be an m x T matrix")
     if r.shape[1] < 2:
-        raise DataError("need at least T=2 residual observations")
+        raise DataError("need residuals for at least two time points")
     if not np.all(np.isfinite(r)):
         raise DataError("residuals contain non-finite entries")
     return r

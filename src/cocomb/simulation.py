@@ -397,6 +397,8 @@ def run_experiment(
     if n_jobs < 1:
         raise DataError("n_jobs must be at least 1")
     methods = tuple(dict.fromkeys(methods))
+    if not methods:
+        raise DataError(f"no methods given; choose from {SIMULATION_METHODS}")
     unknown = [m for m in methods if m not in SIMULATION_METHODS]
     if unknown:
         raise DataError(f"unknown methods: {unknown}; choose from {SIMULATION_METHODS}")

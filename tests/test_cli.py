@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cocomb import read_constraint_file
-from cocomb.cli import COV_CHOICES, _read_panel_csv, _read_residual_csv, main
+from cocomb.cli import COV_CHOICES, _read_panel_csv, _read_residual_csv, cli, main
 from cocomb.covariance import PATTERNS
+from conftest import evaluation_csvs
 from oracles import kkt_residual
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
@@ -45,8 +46,8 @@ def test_reconcile_occ_end_to_end(tmp_path):
 
     # end-to-end against the dense first-order-system oracle
     sys_, _ = read_constraint_file(SAMPLE / "constraints.json")
-    panels = _read_panel_csv(SAMPLE / "panel.csv", sys_)
-    panel = panels[1]
+    panel, _, y_hat = _read_panel_csv(SAMPLE / "panel.csv", sys_)
+    panel = panel.with_values(y_hat[:, 0])
     resid = _read_residual_csv(SAMPLE / "residuals.csv", panel)
     from cocomb import block_by_expert
 
@@ -339,6 +340,30 @@ def test_simulate_writes_table_and_manifest(tmp_path):
         "--reps", "3", "--seed", "7", "--methods", "ew,occ-be", "--output", out2,
     ) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_manifest_records_every_parsed_option(tmp_path, rng):
+    """A manifest's options are its command's click parameters, ``--jobs`` included."""
+    (actuals, forecasts), *_ = evaluation_csvs(tmp_path, rng)
+    inputs = ["--constraints", SAMPLE / "constraints.json", "--panel", SAMPLE / "panel.csv",
+              "--residuals", SAMPLE / "residuals.csv"]
+    argv = {
+        "combine": [*inputs, "--scheme", "ow-var"],
+        "reconcile": [*inputs, "--emit-weights", tmp_path / "w.csv"],
+        "simulate": ["--setting", "1", "--p", "3", "--n-train", "30", "--test-len", "10",
+                     "--reps", "2", "--methods", "ew"],
+        "evaluate": ["--actuals", actuals, "--forecasts", forecasts, "--horizons", "1:3",
+                     "--dm"],
+    }
+    for command, args in argv.items():
+        out = tmp_path / f"{command}.csv"
+        assert run(command, *args, "--output", out) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["options"]) == {p.name for p in cli.commands[command].params}
+    # evaluate --dm without --dm-output records where the DM table went
+    assert manifest["options"]["dm_output"] == str(out) + ".dm.csv"
+    assert Path(str(out) + ".dm.csv").exists()
 
 
 def evaluate_fixture(tmp_path, rng):

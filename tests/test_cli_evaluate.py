@@ -9,7 +9,7 @@ from cocomb.cli import main
 from conftest import evaluation_csvs
 from oracles import dm_win_table
 
-HORIZON_SPECS = {"1:3": [1, 2, 3], "3,1": [3, 1], "1,1": [1, 1]}
+HORIZON_SPECS = {"1:3": [1, 2, 3], "3,1": [3, 1], "1,1": [1]}  # a repeat counts once
 
 
 def run_evaluate(tmp_path, paths, horizons):
@@ -63,3 +63,17 @@ def test_evaluate_dm_failure_writes_nothing(tmp_path, rng, capsys):
     assert code == 3
     assert "need at least 10 loss observations" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_repeated_horizons_are_used_once(tmp_path, rng):
+    """``--horizons 1,1,2`` writes the same accuracy and DM tables as ``1,2``."""
+    paths, *_ = evaluation_csvs(tmp_path, rng)
+    tables = []
+    for k, horizons in enumerate(("1,1,2", "1,2")):
+        out, dm_out = tmp_path / f"accuracy{k}.csv", tmp_path / f"dm{k}.csv"
+        assert main([
+            "evaluate", "--actuals", str(paths[0]), "--forecasts", str(paths[1]),
+            "--horizons", horizons, "--dm", "--output", str(out), "--dm-output", str(dm_out),
+        ]) == 0
+        tables.append((out.read_bytes(), dm_out.read_bytes()))
+    assert tables[0] == tables[1]

@@ -1,6 +1,6 @@
 """Malformed constraint JSON and panel, residual and evaluation CSVs: exit 3, a
-schema error naming the defect, no output; an unusable ``--horizons`` or
-``--jobs`` exits 2."""
+schema error naming the defect, no output; an unusable ``--horizons``,
+``--jobs`` or ``--methods`` exits 2."""
 
 import json
 from pathlib import Path
@@ -221,3 +221,17 @@ def test_simulate_jobs_below_one_exits_2(tmp_path, capsys, monkeypatch, jobs):
     assert code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["", ",,", " , "])
+def test_simulate_without_methods_exits_2(tmp_path, capsys, monkeypatch, methods):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment was run")
+
+    monkeypatch.setattr("cocomb.cli.run_experiment", no_run)
+    out = tmp_path / "out" / "sim.csv"
+    code = main(["simulate", "--setting", "1", "--reps", "2", "--methods", methods,
+                 "--output", str(out)])
+    assert code == 2
+    assert "--methods" in capsys.readouterr().err
+    assert not out.parent.exists()

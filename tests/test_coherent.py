@@ -205,6 +205,34 @@ def test_occ_invariant_to_expert_relabelling(seed, data):
         assert np.abs(res.Psi - ref.Psi[old]).max() <= 1e-9 * np.abs(ref.Psi).max()
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_occ_invariant_to_variable_relabelling(seed, data):
+    """Permuting the upper and the bottom variables among themselves permutes y_tilde."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys)
+    m, n_u = panel.m, sys.A.shape[0]
+    resid = np.linalg.cholesky(random_spd(rng, m)) @ rng.standard_normal(
+        (m, int(rng.integers(m + 5, 2 * m + 10))))
+    perm_u = np.array(data.draw(st.permutations(range(n_u))), dtype=int)
+    perm_b = np.array(data.draw(st.permutations(range(sys.n - n_u))), dtype=int)
+    var = np.concatenate([perm_u, n_u + perm_b])  # old variable behind each new one
+    relabelled_sys = from_aggregation(sys.A[np.ix_(perm_u, perm_b)],
+                                      [sys.labels[i] for i in var])
+    relabelled = from_availability(panel.availability[var], relabelled_sys)
+    row_of = {pair: r for r, pair in enumerate(panel.pairs)}
+    old = np.array([row_of[(var[i], j)] for i, j in relabelled.pairs])
+    relabelled = relabelled.with_values(panel.y_hat[old])
+    for pattern in ("shrunk", "bd_expert_shrunk", "bd_variable_shrunk", "diagonal"):
+        cov = ESTIMATORS[pattern](resid, panel)
+        cov_relabelled = ESTIMATORS[pattern](resid[old], relabelled)
+        for f in FORMULATIONS:
+            ref = occ(panel, sys, cov, f).y_tilde[var]
+            res = occ(relabelled, relabelled_sys, cov_relabelled, f).y_tilde
+            assert np.abs(res - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), (pattern, f)
+
+
 def _assert_close(new, ref, tol=1e-12):
     assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
 

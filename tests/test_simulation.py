@@ -154,6 +154,16 @@ def test_run_experiment_validates_methods():
         run_experiment(cfg, ["src"])  # balanced only
 
 
+def test_run_experiment_rejects_no_methods(monkeypatch):
+    def no_replication(*args, **kwargs):
+        raise AssertionError("a replication was run")
+
+    monkeypatch.setattr("cocomb.simulation._replication_accuracy", no_replication)
+    cfg = SimulationConfig(setting=1, p=3, n_train=40, replications=2)
+    with pytest.raises(DataError, match="no methods"):
+        run_experiment(cfg, ())
+
+
 @pytest.mark.parametrize("balanced", [True, False])
 def test_method_table_matches_branch_chain(balanced):
     # every method's weights equal the per-method branch chain bit for bit,
