@@ -389,6 +389,8 @@ def _read_eval_csv(path: Path, what: str, label_cols: tuple[str, ...], horizons,
 @click.option("--dm-output", type=Path, default=None)
 def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
     """Score methods against actuals with relative accuracy indices."""
+    if dm_output is not None and not dm:
+        raise click.BadParameter("only written with --dm", param_hint="'--dm-output'")
     horizon_list = _parse_horizons(horizons)
     (series,), keys, y = _read_eval_csv(actuals, "actuals", ("series",), horizon_list)
     (methods, fc_series), fc_keys, f = _read_eval_csv(

@@ -3,25 +3,32 @@
 The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
 constraints. It has one closed form per model representation, each a kernel
-on a solve ``x -> W^-1 x`` and a stacked selector ``K``. Both pool through
-``combiners.gls_pool``, the one place that factors a pooled precision:
+on ``W``'s diagonal blocks (``CovarianceEstimate.blocks``: rows and Cholesky
+factor per block) and a stacked selector ``K``. Both pool through
+``combiners.gls_pool``, the one place that factors a pooled precision, which
+sums ``K' W^-1 K`` block by block and returns ``W_c`` with the apply
+``r -> W^-1 K r``:
 
 * ``_zc``     zero-constrained: pool all forecasts through ``K`` into the
-              multi-task combined forecast, then project it onto ``C y = 0``
-              with the oblique projector built from its covariance;
+              multi-task combined forecast (weights ``Omega = W^-1 K W_c``),
+              then project it onto ``C y = 0`` with the oblique projector
+              ``M`` built from its covariance, ``Psi = Omega M'`` as a
+              rank-n_u update of ``Omega``;
 * ``_struct`` structural: pool through ``K S`` onto the bottom variables,
-              then expand by ``S``: ``Psi = Omega S'``, ``W_tilde = S W_b S'``.
+              then expand by ``S``: ``Psi = W^-1 K S W_b S'``,
+              ``W_tilde = S W_b S'``.
 
 The kernels return weights and covariances only. Every public entry (``occ``,
 ``mint_reconcile``, ``scr``, ``src``) sets ``y_tilde = Psi' y_hat`` once, on
 the by-expert ``Psi``, the same apply that ``cocomb reconcile`` runs per
-horizon. The solve is ``CovarianceEstimate.solve`` (no kernel factors ``W``).
+horizon. No kernel factors ``W`` or one of its blocks: the estimate did.
 Each kernel runs in two stackings, which gives the four ``FORMULATIONS``:
 by-expert (``*_be``) on the panel's own ``K``, and by-variable (``*_bv``) on
-``K`` restacked by ``bv_order``, with the solve conjugated by that permutation
-and the weight rows put back in by-expert order. Their agreement is checked in
-the tests against each other and against the independent bordered (KKT) solve
-in ``tests/oracles.py`` (``kkt_solve``, ``kkt_residual``). ``mint_reconcile``
+``K`` restacked by ``bv_order``, with the same blocks, their rows mapped into
+that stacking, and the weight rows put back in by-expert order. Their
+agreement is checked in the tests against each other, against the dense
+pooling in ``tests/oracles.py`` and against the independent bordered (KKT)
+solve there (``kkt_solve``, ``kkt_residual``). ``mint_reconcile``
 is the zero-constrained kernel with ``K = I_n`` (the single-expert case);
 ``scr`` and ``src`` are the sequential combine-then-reconcile and
 reconcile-then-average baselines.
@@ -69,34 +76,36 @@ class CoherentResult:
     M: np.ndarray | None = None
 
 
-def _coherent_projector(w_c: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Oblique projector onto the coherent subspace: I - W_c C'(C W_c C')^-1 C."""
-    n = w_c.shape[0]
-    if c.shape[0] == 0:
-        return np.eye(n)
-    cwc = symmetrize(c @ w_c @ c.T)
-    f = cho_factor_spd(cwc, "constraint-space covariance")
-    return np.eye(n) - w_c @ c.T @ cho_solve(f, c)
-
-
-def _zc(solve, k: np.ndarray, c: np.ndarray):
+def _zc(blocks, k: np.ndarray, c: np.ndarray):
     """Zero-constrained kernel: GLS pooling, then the coherent projector.
 
-    Returns ``(Psi, W_tilde, W_c, M)`` with ``Psi = Omega M'``.
+    Returns ``(Psi, W_tilde, W_c, M)`` with the oblique projector
+    ``M = I - W_c C' G``, ``G = (C W_c C')^-1 C``, ``W_tilde = M W_c`` and
+    ``Psi = Omega M' = Omega - (Omega C')(G W_c)``. ``M`` is applied to
+    ``Omega`` after pooling, block by block in place: folding it into the
+    pooled weights first loses coherence when ``W`` is ill-conditioned.
     """
-    omega, w_c = gls_pool(solve, k)
-    m_proj = _coherent_projector(w_c, c)
-    return omega @ m_proj.T, m_proj @ w_c, w_c, m_proj
+    w_c, apply = gls_pool(blocks, k)
+    psi, n = apply(w_c), w_c.shape[0]
+    if c.shape[0] == 0:
+        return psi, w_c.copy(), w_c, np.eye(n)
+    f = cho_factor_spd(symmetrize(c @ w_c @ c.T), "constraint-space covariance")
+    g = cho_solve(f, c)
+    wc_ct, g_wc, psi_ct = w_c @ c.T, g @ w_c, psi @ c.T
+    for rows, _ in blocks:
+        psi[rows] -= psi_ct[rows] @ g_wc
+    return psi, w_c - wc_ct @ g_wc, w_c, np.eye(n) - wc_ct @ g
 
 
-def _struct(solve, k: np.ndarray, s: np.ndarray):
+def _struct(blocks, k: np.ndarray, s: np.ndarray):
     """Structural kernel: GLS pooling through ``K S``, then ``S`` expansion.
 
-    Returns ``(Psi, W_tilde, None, None)`` with ``Psi = Omega S'`` and
-    ``W_tilde = S W_b S'``, ``(Omega, W_b)`` pooling the bottom variables.
+    Returns ``(Psi, W_tilde, None, None)`` with ``Psi = W^-1 K S W_b S'``
+    (the pooling weights ``Omega`` times ``S'``) and ``W_tilde = S W_b S'``,
+    ``W_b`` pooling the bottom variables.
     """
-    omega, w_b = gls_pool(solve, k @ s)
-    return omega @ s.T, s @ w_b @ s.T, None, None
+    w_b, apply = gls_pool(blocks, k @ s)
+    return apply(w_b @ s.T), s @ w_b @ s.T, None, None
 
 
 def occ(
@@ -116,12 +125,14 @@ def occ(
     if panel.labels != sys.labels:
         raise DataError("panel and constraint system must share the variable set")
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
+    blocks = cov.blocks(panel.m)
     if formulation.endswith("_be"):
-        psi, w_tilde, w_c, m_proj = kernel(cov.solve, panel.K, target)
+        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.K, target)
     else:
         bv = panel.bv_order
         be = np.argsort(bv)
-        psi, w_tilde, w_c, m_proj = kernel(lambda x: cov.solve(x[be])[bv], panel.K[bv], target)
+        blocks = tuple((be[rows], factor) for rows, factor in blocks)
+        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.K[bv], target)
         psi = psi[be]
     return CoherentResult(psi.T @ panel.y_hat, psi, w_tilde, formulation, w_c, m_proj)
 
@@ -144,7 +155,7 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
-    psi, w_tilde, w_c, m_proj = _zc(cov.solve, np.eye(sys.n), sys.C)
+    psi, w_tilde, w_c, m_proj = _zc(cov.blocks(sys.n), np.eye(sys.n), sys.C)
     return CoherentResult(psi.T @ y_hat, psi, w_tilde, "mint", w_c, m_proj)
 
 

@@ -13,8 +13,10 @@ A scheme's weights are the m x n matrix ``G`` (``WeightScheme.matrix``), and
 The multi-task combination pools all m forecasts at once through the stacked
 regression of the base forecasts on the target vector, yielding the combined
 vector, its weight matrix and its error covariance. ``gls_pool``, the one GLS
-pooling step (both ``occ`` kernels use it too), takes ``W`` as a solve
-``x -> W^-1 x`` (``CovarianceEstimate.solve``), never as a matrix.
+pooling step (both ``occ`` kernels use it too), takes ``W`` as its diagonal
+blocks with their Cholesky factors (``CovarianceEstimate.blocks``), never as a
+matrix: it solves each block against the design columns the block touches and
+sums the pieces into the n x n pooled precision.
 """
 
 from __future__ import annotations
@@ -124,17 +126,57 @@ def combine_single_task(
     return ws.apply(panel)
 
 
-def gls_pool(solve, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GLS pooling of stacked forecasts with design ``k``; ``solve(x) = W^-1 x``.
+def gls_pool(blocks, k: np.ndarray):
+    """GLS pooling of stacked forecasts with design ``k``, one block of ``W`` at a time.
 
-    ``k`` is the selector ``K``, or ``K S`` when pooling onto the bottom
-    variables. Returns ``(Omega, W_c)`` with ``W_c = (K' W^-1 K)^-1`` and
-    ``Omega = W^-1 K W_c``; the pooled precision is Cholesky-factored.
+    ``blocks`` are ``W``'s diagonal blocks as ``(rows, Cholesky factor)`` pairs
+    (``CovarianceEstimate.blocks``); ``k`` is the selector ``K``, or ``K S``
+    when pooling onto the bottom variables. Returns ``(W_c, apply)`` with
+    ``W_c = (K' W^-1 K)^-1`` and ``apply(r) = W^-1 K r``, so the pooling
+    weights are ``Omega = apply(W_c)``.
+
+    Block g with rows ``R_g`` touches only the columns ``cols_g`` where
+    ``K[R_g]`` is non-zero, so with ``K_g = K[R_g][:, cols_g]`` and
+    ``B_g = W_g^-1 K_g`` the pooled precision is the scatter-add
+    ``K' W^-1 K = sum_g K_g' B_g`` at ``(cols_g, cols_g)``, and
+    ``(W^-1 K r)[R_g] = B_g r[cols_g]``. The precision is factored once.
+
+    Dense patterns are the one-block case. Errors uncorrelated across experts
+    (``bd_expert*``) give one block per expert j, touching its n_j variables.
+    Errors uncorrelated across variables (``bd_variable*``) give one block
+    ``Sigma_i`` per variable i, whose p_i rows of ``K`` all equal ``e_i'``, so
+    ``K_g = 1`` (a p_i-vector) and ``cols_g = (i,)``. The precision is then
+    diagonal,
+
+        K' W^-1 K = diag_i(1' Sigma_i^-1 1),   W_c = diag_i(1 / 1' Sigma_i^-1 1),
+
+    and the rows of variable i in ``Omega`` hold the per-variable GLS weights
+    ``Sigma_i^-1 1 / 1' Sigma_i^-1 1`` in column i and zeros elsewhere. The
+    zero-constrained ``occ`` is then this per-variable combination followed by
+    a WLS reconciliation with the diagonal ``W_c``: the MinT projector of
+    Wickramasuriya, Athanasopoulos & Hyndman (JASA 2019) with a diagonal
+    covariance.
     """
-    b = solve(k)
-    f_c = cho_factor_spd(symmetrize(k.T @ b), "combined-forecast precision")
-    w_c = symmetrize(cho_solve(f_c, np.eye(k.shape[1])))
-    return b @ w_c, w_c
+    m, n = k.shape
+    precision = np.zeros((n, n))
+    parts = []
+    for rows, factor in blocks:
+        k_g = k[rows]
+        cols = k_g.any(axis=0).nonzero()[0]
+        k_g = k_g[:, cols]
+        b_g = cho_solve(factor, k_g)
+        precision[cols[:, None], cols] += k_g.T @ b_g
+        parts.append((rows, cols, b_g))
+    f_c = cho_factor_spd(symmetrize(precision), "combined-forecast precision")
+    w_c = symmetrize(cho_solve(f_c, np.eye(n)))
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        out = np.empty((m, r.shape[1]))
+        for rows, cols, b_g in parts:
+            out[rows] = b_g @ r[cols]
+        return out
+
+    return w_c, apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,5 +195,6 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
     ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``gls_pool``).
     Requires an SPD, untagged covariance of size m.
     """
-    omega, w_c = gls_pool(cov.solve, panel.K)
+    w_c, apply = gls_pool(cov.blocks(panel.m), panel.K)
+    omega = apply(w_c)
     return MultiTaskResult(y_c=omega.T @ panel.y_hat, Omega=omega, W_c=w_c)

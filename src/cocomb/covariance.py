@@ -14,78 +14,81 @@ ordering. ``ESTIMATORS`` maps each pattern name to its estimator, called as
 * ``bd_variable_shrunk`` per-variable shrunk blocks;
 * ``diagonal``           diagonal of the sample MSE.
 
-Solvers use the covariance only through ``W^-1``, which this module applies:
-a ``CovarianceEstimate`` keeps the row groups of its diagonal blocks (one per
-expert or variable for the block patterns, set by ``_block_diagonal``; one
-group of all rows otherwise), Cholesky-factors each block once when built,
-and ``solve(b)`` returns ``W^-1 b`` block by block. A block that fails to
+Solvers use the covariance only through ``W^-1``, one diagonal block at a
+time: ``CovarianceEstimate.blocks(m)`` returns each block's rows with its
+Cholesky factor (one block per expert or variable for the block patterns,
+set by ``_block_diagonal``; one block of all rows otherwise). Each block is
+factored once, when the estimate is built. A block estimate stores only its
+blocks and assembles the dense ``W`` on first access. A block that fails to
 factor tags the estimate ``singular``, as does an estimator for sample blocks
-wider than T (left unfactored); ``solve`` refuses tagged or mis-sized
+wider than T (left unfactored); ``blocks`` refuses tagged or mis-sized
 estimates instead of regularizing behind the caller's back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._linalg import cho_factor_spd, cho_solve
+from ._linalg import cho_factor_spd
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
 
 
-@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
     """An m x m error covariance with its pattern tag and shrinkage intensity.
 
     ``lam`` is None (no shrinkage), a float (global), or a tuple of per-block
     intensities. ``singular`` marks estimates that cannot back a GLS solve.
+    The block estimators pass their diagonal blocks as ``(rows, matrix)``
+    pairs instead of ``W``, which is then assembled on first access.
     """
 
-    W: np.ndarray
-    pattern: str
-    lam: float | tuple[float, ...] | None = None
-    singular: bool = False
-    _factors: tuple | None = field(init=False, repr=False)
-    _groups: tuple | None = field(default=None, repr=False, kw_only=True)
-
-    def __post_init__(self) -> None:
-        w = np.array(self.W, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DataError("covariance must be square")
-        if not np.all(np.isfinite(w)):
+    def __init__(self, W, pattern: str, lam: float | tuple[float, ...] | None = None,
+                 singular: bool = False, *, _blocks=None):
+        if _blocks is None:
+            w = np.array(W, dtype=float)
+            if w.ndim != 2 or w.shape[0] != w.shape[1]:
+                raise DataError("covariance must be square")
+            w.setflags(write=False)
+            _blocks = ((slice(None), w),)
+        else:
+            w = None
+        if not all(np.isfinite(block).all() for _, block in _blocks):
             raise DataError("covariance contains non-finite entries")
-        if self.pattern not in PATTERNS:
-            raise DataError(f"unknown covariance pattern {self.pattern!r}")
-        w.setflags(write=False)
-        groups = self._groups or (slice(None),)
+        if pattern not in PATTERNS:
+            raise DataError(f"unknown covariance pattern {pattern!r}")
         try:
-            factors = None if self.singular else tuple(
-                cho_factor_spd(w[rows][:, rows]) for rows in groups)
+            factors = None if singular else tuple(
+                (rows, cho_factor_spd(block)) for rows, block in _blocks)
         except NumericalError:
             factors = None
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "singular", factors is None)
+        self.pattern, self.lam, self.singular = pattern, lam, factors is None
+        self.m = sum(block.shape[0] for _, block in _blocks)
+        self._W, self._blocks, self._factors = w, _blocks, factors
 
     @property
-    def m(self) -> int:
-        return self.W.shape[0]
+    def W(self) -> np.ndarray:
+        """The dense m x m matrix (read-only)."""
+        if self._W is None:
+            w = np.zeros((self.m, self.m))
+            for rows, block in self._blocks:
+                w[np.ix_(rows, rows)] = block
+            w.setflags(write=False)
+            self._W = w
+        return self._W
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``W^-1 b`` for an m-row ``b``, one diagonal block at a time."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.m:
-            raise DataError(f"covariance size {self.m} does not match {b.shape[0]} rows")
+    def blocks(self, m: int) -> tuple:
+        """The diagonal blocks of ``W`` as ``(rows, Cholesky factor)`` pairs.
+
+        ``m`` is the caller's row count; a mismatch or a ``singular`` tag
+        raises here, before any solve.
+        """
+        if m != self.m:
+            raise DataError(f"covariance size {self.m} does not match {m} rows")
         if self.singular:
             raise NumericalError("covariance estimate is flagged singular; "
                                  "use a shrunk or block pattern")
-        out = np.empty(b.shape)
-        for rows, factor in zip(self._groups, self._factors):
-            out[rows] = cho_solve(factor, b[rows])
-        return out
+        return self._factors
 
 
 def _check_residuals(residuals: np.ndarray) -> np.ndarray:
@@ -177,18 +180,16 @@ def _block_diagonal(
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
-    groups = tuple(groups)
-    w = np.zeros((panel.m, panel.m))
-    lams = []
+    blocks, lams = [], []
     for rows in groups:
         block, lam = _shrunk(r[rows], None) if shrink_blocks else (_mse(r[rows]), None)
+        blocks.append((rows, block))
         lams.append(lam)
-        w[np.ix_(rows, rows)] = block
     pattern = f"{kind}_shrunk" if shrink_blocks else kind
     lam = tuple(lams) if shrink_blocks else None
     # an unshrunk block wider than T is rank deficient
-    wide = not shrink_blocks and max(map(len, groups)) > r.shape[1]
-    return CovarianceEstimate(w, pattern, lam=lam, singular=wide, _groups=groups)
+    wide = not shrink_blocks and max(len(rows) for rows, _ in blocks) > r.shape[1]
+    return CovarianceEstimate(None, pattern, lam=lam, singular=wide, _blocks=tuple(blocks))
 
 
 def block_by_expert(

@@ -7,6 +7,7 @@ loops and dense block solves instead of Cholesky pipelines.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def kkt_solve(K, W, C, y_hat):
@@ -48,6 +49,35 @@ def gls_normal_equations(K, W, y_hat):
     w_inv = np.linalg.inv(W)
     a = K.T @ w_inv @ K
     return np.linalg.solve(a, K.T @ w_inv @ y_hat), np.linalg.inv(a)
+
+
+def dense_pool(W, K):
+    """GLS pooling through one Cholesky solve of the whole dense ``W``.
+
+    ``b = W^-1 K``, ``W_c = (K' b)^-1``, ``Omega = b W_c``; returns
+    ``(Omega, W_c)``. ``K`` is the selector, or ``K S`` for the bottom
+    variables.
+    """
+    b = scipy.linalg.cho_solve(scipy.linalg.cho_factor(W, lower=True), K)
+    precision = K.T @ b
+    f_c = scipy.linalg.cho_factor(0.5 * (precision + precision.T), lower=True)
+    w_c = scipy.linalg.cho_solve(f_c, np.eye(K.shape[1]))
+    w_c = 0.5 * (w_c + w_c.T)
+    return b @ w_c, w_c
+
+
+def dense_zc(W, K, C):
+    """Zero-constrained occ by dense pooling: ``(Psi, W_tilde, W_c)``, ``Psi = Omega M'``."""
+    omega, w_c = dense_pool(W, K)
+    cwc = C @ w_c @ C.T
+    m_proj = np.eye(w_c.shape[0]) - w_c @ C.T @ np.linalg.solve(0.5 * (cwc + cwc.T), C)
+    return omega @ m_proj.T, m_proj @ w_c, w_c
+
+
+def dense_struct(W, K, S):
+    """Structural occ by dense pooling through ``K S``: ``(Psi, W_tilde)``, ``Psi = Omega S'``."""
+    omega, w_b = dense_pool(W, K @ S)
+    return omega @ S.T, S @ w_b @ S.T
 
 
 def loop_mse(residuals):

@@ -77,3 +77,17 @@ def test_repeated_horizons_are_used_once(tmp_path, rng):
         ]) == 0
         tables.append((out.read_bytes(), dm_out.read_bytes()))
     assert tables[0] == tables[1]
+
+
+def test_dm_output_without_dm_exits_2(tmp_path, rng, capsys):
+    """``--dm-output`` names the file ``--dm`` writes; alone it is a usage error."""
+    paths, *_ = evaluation_csvs(tmp_path, rng)
+    out = tmp_path / "out"
+    code = main([
+        "evaluate", "--actuals", str(paths[0]), "--forecasts", str(paths[1]),
+        "--horizons", "3,1", "--output", str(out / "accuracy.csv"),
+        "--dm-output", str(out / "dm.csv"),
+    ])
+    assert code == 2
+    assert "--dm-output" in capsys.readouterr().err
+    assert not out.exists()

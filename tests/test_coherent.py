@@ -23,7 +23,8 @@ from cocomb import (
 from cocomb.coherent import FORMULATIONS, fit
 from cocomb.covariance import ESTIMATORS, PATTERNS
 from conftest import random_panel, random_spd, random_system
-from oracles import kkt_residual, kkt_solve, orthogonal_projector
+from oracles import (
+    dense_pool, dense_struct, dense_zc, kkt_residual, kkt_solve, orthogonal_projector)
 
 HIER_A = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
 HIER_LABELS = ["X", "A", "B", "AA", "AB", "BA", "BB"]
@@ -266,6 +267,69 @@ def test_block_solve_matches_one_block_solve(estimator, shrink_blocks, balanced,
             _assert_close(new.y_tilde, ref.y_tilde)
             _assert_close(new.Psi, ref.Psi)
             _assert_close(new.W_tilde, ref.W_tilde)
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_pooling_matches_dense_oracle(balanced, seed):
+    """For every pattern, the blockwise pooling gives the dense pooling's results."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys, balanced=balanced)
+    one_expert = from_availability(
+        np.ones((sys.n, 1), dtype=bool), sys, values=rng.standard_normal(sys.n)
+    )
+    bv = panel.bv_order
+    be = np.argsort(bv)
+    for pattern in PATTERNS:
+        for pan in (panel, one_expert):
+            T = 2 * pan.m + 10  # wider than every block, so nothing is singular
+            resid = rng.standard_normal((pan.m, T)) + rng.standard_normal(T)
+            est = ESTIMATORS[pattern](resid, pan)
+            w, k = est.W, pan.K
+            if pan is one_expert:
+                res = mint_reconcile(pan.y_hat, sys, est)
+                psi, w_tilde, w_c = dense_zc(w, np.eye(sys.n), sys.C)
+                for new, ref in ((res.Psi, psi), (res.W_tilde, w_tilde), (res.W_c, w_c)):
+                    _assert_close(new, ref)
+                continue
+            multi = combine_multi_task(pan, est)
+            omega, w_c = dense_pool(w, k)
+            _assert_close(multi.Omega, omega)
+            _assert_close(multi.W_c, w_c)
+            for f in FORMULATIONS:
+                res = occ(pan, sys, est, f)
+                w_f, k_f = (w, k) if f.endswith("_be") else (w[np.ix_(bv, bv)], k[bv])
+                if f.startswith("zc"):
+                    psi, w_tilde, w_c = dense_zc(w_f, k_f, sys.C)
+                    _assert_close(res.W_c, w_c)
+                else:
+                    psi, w_tilde = dense_struct(w_f, k_f, sys.S)
+                _assert_close(res.Psi, psi if f.endswith("_be") else psi[be])
+                _assert_close(res.W_tilde, w_tilde)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_occ_single_expert_is_mint_bitwise_for_every_pattern(seed):
+    """On a one-expert panel ``occ`` ``zc_be`` is ``mint_reconcile``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = from_availability(
+        np.ones((sys.n, 1), dtype=bool), sys, values=rng.standard_normal(sys.n)
+    )
+    # T below n as often as above, so the sample and unshrunk block estimates
+    # are sometimes tagged singular
+    resid = rng.standard_normal((sys.n, int(rng.integers(2, 2 * sys.n + 2))))
+    for pattern in PATTERNS:
+        est = ESTIMATORS[pattern](resid, panel)
+        if est.singular:
+            continue
+        res_occ, res_mint = occ(panel, sys, est, "zc_be"), mint_reconcile(panel.y_hat, sys, est)
+        np.testing.assert_array_equal(res_occ.y_tilde, res_mint.y_tilde)
+        np.testing.assert_array_equal(res_occ.Psi, res_mint.Psi)
+        np.testing.assert_array_equal(res_occ.W_tilde, res_mint.W_tilde)
 
 
 def test_mint_rejects_non_finite_or_non_square_covariance(rng):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import cocomb.combiners
 from cocomb import (
     CovarianceEstimate,
     NumericalError,
     as_covariance,
+    block_by_variable,
     combine_multi_task,
     combine_single_task,
     from_aggregation,
@@ -122,6 +124,34 @@ def test_multi_task_block_by_variable_reduces_to_single_task(rng):
         gamma = np.linalg.solve(sigma_i, ones)
         gamma /= ones @ gamma
         assert abs(res.y_c[i] - gamma @ panel.y_hat[rows]) <= 1e-10
+
+
+@pytest.mark.parametrize("shrink_blocks", [False, True])
+@pytest.mark.parametrize("balanced", [True, False])
+def test_by_variable_pool_is_per_variable_gls(rng, monkeypatch, shrink_blocks, balanced):
+    """Under ``bd_variable*`` the pooled precision is ``diag(1' Sigma_i^-1 1)``, and
+    variable i's rows of ``Omega`` hold ``Sigma_i^-1 1 / 1' Sigma_i^-1 1`` in
+    column i and exact zeros elsewhere."""
+    factored = []
+    factor = cocomb.combiners.cho_factor_spd
+    monkeypatch.setattr(cocomb.combiners, "cho_factor_spd",
+                        lambda a, what: factored.append(np.array(a)) or factor(a, what))
+    for _ in range(10):
+        sys = random_system(rng)
+        panel = random_panel(rng, sys, balanced=balanced)
+        T = 2 * panel.p + 10
+        resid = rng.standard_normal((panel.m, T)) + rng.standard_normal(T)
+        est = block_by_variable(resid, panel, shrink_blocks=shrink_blocks)
+        factored.clear()
+        omega = combine_multi_task(panel, est).Omega
+        (precision,) = factored
+        np.testing.assert_array_equal(precision, np.diag(np.diag(precision)))
+        for i in range(panel.n):
+            rows = panel.variable_rows(i)
+            gamma = np.linalg.solve(est.W[np.ix_(rows, rows)], np.ones(len(rows)))
+            assert abs(precision[i, i] - gamma.sum()) <= 1e-12 * gamma.sum()
+            assert np.abs(omega[rows, i] - gamma / gamma.sum()).max() <= 1e-12
+            np.testing.assert_array_equal(np.delete(omega[rows], i, axis=1), 0.0)
 
 
 def test_multi_task_matches_normal_equation_oracle(rng):
