@@ -6,20 +6,25 @@ option as parsed (read from the click context) and the library version, so
 reruns from the same inputs are byte-identical. Numeric output is printed with
 17 significant digits and round-trips exactly.
 
-The panel and residual CSVs stream their rows, as (k, series, expert, value)
-records, into ``panel.panel_from_pairs`` and ``panel.fill_cells``, the one place
-that maps labels to by-expert rows. A panel CSV is one zero-valued panel (its
-availability, shared by every horizon) and one m x H forecast matrix ``Y``.
-``--cov`` names a pattern of ``covariance.ESTIMATORS`` through ``COV_CHOICES``,
-and ``reconcile`` hands its method to ``coherent.fit``, which the simulation
-shares. The weights depend only on the availability and the error covariance,
-so ``reconcile`` and ``combine`` fit once and apply once, ``Psi' Y``
-(``combine``: ``Omega`` or ``WeightScheme.matrix`` as ``Psi``).
+Every label-keyed CSV (panel, residual, actuals, forecasts) goes through one
+reader, ``_read_columns``: it takes ``csv.reader`` rows ``_CHUNK_ROWS`` at a
+time and turns each chunk into columns (integer keys, float values, labels
+coded in order of first appearance), so no row outlives its chunk as a Python
+object. The panel and residual columns go to ``panel.panel_from_pairs`` and
+``panel.fill_cells``, the one place that maps labels to by-expert rows. A
+panel CSV is one zero-valued panel (its availability, shared by every
+horizon) and one m x H forecast matrix ``Y``. ``--cov`` names a pattern of
+``covariance.ESTIMATORS`` through ``COV_CHOICES``, and ``reconcile`` hands its
+method to ``coherent.fit``, which the simulation shares. The weights depend
+only on the availability and the error covariance, so ``reconcile`` and
+``combine`` fit once and apply once, ``Psi' Y`` (``combine``: ``Omega`` or
+``WeightScheme.matrix`` as ``Psi``).
 
-``evaluate`` streams each evaluation CSV through ``_read_eval_csv`` into one
+``evaluate`` reads each evaluation CSV through ``_read_eval_csv`` into one
 array with sorted labels and a last axis over the sorted (horizon, q) keys,
-computes each loss array once, and runs one DM test per unordered method pair
-and series: swapping the pair negates the statistic and keeps the p-value.
+computes each loss array once, and runs one batched DM test per loss and
+horizon row over every unordered method pair and series: swapping the pair
+negates the statistic and keeps the p-value.
 
 Exit codes: 0 success, 2 bad arguments, 3 data/schema error, 4 numerical
 failure (non-SPD covariance, rank deficiency).
@@ -35,6 +40,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 import click
@@ -47,7 +53,7 @@ from .constraints import read_constraint_file
 from .covariance import ESTIMATORS
 from .exceptions import DataError, NumericalError
 from .metrics import accuracy, dm_test
-from .panel import fill_cells, panel_from_pairs
+from .panel import code_labels, fill_cells, panel_from_pairs
 from .simulation import SIMULATION_METHODS, SimulationConfig, run_experiment
 
 # --cov flag -> covariance pattern
@@ -113,40 +119,92 @@ def _write_manifest(**resolved) -> None:
 # -- input readers -------------------------------------------------------------
 
 
-def _read_csv_dicts(path: Path, required: set[str], what: str):
-    """Yield the rows of a CSV file as dicts, after checking its header."""
-    path = Path(path)
+_CHUNK_ROWS = 4096  # rows parsed per batch: bounds the memory held as Python lists
+
+
+def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
+    """Label-keyed CSV -> (int64 array per ``ints`` column, float values, label columns).
+
+    Each label column is a ``(labels, codes)`` pair: the stripped labels in
+    order of first appearance and the int64 code of each row. A missing or
+    empty cell of an ``ints`` column with an entry in ``defaults`` reads as
+    that default; the other named columns and ``value`` are required. Rows
+    are parsed ``_CHUNK_ROWS`` at a time under ``csv.DictReader``'s rules:
+    blank lines are skipped, extra fields ignored, a repeated column name
+    means its last column, and a short row is an error. A cell that does not
+    parse raises ``DataError(bad(row, column))``, ``row`` as ``DictReader``
+    gives it.
+    """
+    path, defaults = Path(path), defaults or {}
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
+    required = {*ints, *labels, "value"} - defaults.keys()
+    parsed = [(name, int, np.int64) for name in ints] + [("value", float, np.float64)]
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise DataError(
-                f"{what} CSV {path} must have columns {sorted(required)}"
-            )
-        for row in reader:
-            if None in row.values():
-                raise DataError(f"{what} CSV {path} line {reader.line_num} has too few fields")
-            yield row
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not required.issubset(header):
+            raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+
+        def cells(rows, name):
+            if name not in defaults:
+                return map(itemgetter(at[name]), rows)
+            if name not in at:
+                return [defaults[name]] * len(rows)
+            return [x or defaults[name] for x in map(itemgetter(at[name]), rows)]
+
+        numbers = [[np.empty(0, dtype)] for _, _, dtype in parsed]
+        codes = [({}, [np.empty(0, np.int64)]) for _ in labels]
+        while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
+            rows = [row for row in raw if row] if [] in raw else raw
+            try:
+                if min(map(len, rows), default=len(header)) < len(header):
+                    raise ValueError("short row")
+                chunk = [np.fromiter(map(parse, cells(rows, name)), dtype, len(rows))
+                         for name, parse, dtype in parsed]
+            except (ValueError, OverflowError):
+                _raise_first_defect(path, what, header, rows, parsed, bad, defaults)
+            for part, column in zip(numbers, chunk):
+                part.append(column)
+            for (code, part), name in zip(codes, labels):
+                part.append(code_labels(list(map(str.strip, cells(rows, name))), code))
+            del raw, rows  # free this chunk's rows before the next one is read
+    *ints, values = map(np.concatenate, numbers)
+    return ints, values, [(tuple(code), np.concatenate(part)) for code, part in codes]
 
 
-def _cell_records(path: Path, what: str, key: str, default=None):
-    """Yield (k, series, expert, value) from a label-keyed CSV; column ``key`` holds k.
+def _raise_first_defect(path, what, header, rows, parsed, bad, defaults) -> None:
+    """Raise the error of the first defective row of a chunk, as a row-by-row read would."""
+    for row in rows:
+        if len(row) < len(header):
+            with path.open(newline="") as fh:  # the line number DictReader reports
+                reader = csv.DictReader(fh)
+                next(r for r in reader if None in r.values())
+            raise DataError(f"{what} CSV {path} line {reader.line_num} has too few fields")
+        record = dict(zip(header, row))
+        if len(row) > len(header):
+            record[None] = row[len(header):]
+        for name, parse, dtype in parsed:
+            cell = (record.get(name) or defaults[name]) if name in defaults else record[name]
+            try:
+                dtype(parse(cell))
+            except (ValueError, OverflowError):
+                raise DataError(bad(record, name)) from None
+    raise AssertionError("a chunk failed to parse without a defective row")
 
-    A missing or empty ``key`` cell reads as ``default``; with no default the
-    column is required.
-    """
-    required = {"series", "expert", "value"} | ({key} if default is None else set())
-    for row in _read_csv_dicts(path, required, what):
-        try:
-            k = int(row.get(key) or default)
-        except (TypeError, ValueError):
-            raise DataError(f"bad {key} {row.get(key)!r} in {what} CSV") from None
-        try:
-            value = float(row["value"])
-        except ValueError:
-            raise DataError(f"non-numeric {what} value {row['value']!r}") from None
-        yield k, row["series"].strip(), row["expert"].strip(), value
+
+def _cell_columns(path: Path, what: str, key: str, default=None):
+    """(k, series, expert, value) columns of a label-keyed CSV; column ``key`` holds k."""
+    def bad(row, column):
+        if column == "value":
+            return f"non-numeric {what} value {row['value']!r}"
+        return f"bad {column} {row.get(column)!r} in {what} CSV"
+
+    (k,), value, (series, expert) = _read_columns(
+        path, what, (key,), ("series", "expert"), bad,
+        {} if default is None else {key: default})
+    return k, series, expert, value
 
 
 def _read_panel_csv(path: Path, sys_):
@@ -156,18 +214,20 @@ def _read_panel_csv(path: Path, sys_):
     file; ``y_hat`` is m x H, one column per ascending horizon, and every
     horizon covers every (series, expert) pair of the panel.
     """
-    records = list(_cell_records(path, "panel", "horizon", default=1))
-    if not records:
+    k, series, expert, value = _cell_columns(path, "panel", "horizon", default=1)
+    if not value.size:
         raise DataError(f"panel CSV {path} holds no forecasts")
-    panel = panel_from_pairs(((s, e) for _, s, e, _ in records), sys_, "panel CSV")
-    horizons, y_hat = fill_cells(records, panel, "panel CSV", "horizon")
+    (labels, s), (experts, e) = series, expert
+    _, first = np.unique(s * len(experts) + e, return_index=True)
+    pairs = ((labels[s[r]], experts[e[r]]) for r in np.sort(first).tolist())
+    panel = panel_from_pairs(pairs, sys_, "panel CSV")
+    horizons, y_hat = fill_cells(k, series, expert, value, panel, "panel CSV", "horizon")
     return panel, horizons, y_hat
 
 
 def _read_residual_csv(path: Path, panel) -> np.ndarray:
     """Residual CSV (t,series,expert,value) -> m x T matrix in panel order, t ascending."""
-    records = _cell_records(path, "residual", "t")
-    return fill_cells(records, panel, "residual CSV", "t")[1]
+    return fill_cells(*_cell_columns(path, "residual", "t"), panel, "residual CSV", "t")[1]
 
 
 def _write_forecasts(path: Path, horizons: list[int], y: np.ndarray, labels) -> None:
@@ -331,30 +391,32 @@ def _read_eval_csv(path: Path, what: str, label_cols: tuple[str, ...], horizons,
     axis over the sorted (horizon, q) ``keys``. The alignment rule: every
     selected horizon appears, and each (labels, key) cell exactly once, finite.
     """
-    wanted, cells, values = set(horizons), [], []
-    codes = [{} for _ in label_cols]  # label -> code, in order of first appearance
-    for row in _read_csv_dicts(path, {*label_cols, "horizon", "q", "value"}, what):
-        try:
-            h, q, value = int(row["horizon"]), int(row["q"]), float(row["value"])
-        except ValueError:
-            raise DataError(f"bad evaluation row {row!r}") from None
-        cell_labels = tuple(row[col].strip() for col in label_cols)
-        if h not in wanted or (keep and cell_labels[-1] not in keep):
-            continue
-        cells.append([c.setdefault(x, len(c)) for c, x in zip(codes, cell_labels)] + [h, q])
-        values.append(value)
-    cells = np.array(cells, dtype=np.int64).reshape(len(values), len(label_cols) + 2)
-    missing = wanted - set(cells[:, -2].tolist())
-    if missing:
-        raise DataError(f"no {what} for horizon {min(missing)}")
-    for j, c in enumerate(codes):  # first-appearance codes -> sorted ranks
-        cells[:, j] = np.argsort(np.argsort(list(c)))[cells[:, j]]
-    names = [sorted(c) for c in codes]
-    keys, key_idx = np.unique(cells[:, -2:], axis=0, return_inverse=True)
+    (h, q), values, columns = _read_columns(
+        path, what, ("horizon", "q"), label_cols, lambda row, _: f"bad evaluation row {row!r}")
+    wanted = np.unique(horizons)
+    take = np.isin(h, wanted)
+    if keep:
+        labels, codes = columns[-1]
+        take &= np.array([x in keep for x in labels], dtype=bool)[codes]
+    h, q, values = h[take], q[take], values[take]
+    missing = wanted[~np.isin(wanted, h)]
+    if missing.size:
+        raise DataError(f"no {what} for horizon {missing[0]}")
+    names, ranks = [], []
+    for labels, codes in columns:  # first-appearance codes of the kept rows -> sorted ranks
+        codes = codes[take]
+        present = sorted(np.unique(codes).tolist(), key=labels.__getitem__)
+        rank = np.zeros(len(labels), dtype=np.int64)
+        rank[present] = np.arange(len(present))
+        names.append([labels[c] for c in present])
+        ranks.append(rank[codes])
+    q_values, q_rank = np.unique(q, return_inverse=True)  # (h, q) -> one integer key
+    hq, key_idx = np.unique(np.searchsorted(wanted, h) * len(q_values) + q_rank.reshape(-1),
+                            return_inverse=True)
+    keys = np.column_stack((wanted[hq // len(q_values)], q_values[hq % len(q_values)]))
     shape = (*map(len, names), len(keys))
-    flat = np.ravel_multi_index((*cells[:, :-2].T, key_idx.reshape(-1)), shape)
+    flat = np.ravel_multi_index((*ranks, key_idx.reshape(-1)), shape)
     counts = np.bincount(flat, minlength=math.prod(shape))
-    values = np.array(values)
 
     def cell(i):  # "series 's', horizon 1, q 0" for the flat index i
         *at, k = np.unravel_index(i, shape)
@@ -408,19 +470,20 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
     if dm:  # DM rows first: a failing test must leave no output behind
         dm_output = dm_output or Path(str(output) + ".dm.csv")
         n_m, dm_rows = len(methods), []
-        for loss_name, power in (("absolute", 1), ("squared", 2)):
+        a, b = np.triu_indices(n_m, 1)  # the unordered pairs; none, and nothing is tested
+        for loss_name, power in (("absolute", 1), ("squared", 2)) if a.size else ():
             loss = np.abs(y - f) ** power  # methods x series x keys
             for h in horizon_list + ["all"]:
                 hs = horizon_list if h == "all" else [h]
                 idx = np.concatenate([cols[hh] for hh in hs])
+                loss_h = loss[:, :, idx]
+                stat, p = dm_test(loss_h[a], loss_h[b], h=max(hs))  # pairs x series
                 wins = np.zeros((n_m, n_m), dtype=np.int64)
-                for a, b in itertools.combinations(range(n_m), 2):
-                    for i in range(len(series)):
-                        res = dm_test(loss[a, i, idx], loss[b, i, idx], h=max(hs))
-                        if res.p_value < 0.05:
-                            wins[(a, b) if res.statistic < 0 else (b, a)] += 1
-                dm_rows += ([loss_name, h, methods[a], methods[b], _fmt(100.0 * w / len(series))]
-                            for (a, b), w in np.ndenumerate(wins) if a != b)
+                significant = p < 0.05
+                wins[a, b] = (significant & (stat < 0)).sum(axis=1)
+                wins[b, a] = significant.sum(axis=1) - wins[a, b]
+                dm_rows += ([loss_name, h, methods[i], methods[j], _fmt(100.0 * w / len(series))]
+                            for (i, j), w in np.ndenumerate(wins) if i != j)
         _write_csv(dm_output,
                    ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
     _write_csv(output, ["metric", "method", "horizon", "value"], (

@@ -4,7 +4,8 @@ The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
 constraints. It has one closed form per model representation, each a kernel
 on ``W``'s diagonal blocks (``CovarianceEstimate.blocks``: rows and Cholesky
-factor per block) and a stacked selector ``K``. Both pool through
+factor per block) and the variable ``var`` of each stacked row, which gives
+the stacked selector ``K = I_n[var]``. Both pool through
 ``combiners.gls_pool``, the one place that factors a pooled precision, which
 sums ``K' W^-1 K`` block by block and returns ``W_c`` with the apply
 ``r -> W^-1 K r``:
@@ -14,17 +15,17 @@ sums ``K' W^-1 K`` block by block and returns ``W_c`` with the apply
               then project it onto ``C y = 0`` with the oblique projector
               ``M`` built from its covariance, ``Psi = Omega M'`` as a
               rank-n_u update of ``Omega``;
-* ``_struct`` structural: pool through ``K S`` onto the bottom variables,
-              then expand by ``S``: ``Psi = W^-1 K S W_b S'``,
-              ``W_tilde = S W_b S'``.
+* ``_struct`` structural: pool through ``K S`` (the row gather ``S[var]``)
+              onto the bottom variables, then expand by ``S``:
+              ``Psi = W^-1 K S W_b S'``, ``W_tilde = S W_b S'``.
 
 The kernels return weights and covariances only. Every public entry (``occ``,
 ``mint_reconcile``, ``scr``, ``src``) sets ``y_tilde = Psi' y_hat`` once, on
 the by-expert ``Psi``, the same apply that ``cocomb reconcile`` runs per
 horizon. No kernel factors ``W`` or one of its blocks: the estimate did.
 Each kernel runs in two stackings, which gives the four ``FORMULATIONS``:
-by-expert (``*_be``) on the panel's own ``K``, and by-variable (``*_bv``) on
-``K`` restacked by ``bv_order``, with the same blocks, their rows mapped into
+by-expert (``*_be``) on the panel's ``var_idx``, and by-variable (``*_bv``) on
+``var_idx`` restacked by ``bv_order``, with the same blocks, their rows mapped into
 that stacking, and the weight rows put back in by-expert order. Their
 agreement is checked in the tests against each other, against the dense
 pooling in ``tests/oracles.py`` and against the independent bordered (KKT)
@@ -76,16 +77,16 @@ class CoherentResult:
     M: np.ndarray | None = None
 
 
-def _zc(blocks, k: np.ndarray, c: np.ndarray):
-    """Zero-constrained kernel: GLS pooling, then the coherent projector.
+def _zc(blocks, var: np.ndarray, c: np.ndarray):
+    """Zero-constrained kernel: GLS pooling through ``K``, then the coherent projector.
 
-    Returns ``(Psi, W_tilde, W_c, M)`` with the oblique projector
+    ``var`` holds the variable of each stacked row, so ``K = I_n[var]``. Returns ``(Psi, W_tilde, W_c, M)`` with the oblique projector
     ``M = I - W_c C' G``, ``G = (C W_c C')^-1 C``, ``W_tilde = M W_c`` and
     ``Psi = Omega M' = Omega - (Omega C')(G W_c)``. ``M`` is applied to
     ``Omega`` after pooling, block by block in place: folding it into the
     pooled weights first loses coherence when ``W`` is ill-conditioned.
     """
-    w_c, apply = gls_pool(blocks, k)
+    w_c, apply = gls_pool(blocks, np.eye(c.shape[1])[var])
     psi, n = apply(w_c), w_c.shape[0]
     if c.shape[0] == 0:
         return psi, w_c.copy(), w_c, np.eye(n)
@@ -97,14 +98,14 @@ def _zc(blocks, k: np.ndarray, c: np.ndarray):
     return psi, w_c - wc_ct @ g_wc, w_c, np.eye(n) - wc_ct @ g
 
 
-def _struct(blocks, k: np.ndarray, s: np.ndarray):
+def _struct(blocks, var: np.ndarray, s: np.ndarray):
     """Structural kernel: GLS pooling through ``K S``, then ``S`` expansion.
 
-    Returns ``(Psi, W_tilde, None, None)`` with ``Psi = W^-1 K S W_b S'``
+    ``K`` is a 0/1 selector, so ``K S`` is the row gather ``S[var]``. Returns ``(Psi, W_tilde, None, None)`` with ``Psi = W^-1 K S W_b S'``
     (the pooling weights ``Omega`` times ``S'``) and ``W_tilde = S W_b S'``,
     ``W_b`` pooling the bottom variables.
     """
-    w_b, apply = gls_pool(blocks, k @ s)
+    w_b, apply = gls_pool(blocks, s[var])
     return apply(w_b @ s.T), s @ w_b @ s.T, None, None
 
 
@@ -127,12 +128,12 @@ def occ(
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
     blocks = cov.blocks(panel.m)
     if formulation.endswith("_be"):
-        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.K, target)
+        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.var_idx, target)
     else:
         bv = panel.bv_order
         be = np.argsort(bv)
         blocks = tuple((be[rows], factor) for rows, factor in blocks)
-        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.K[bv], target)
+        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.var_idx[bv], target)
         psi = psi[be]
     return CoherentResult(psi.T @ panel.y_hat, psi, w_tilde, formulation, w_c, m_proj)
 
@@ -155,7 +156,7 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
-    psi, w_tilde, w_c, m_proj = _zc(cov.blocks(sys.n), np.eye(sys.n), sys.C)
+    psi, w_tilde, w_c, m_proj = _zc(cov.blocks(sys.n), np.arange(sys.n), sys.C)
     return CoherentResult(psi.T @ y_hat, psi, w_tilde, "mint", w_c, m_proj)
 
 

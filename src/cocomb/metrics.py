@@ -133,42 +133,48 @@ def accuracy(actuals: dict, forecasts: dict, benchmark: str, series) -> Accuracy
 
 
 class DMResult(NamedTuple):
-    statistic: float
-    p_value: float
+    statistic: float | np.ndarray
+    p_value: float | np.ndarray
 
 
 def dm_test(loss_a, loss_b, h: int = 1) -> DMResult:
-    """Test of equal predictive accuracy on a pair of loss series.
+    """Test of equal predictive accuracy, batched over leading axes.
 
-    The statistic is the mean loss differential (a minus b) over its long-run
-    standard error, with the long-run variance estimated by a Bartlett kernel
-    truncated at h-1 lags (no small-sample correction); the p-value is
-    two-sided normal. A positive statistic marks method a as less accurate.
-    Identical losses yield the degenerate result (0, 1).
+    ``loss_a`` and ``loss_b`` are (..., q) arrays of loss series, one test per
+    leading index. The statistic is the mean loss differential (a minus b)
+    over its long-run standard error, with the long-run variance estimated by
+    a Bartlett kernel truncated at h-1 lags (no small-sample correction); the
+    p-value is two-sided normal. A positive statistic marks method a as less
+    accurate. Identical losses yield the degenerate result (0, 1), a constant
+    non-zero differential (+-inf, 0). 1-D inputs give Python floats, batches
+    arrays of the leading shape. Each autocovariance is a stacked
+    vector-vector ``matmul``, so a batch gives the bits of its 1-D tests.
     """
-    a = np.asarray(loss_a, dtype=float).reshape(-1)
-    b = np.asarray(loss_b, dtype=float).reshape(-1)
+    a = np.atleast_1d(np.asarray(loss_a, dtype=float))
+    b = np.atleast_1d(np.asarray(loss_b, dtype=float))
     if a.shape != b.shape:
         raise DataError("loss series must have equal length")
-    q = a.size
+    q = a.shape[-1]
     if q < 10:
         raise DataError("need at least 10 loss observations")
     if h < 1:
         raise DataError("horizon must be >= 1")
     d = a - b
-    d_bar = d.mean()
-    centered = d - d_bar
-    gamma0 = float(centered @ centered) / q
-    if gamma0 == 0.0:
-        if d_bar == 0.0:
-            return DMResult(0.0, 1.0)
-        return DMResult(math.copysign(math.inf, d_bar), 0.0)
+    d_bar = d.mean(axis=-1)
+    centered = d - d_bar[..., None]
+    row, col = centered[..., None, :], centered[..., :, None]
+    gamma0 = (row @ col)[..., 0, 0] / q
     lrv = gamma0
     for k in range(1, h):
-        gamma_k = float(centered[k:] @ centered[:-k]) / q
-        lrv += 2.0 * (1.0 - k / h) * gamma_k
-    if lrv <= 0.0:
-        lrv = gamma0  # fall back on the no-lag variance when the kernel degenerates
-    stat = d_bar / math.sqrt(lrv / q)
-    p = math.erfc(abs(stat) / math.sqrt(2.0))
-    return DMResult(float(stat), float(p))
+        gamma_k = (row[..., k:] @ col[..., :-k, :])[..., 0, 0] / q
+        lrv = lrv + 2.0 * (1.0 - k / h) * gamma_k
+    # fall back on the no-lag variance when the kernel degenerates
+    lrv = np.where(lrv <= 0.0, gamma0, lrv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = np.where(gamma0 == 0.0,
+                        np.where(d_bar == 0.0, 0.0, np.copysign(np.inf, d_bar)),
+                        d_bar / np.sqrt(lrv / q))
+    p = np.array([math.erfc(abs(s) / math.sqrt(2.0)) for s in stat.ravel().tolist()])
+    if a.ndim == 1:
+        return DMResult(float(stat), float(p[0]))
+    return DMResult(stat, p.reshape(stat.shape))

@@ -27,15 +27,15 @@ every access; none of them is stored:
 Label-keyed records become by-expert rows here and nowhere else:
 ``panel_from_pairs`` builds a panel's structure from (series, expert) label
 pairs, experts in first-appearance order, and ``fill_cells`` fills its
-(m x K) cell matrix from streamed (k, series, expert, value) records, one
-column per distinct k in ascending order. ``build_panel``, ``residual_panel``
-(k = t) and the CLI's panel (k = horizon) and residual (k = t) CSV readers all
-go through these two.
+(m x K) cell matrix from the (k, series, expert, value) columns of a record
+table, one matrix column per distinct k in ascending order; a label column
+is a ``(labels, codes)`` pair as ``code_labels`` numbers it. ``build_panel``,
+``residual_panel`` (k = t) and the CLI's panel (k = horizon) and residual
+(k = t) CSV readers all go through these two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,43 +224,63 @@ def panel_from_pairs(pairs, sys: ConstraintSystem, source: str) -> ForecastPanel
     return from_availability(avail, sys, experts=tuple(experts))
 
 
-def fill_cells(records, panel: ForecastPanel, source: str, key: str):
-    """Fill the (m x K) cell matrix of ``panel`` from (k, series, expert, value) records.
+def code_labels(column, codes: dict) -> np.ndarray:
+    """Int64 code of each label of ``column`` in ``codes`` (label -> code).
 
-    Returns the K distinct ``k`` in ascending order and the matrix with one
-    column per ``k``, rows in by-expert order. Each record must name a pair of
-    the panel and a finite value; each cell may appear once and every cell
-    must be covered. ``source`` names the input and ``key`` the meaning of
-    ``k`` in error messages. Records are consumed one at a time.
+    A label not yet in ``codes`` is added with the next code, so codes number
+    the labels in order of first appearance across calls sharing ``codes``.
     """
-    row_of = {
-        (panel.labels[i], panel.experts[j]): r for r, (i, j) in enumerate(panel.pairs)
-    }
-    columns: dict = {}
-    for k, label, expert, value in records:
-        r = row_of.get((label, expert))
-        if r is None:
-            if label not in set(panel.labels):
-                raise DataError(f"unknown series {label!r} in {source}")
-            if expert not in set(panel.experts):
-                raise DataError(f"unknown expert {expert!r} in {source}")
-            raise DataError(f"pair ({label!r}, {expert!r}) in {source} is not part of the panel")
-        value = float(value)
-        column = columns.get(k)
-        if column is None:
-            column = columns[k] = np.full(panel.m, np.nan)
-        if not (math.isfinite(value) and math.isnan(column[r])):
-            defect = "duplicate cell" if math.isfinite(value) else f"non-finite value {value!r}"
-            raise DataError(
-                f"{defect} for series {label!r}, expert {expert!r}, {key} {k} in {source}"
-            )
-        column[r] = value
+    for label in dict.fromkeys(column):
+        codes.setdefault(label, len(codes))
+    return np.fromiter(map(codes.__getitem__, column), np.int64, len(column))
 
-    keys = sorted(columns)
-    values = np.empty((panel.m, len(keys)))
-    for c, k in enumerate(keys):
-        values[:, c] = columns.pop(k)
-    missing = np.argwhere(np.isnan(values))
+
+def fill_cells(k, series, expert, value, panel: ForecastPanel, source: str, key: str):
+    """Fill the (m x K) cell matrix of ``panel`` from the columns of a record table.
+
+    Record r holds the integer ``k[r]``, the labels ``series`` and ``expert``
+    and ``value[r]``; a label column is a ``(labels, codes)`` pair naming
+    ``labels[codes[r]]``. Returns the K distinct ``k`` in ascending order and
+    the matrix with one column per ``k``, rows in by-expert order. Each record
+    must name a pair of the panel and a finite value; each cell may appear
+    once and every cell must be covered. ``source`` names the input and
+    ``key`` the meaning of ``k`` in error messages; the record reported is
+    the first defective one.
+    """
+    (labels, s), (experts, e) = series, expert
+    k, value = np.asarray(k, dtype=np.int64), np.asarray(value, dtype=float)
+    var = {label: i for i, label in enumerate(panel.labels)}
+    exp = {label: j for j, label in enumerate(panel.experts)}
+    row_of = np.full((panel.n + 1, panel.p + 1), -1)  # code -1: not in the panel
+    row_of[panel.var_idx, panel.exp_idx] = np.arange(panel.m)
+    rows = row_of[np.array([var.get(x, -1) for x in labels], dtype=np.int64)[s],
+                  np.array([exp.get(x, -1) for x in experts], dtype=np.int64)[e]]
+    keys, column = np.unique(k, return_inverse=True)
+    cell = rows * len(keys) + column.reshape(-1)
+    finite = np.isfinite(value)
+    known = rows >= 0
+    counts = np.bincount(cell[known], minlength=panel.m * len(keys))
+    if not (known.all() and finite.all() and counts.max(initial=0) <= 1):
+        # the first record that is unknown, non-finite or repeats an earlier cell
+        defective = ~known | ~finite
+        order = np.flatnonzero(known)[np.argsort(cell[known], kind="stable")]
+        defective[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
+        r = int(np.argmax(defective))
+        label, expert_label = labels[s[r]], experts[e[r]]
+        if not known[r]:
+            if label not in var:
+                raise DataError(f"unknown series {label!r} in {source}")
+            if expert_label not in exp:
+                raise DataError(f"unknown expert {expert_label!r} in {source}")
+            raise DataError(
+                f"pair ({label!r}, {expert_label!r}) in {source} is not part of the panel")
+        defect = "duplicate cell" if finite[r] else f"non-finite value {float(value[r])!r}"
+        raise DataError(
+            f"{defect} for series {label!r}, expert {expert_label!r}, {key} {int(k[r])} "
+            f"in {source}"
+        )
+    keys = keys.tolist()
+    missing = np.argwhere(counts.reshape(panel.m, len(keys)) == 0)
     if missing.size:
         r, c = missing[0]
         first = (panel.labels[panel.var_idx[r]], panel.experts[panel.exp_idx[r]], keys[c])
@@ -268,7 +288,16 @@ def fill_cells(records, panel: ForecastPanel, source: str, key: str):
             f"{source} does not cover every (series, expert, {key}) cell: "
             f"{len(missing)} missing, first {first!r}"
         )
+    values = np.empty((panel.m, len(keys)))
+    values.reshape(-1)[cell] = value
     return keys, values
+
+
+def _label_column(labels) -> tuple[tuple, np.ndarray]:
+    """A sequence of labels as a ``(labels, codes)`` column of ``fill_cells``."""
+    codes: dict = {}
+    column = code_labels(labels, codes)
+    return tuple(codes), column
 
 
 def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
@@ -278,10 +307,12 @@ def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
     from the constraint system, which makes the stacking (and hence ``bv_order``)
     deterministic.
     """
-    cells = [(1, str(label), str(expert), value) for label, expert, value in forecasts]
-    pairs = ((label, expert) for _, label, expert, _ in cells)
-    panel = panel_from_pairs(pairs, sys, "forecast list")
-    _, values = fill_cells(cells, panel, "forecast list", "horizon")
+    cells = [(str(label), str(expert), value) for label, expert, value in forecasts]
+    panel = panel_from_pairs(((label, expert) for label, expert, _ in cells), sys,
+                             "forecast list")
+    labels, experts, values = zip(*cells)  # not empty: the panel has a forecast
+    _, values = fill_cells(np.ones(len(cells), dtype=np.int64), _label_column(labels),
+                           _label_column(experts), values, panel, "forecast list", "horizon")
     return panel.with_values(values[:, 0])
 
 
@@ -304,8 +335,10 @@ def residual_panel(panel: ForecastPanel, actuals: np.ndarray, fitted) -> np.ndar
     T = actuals.shape[0]
     if T < 2:
         raise DataError("need at least two residual observations")
-    records = ((int(t), str(label), str(expert), value) for t, label, expert, value in fitted)
-    times, fit = fill_cells(records, panel, "fitted-value list", "t")
+    records = [(int(t), str(label), str(expert), value) for t, label, expert, value in fitted]
+    t, labels, experts, values = zip(*records) if records else ((),) * 4
+    times, fit = fill_cells(t, _label_column(labels), _label_column(experts), values, panel,
+                            "fitted-value list", "t")
     if times != list(range(T)):
         raise DataError(f"fitted values must cover exactly the time indices 0..{T - 1}")
     return actuals.T[panel.var_idx] - fit

@@ -1,13 +1,21 @@
 """Independent reference implementations used only for verification.
 
 These deliberately avoid the production code paths: explicit inverses, naive
-loops and dense block solves instead of Cholesky pipelines.
+loops and dense block solves instead of Cholesky pipelines, one scalar DM test
+per pair of loss series, and CSV readers that take one ``csv.DictReader`` row
+at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
+
+from cocomb.exceptions import DataError
 
 
 def kkt_solve(K, W, C, y_hat):
@@ -124,6 +132,40 @@ def simplex_grid_min(sigma, step=0.01):
     return best
 
 
+def dm_test_scalar(loss_a, loss_b, h=1):
+    """One equal-predictive-accuracy test on a pair of loss series: (statistic, p-value).
+
+    Mean loss differential over its Bartlett long-run standard error (h-1
+    lags, no small-sample correction), two-sided normal p-value; identical
+    losses give (0, 1) and a constant non-zero differential (+-inf, 0).
+    """
+    a = np.asarray(loss_a, dtype=float).reshape(-1)
+    b = np.asarray(loss_b, dtype=float).reshape(-1)
+    if a.shape != b.shape:
+        raise DataError("loss series must have equal length")
+    q = a.size
+    if q < 10:
+        raise DataError("need at least 10 loss observations")
+    if h < 1:
+        raise DataError("horizon must be >= 1")
+    d = a - b
+    d_bar = d.mean()
+    centered = d - d_bar
+    gamma0 = float(centered @ centered) / q
+    if gamma0 == 0.0:
+        if d_bar == 0.0:
+            return 0.0, 1.0
+        return math.copysign(math.inf, d_bar), 0.0
+    lrv = gamma0
+    for k in range(1, h):
+        gamma_k = float(centered[k:] @ centered[:-k]) / q
+        lrv += 2.0 * (1.0 - k / h) * gamma_k
+    if lrv <= 0.0:
+        lrv = gamma0  # fall back on the no-lag variance when the kernel degenerates
+    stat = d_bar / math.sqrt(lrv / q)
+    return float(stat), float(math.erfc(abs(stat) / math.sqrt(2.0)))
+
+
 def dm_win_table(actuals, forecasts, methods, series, horizon_list):
     """Pairwise DM win shares by one test per ordered pair and series.
 
@@ -132,8 +174,6 @@ def dm_win_table(actuals, forecasts, methods, series, horizon_list):
     which a is significantly (5%) more accurate than b, the losses of every
     horizon in ``hs`` concatenated per series and the lag set to ``max(hs)``.
     """
-    from cocomb.metrics import dm_test
-
     rows = []
     for loss_name, power in (("absolute", 1), ("squared", 2)):
         for h in list(horizon_list) + ["all"]:
@@ -150,8 +190,8 @@ def dm_win_table(actuals, forecasts, methods, series, horizon_list):
                         loss_b = np.concatenate(
                             [np.abs(actuals[hh][:, i] - forecasts[m_b][hh][:, i]) ** power
                              for hh in hs])
-                        res = dm_test(loss_a, loss_b, h=max(hs))
-                        if res.p_value < 0.05 and res.statistic < 0:
+                        stat, p_value = dm_test_scalar(loss_a, loss_b, h=max(hs))
+                        if p_value < 0.05 and stat < 0:
                             wins += 1
                     rows.append((loss_name, h, m_a, m_b, 100.0 * wins / len(series)))
     return rows
@@ -221,3 +261,131 @@ def method_weights_chain(method, panel, sys, resid, cache):
                 best, best_mse = m_j @ expert_selector(j), rec_mse
         return best
     raise ValueError(f"unknown simulation method {method!r}")
+
+
+# -- row-at-a-time CSV readers ------------------------------------------------------
+
+
+def read_csv_dicts(path, required, what):
+    """Yield the rows of a CSV file as ``csv.DictReader`` dicts, after checking its header."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
+            raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
+        for row in reader:
+            if None in row.values():
+                raise DataError(f"{what} CSV {path} line {reader.line_num} has too few fields")
+            yield row
+
+
+def cell_records(path, what, key, default=None):
+    """Yield (k, series, expert, value) per row; a missing or empty ``key`` cell is ``default``."""
+    required = {"series", "expert", "value"} | ({key} if default is None else set())
+    for row in read_csv_dicts(path, required, what):
+        try:
+            k = int(row.get(key) or default)
+        except (TypeError, ValueError):
+            raise DataError(f"bad {key} {row.get(key)!r} in {what} CSV") from None
+        try:
+            value = float(row["value"])
+        except ValueError:
+            raise DataError(f"non-numeric {what} value {row['value']!r}") from None
+        yield k, row["series"].strip(), row["expert"].strip(), value
+
+
+def fill_cells_records(records, panel, source, key):
+    """(sorted keys, m x K cell matrix) from (k, series, expert, value) records, one at a time."""
+    row_of = {(panel.labels[i], panel.experts[j]): r for r, (i, j) in enumerate(panel.pairs)}
+    columns = {}
+    for k, label, expert, value in records:
+        r = row_of.get((label, expert))
+        if r is None:
+            if label not in set(panel.labels):
+                raise DataError(f"unknown series {label!r} in {source}")
+            if expert not in set(panel.experts):
+                raise DataError(f"unknown expert {expert!r} in {source}")
+            raise DataError(f"pair ({label!r}, {expert!r}) in {source} is not part of the panel")
+        value = float(value)
+        column = columns.get(k)
+        if column is None:
+            column = columns[k] = np.full(panel.m, np.nan)
+        if not (math.isfinite(value) and math.isnan(column[r])):
+            defect = "duplicate cell" if math.isfinite(value) else f"non-finite value {value!r}"
+            raise DataError(
+                f"{defect} for series {label!r}, expert {expert!r}, {key} {k} in {source}")
+        column[r] = value
+    keys = sorted(columns)
+    values = np.empty((panel.m, len(keys)))
+    for c, k in enumerate(keys):
+        values[:, c] = columns.pop(k)
+    missing = np.argwhere(np.isnan(values))
+    if missing.size:
+        r, c = missing[0]
+        first = (panel.labels[panel.var_idx[r]], panel.experts[panel.exp_idx[r]], keys[c])
+        raise DataError(f"{source} does not cover every (series, expert, {key}) cell: "
+                        f"{len(missing)} missing, first {first!r}")
+    return keys, values
+
+
+def read_panel_csv(path, sys_):
+    """Panel CSV -> (zero-valued panel, horizons, m x H forecasts), row by row."""
+    from cocomb.panel import panel_from_pairs
+
+    records = list(cell_records(path, "panel", "horizon", default=1))
+    if not records:
+        raise DataError(f"panel CSV {path} holds no forecasts")
+    panel = panel_from_pairs(((s, e) for _, s, e, _ in records), sys_, "panel CSV")
+    horizons, y_hat = fill_cells_records(records, panel, "panel CSV", "horizon")
+    return panel, horizons, y_hat
+
+
+def read_residual_csv(path, panel):
+    """Residual CSV -> m x T matrix in panel order, row by row."""
+    return fill_cells_records(cell_records(path, "residual", "t"), panel, "residual CSV", "t")[1]
+
+
+def read_eval_csv(path, what, label_cols, horizons, keep=()):
+    """Evaluation CSV -> (sorted labels per label column, (h, q) keys, values), row by row."""
+    wanted, cells, values = set(horizons), [], []
+    codes = [{} for _ in label_cols]
+    for row in read_csv_dicts(path, {*label_cols, "horizon", "q", "value"}, what):
+        try:
+            h, q, value = int(row["horizon"]), int(row["q"]), float(row["value"])
+        except ValueError:
+            raise DataError(f"bad evaluation row {row!r}") from None
+        cell_labels = tuple(row[col].strip() for col in label_cols)
+        if h not in wanted or (keep and cell_labels[-1] not in keep):
+            continue
+        cells.append([c.setdefault(x, len(c)) for c, x in zip(codes, cell_labels)] + [h, q])
+        values.append(value)
+    cells = np.array(cells, dtype=np.int64).reshape(len(values), len(label_cols) + 2)
+    missing = wanted - set(cells[:, -2].tolist())
+    if missing:
+        raise DataError(f"no {what} for horizon {min(missing)}")
+    for j, c in enumerate(codes):
+        cells[:, j] = np.argsort(np.argsort(list(c)))[cells[:, j]]
+    names = [sorted(c) for c in codes]
+    keys, key_idx = np.unique(cells[:, -2:], axis=0, return_inverse=True)
+    shape = (*map(len, names), len(keys))
+    flat = np.ravel_multi_index((*cells[:, :-2].T, key_idx.reshape(-1)), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    values = np.array(values)
+
+    def cell(i):
+        *at, k = np.unravel_index(i, shape)
+        parts = [*(n[a] for n, a in zip(names, at)), *keys[k].tolist()]
+        return ", ".join(f"{c} {v!r}" for c, v in zip((*label_cols, "horizon", "q"), parts))
+
+    if not np.isfinite(values).all():
+        bad = np.argmin(np.isfinite(values))
+        raise DataError(f"non-finite value {values[bad]} for {cell(flat[bad])} in {what} CSV")
+    if (counts != 1).any():
+        i = np.argmax(counts != 1)
+        raise DataError(f"{what} CSV must hold every ({', '.join(label_cols)}, horizon, q) cell "
+                        f"exactly once: {cell(i)} appears {counts[i]} times")
+    grid = np.empty(shape)
+    grid.reshape(-1)[flat] = values
+    return names, keys, grid

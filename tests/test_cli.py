@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cocomb
 from cocomb import read_constraint_file
 from cocomb.cli import COV_CHOICES, _read_panel_csv, _read_residual_csv, cli, main
 from cocomb.covariance import PATTERNS
@@ -458,3 +461,15 @@ def test_outputs_honour_the_umask(tmp_path, umask):
     assert code == 0
     for path in (out, Path(str(out) + ".manifest.json")):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage_but_linalg():
+    """Every command pays this import; ``scipy.special`` alone would add tens of ms."""
+    code = ("import sys, cocomb.cli; print(*sorted(name for name, mod in sys.modules.items()"
+            " if name.count('.') == 1 and name.startswith('scipy.')"
+            " and not name.startswith('scipy._') and hasattr(mod, '__path__')))")
+    src = str(Path(cocomb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.split() == ["scipy.linalg"]

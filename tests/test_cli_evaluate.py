@@ -1,7 +1,9 @@
 """``evaluate`` against independent loops: the DM win table and its test count."""
 
 import csv
+import itertools
 
+import numpy as np
 import pytest
 
 import cocomb.cli
@@ -38,13 +40,39 @@ def test_evaluate_dm_table_matches_ordered_pair_oracle(tmp_path, rng, horizons):
 
 
 def test_evaluate_runs_one_dm_test_per_unordered_pair(tmp_path, rng, monkeypatch):
+    """One batched call per (loss, horizon row), each testing every unordered pair and
+    series once, on the losses the ordered-pair oracle tests."""
     calls = []
     dm_test = cocomb.cli.dm_test
-    monkeypatch.setattr(cocomb.cli, "dm_test", lambda *a, **k: calls.append(1) or dm_test(*a, **k))
-    paths, *_ = evaluation_csvs(tmp_path, rng)
+    monkeypatch.setattr(cocomb.cli, "dm_test",
+                        lambda a, b, h: calls.append((a, b, h)) or dm_test(a, b, h=h))
+    paths, series, actuals, forecasts = evaluation_csvs(tmp_path, rng)
     run_evaluate(tmp_path, paths, "1:3")
-    # 4 methods -> 6 unordered pairs; 5 series; 3 horizons + "all"; 2 losses
-    assert len(calls) == 6 * 5 * 4 * 2
+
+    whose = {}  # loss series bytes -> (loss, horizon row, method, series)
+    for loss_name, power in (("absolute", 1), ("squared", 2)):
+        for h, hs in ((1, [1]), (2, [2]), (3, [3]), ("all", [1, 2, 3])):
+            for m, f_m in forecasts.items():
+                for i, s in enumerate(series):
+                    loss = np.concatenate(
+                        [np.abs(actuals[hh][:, i] - f_m[hh][:, i]) ** power for hh in hs])
+                    whose[loss.tobytes()] = (loss_name, h, m, s)
+    pairs = set(itertools.combinations(sorted(forecasts), 2))
+    rows = []
+    for a, b, h in calls:
+        assert a.shape == b.shape == (len(pairs), len(series), a.shape[-1])
+        cells = [(whose[a_r.tobytes()], whose[b_r.tobytes()])
+                 for a_r, b_r in zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))]
+        (loss_name, h_row), = {ca[:2] for ca, _ in cells} | {cb[:2] for _, cb in cells}
+        assert h == (3 if h_row == "all" else h_row)
+        assert all(ca[3] == cb[3] and ca[2] != cb[2] for ca, cb in cells)  # same series
+        tested = sorted((tuple(sorted((ca[2], cb[2]))), ca[3]) for ca, cb in cells)
+        assert tested == sorted(itertools.product(pairs, series))  # each once
+        rows.append((loss_name, h_row))
+    # 2 losses x (3 horizons + "all"), one call each
+    assert sorted(rows, key=str) == sorted(
+        itertools.product(("absolute", "squared"), (1, 2, 3, "all")), key=str)
+    assert len(calls) == 8
 
 
 def test_evaluate_dm_failure_writes_nothing(tmp_path, rng, capsys):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import cocomb.cli
+import oracles
 from cocomb.cli import main
 from conftest import evaluation_csvs
 
@@ -155,6 +157,75 @@ def test_malformed_evaluation_input_exits_3_without_output(tmp_path, rng, capsys
     for fragment in fragments:
         assert fragment in err["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+# defects the tables above leave out, all at the end of the file
+MORE_DEFECTS = {
+    "panel-short-row": ("panel", lambda ls: ls + ["west,alpha"]),
+    "resid-short-row": ("residuals", lambda ls: ls + ["0,west"]),
+    "panel-short-row-after-blank-lines": ("panel", lambda ls: ls + ["", "", "west,alpha"]),
+    "panel-bad-horizon-extra-fields": ("panel", lambda ls: ls + ["total,alpha,one,17.0,x,y"]),
+    "resid-empty-t": ("residuals", lambda ls: ls + [",total,alpha,0.5"]),
+}
+MORE_EVAL_DEFECTS = {
+    "actuals-bad-q-extra-fields": ("actuals", lambda ls: ls + ["east,1,1.5,0.0,extra"]),
+    "forecasts-short-row": ("forecasts", lambda ls: ls + ["occ,east,1"]),
+    "forecasts-non-numeric-value": ("forecasts", lambda ls: ls + ["occ,east,1,0,abc"]),
+}
+
+
+def error_of(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def run_with_row_readers(monkeypatch, argv, capsys):
+    """Exit code and error line of ``argv`` read through the row-by-row oracle readers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cocomb.cli, "_read_panel_csv", oracles.read_panel_csv)
+        patch.setattr(cocomb.cli, "_read_residual_csv", oracles.read_residual_csv)
+        patch.setattr(cocomb.cli, "_read_eval_csv", oracles.read_eval_csv)
+        return error_of(argv, capsys)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+@pytest.mark.parametrize("defect", sorted(DEFECTS) + sorted(MORE_DEFECTS))
+def test_input_defect_in_any_chunk_gives_the_row_reader_error(
+        tmp_path, capsys, monkeypatch, defect, chunk_rows):
+    """Exit code and message equal those of a row-by-row read, wherever the chunks end."""
+    which, edit = {**DEFECTS, **MORE_DEFECTS}[defect][:2]
+    panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
+    panel_path.write_text("\n".join(PANEL_LINES) + "\n")
+    resid_path.write_text("\n".join(RESID_LINES) + "\n")
+    target = panel_path if which == "panel" else resid_path
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    argv = ["reconcile", "--constraints", str(SAMPLE / "constraints.json"),
+            "--panel", str(panel_path), "--residuals", str(resid_path),
+            "--output", str(tmp_path / "out" / "coherent.csv")]
+    expected = run_with_row_readers(monkeypatch, argv, capsys)
+    assert expected[0] == 3
+    if chunk_rows is not None:
+        monkeypatch.setattr(cocomb.cli, "_CHUNK_ROWS", chunk_rows)
+    assert error_of(argv, capsys) == expected
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+@pytest.mark.parametrize("defect", sorted(EVAL_DEFECTS) + sorted(MORE_EVAL_DEFECTS))
+def test_evaluation_defect_in_any_chunk_gives_the_row_reader_error(
+        tmp_path, rng, capsys, monkeypatch, defect, chunk_rows):
+    which, edit = {**EVAL_DEFECTS, **MORE_EVAL_DEFECTS}[defect][:2]
+    (actuals_path, forecasts_path), *_ = evaluation_csvs(tmp_path, rng)
+    target = actuals_path if which == "actuals" else forecasts_path
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    argv = ["evaluate", "--actuals", str(actuals_path), "--forecasts", str(forecasts_path),
+            "--horizons", "1:3", "--dm", "--output", str(tmp_path / "out" / "accuracy.csv")]
+    expected = run_with_row_readers(monkeypatch, argv, capsys)
+    assert expected[0] == 3
+    if chunk_rows is not None:
+        monkeypatch.setattr(cocomb.cli, "_CHUNK_ROWS", chunk_rows)
+    assert error_of(argv, capsys) == expected
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("horizons", ["1:x", "a,b", "3:1", ""])

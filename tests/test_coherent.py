@@ -20,6 +20,7 @@ from cocomb import (
     shrink,
     src,
 )
+from cocomb import coherent
 from cocomb.coherent import FORMULATIONS, fit
 from cocomb.covariance import ESTIMATORS, PATTERNS
 from conftest import random_panel, random_spd, random_system
@@ -530,3 +531,24 @@ def test_coherent_when_a_sole_expert_is_far_noisier(formulation, rng):
     w = np.diag(np.where(panel.exp_idx == 1, 1e9, 1.0))
     res = occ(panel, sys, as_covariance(w), formulation)
     assert _coherence(sys, res.y_tilde) <= 1e-9
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_structural_routes_pool_through_the_exact_k_s(balanced, seed):
+    """The row gather ``S[var]`` that ``_struct`` pools through equals ``K S`` exactly."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng)
+    panel = random_panel(rng, sys, balanced=balanced)
+    cov = as_covariance(random_spd(rng, panel.m))
+    designs = []
+    gls_pool = coherent.gls_pool
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coherent, "gls_pool",
+                      lambda blocks, k: designs.append(k) or gls_pool(blocks, k))
+        for formulation in ("struct_be", "struct_bv"):
+            occ(panel, sys, cov, formulation)
+    be, bv = designs
+    assert np.array_equal(be, panel.K @ sys.S)
+    assert np.array_equal(bv, panel.J @ sys.S)  # J = K[bv_order]

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomb import DataError, accuracy, dm_test
-from oracles import geo_mean_log
+from oracles import dm_test_scalar, geo_mean_log
 
 
 def make_case(rng, n_series=2, horizons=(1, 2), q=12):
@@ -149,3 +151,71 @@ def test_dm_bartlett_weights_enter_for_longer_horizons(rng):
     r1 = dm_test(a, b, h=1)
     r4 = dm_test(a, b, h=4)
     assert r1.statistic != pytest.approx(r4.statistic)
+
+
+def loss_pair(rng, kind, q):
+    """Two loss series of length q whose differential is of the given kind."""
+    base = rng.integers(0, 100, q).astype(float)
+    if kind == "identical":
+        return base, base.copy()
+    if kind == "constant":  # integer-valued, so the differential is exactly constant
+        return base + rng.choice([-3.0, 3.0]), base
+    if kind == "subnormal":  # autocovariances round in the subnormal range
+        return rng.integers(-6, 7, q) * math.sqrt(5e-324) * rng.uniform(0.5, 4), np.zeros(q)
+    noise = rng.standard_normal(q)
+    if kind == "autocorrelated":
+        noise = np.cumsum(noise)
+    return np.abs(base + noise), np.abs(base + rng.standard_normal(q))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")  # the scalar oracle on subnormal losses
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_batched_dm_matches_one_scalar_test_per_row(data):
+    k = data.draw(st.integers(1, 5), label="k")
+    q = data.draw(st.integers(10, 40), label="q")
+    h = data.draw(st.integers(1, q - 1), label="h")
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["random", "autocorrelated", "identical", "constant", "subnormal"]),
+        min_size=k, max_size=k), label="kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a, b = (np.array(rows) for rows in zip(*(loss_pair(rng, kind, q) for kind in kinds)))
+    stat, p = dm_test(a, b, h=h)
+    assert stat.shape == p.shape == (k,)
+    for i, kind in enumerate(kinds):
+        s_i, p_i = dm_test_scalar(a[i], b[i], h=h)
+        if kind == "identical":
+            assert (stat[i], p[i]) == (s_i, p_i) == (0.0, 1.0)
+        elif kind == "constant":
+            assert (stat[i], p[i]) == (s_i, p_i) == (math.copysign(math.inf, a[i, 0] - b[i, 0]), 0.0)
+        assert stat[i] == pytest.approx(s_i, rel=1e-12, abs=0.0)
+        assert p[i] == p_i
+        assert (p[i] < 0.05, stat[i] < 0, stat[i] > 0) == (p_i < 0.05, s_i < 0, s_i > 0)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_dm_falls_back_on_the_no_lag_variance():
+    """A Bartlett variance that rounds to zero falls back on gamma_0, row by row."""
+    d = np.array([-7.347675238099128e-162, 7.347675238099128e-162, 2.939070095239651e-162,
+                  -5.878140190479302e-162, -1.4695350476198256e-162, 8.817210285718954e-162,
+                  0.0, -8.817210285718954e-162, 2.939070095239651e-162, 8.817210285718954e-162])
+    centered = d - d.mean()
+    gamma0 = float(centered @ centered) / d.size
+    expected = d.mean() / math.sqrt(gamma0 / d.size)
+    assert math.isfinite(expected) and dm_test_scalar(d, np.zeros(10), h=7)[0] == expected
+    stat, p = dm_test(np.vstack([d, np.abs(d)]), np.zeros((2, 10)), h=7)
+    assert stat[0] == expected
+    assert p[0] == math.erfc(abs(expected) / math.sqrt(2.0))
+    assert (stat[1], p[1]) == dm_test_scalar(np.abs(d), np.zeros(10), h=7)
+
+
+def test_dm_batch_shapes():
+    """Leading axes are kept; 1-D inputs give floats; unequal shapes are refused."""
+    rng = np.random.default_rng(7)
+    a, b = rng.random((2, 3, 20)), rng.random((2, 3, 20))
+    stat, p = dm_test(a, b, h=2)
+    assert stat.shape == p.shape == (2, 3)
+    assert (stat[1, 2], p[1, 2]) == dm_test(a[1, 2], b[1, 2], h=2)
+    assert all(type(x) is float for x in dm_test(a[0, 0], b[0, 0]))
+    with pytest.raises(DataError, match="equal length"):
+        dm_test(a, b[:, :2])

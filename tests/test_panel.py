@@ -14,6 +14,7 @@ from cocomb import (
 )
 from cocomb.panel import fill_cells, panel_from_pairs
 from conftest import random_panel, random_system
+from oracles import fill_cells_records
 
 
 def three_var_system():
@@ -224,6 +225,18 @@ def test_panel_validation_errors():
         from_availability(np.ones((2, 2), dtype=bool), sys)  # wrong row count
 
 
+def record_columns(records):
+    """(k, series, expert, value) records as the columns ``fill_cells`` takes."""
+    records = list(records)
+    k, series, expert, value = zip(*records) if records else ((),) * 4
+
+    def label_column(labels):
+        names = list(dict.fromkeys(labels))
+        return tuple(names), np.array([names.index(x) for x in labels], dtype=np.int64)
+
+    return k, label_column(series), label_column(expert), value
+
+
 def test_fill_cells_orders_columns_by_key_and_checks_each_cell():
     sys, panel = worked_example_panel()
     records = [
@@ -231,15 +244,38 @@ def test_fill_cells_orders_columns_by_key_and_checks_each_cell():
         for t in (5, 2, 9)
         for r, (i, j) in enumerate(panel.pairs)
     ]
-    keys, values = fill_cells(reversed(records), panel, "test records", "t")
+    keys, values = fill_cells(*record_columns(reversed(records)), panel, "test records", "t")
     assert keys == [2, 5, 9]
     np.testing.assert_array_equal(values, np.arange(7.0)[:, None] + [20.0, 50.0, 90.0])
     with pytest.raises(DataError, match="duplicate cell .* t 5 in test records"):
-        fill_cells(records + records[:1], panel, "test records", "t")
+        fill_cells(*record_columns(records + records[:1]), panel, "test records", "t")
     with pytest.raises(DataError, match="non-finite"):
-        fill_cells([(0, "y1", "e1", np.inf)], panel, "test records", "t")
+        fill_cells(*record_columns([(0, "y1", "e1", np.inf)]), panel, "test records", "t")
     with pytest.raises(DataError, match="2 missing, first \\('y1', 'e1', 2\\)"):
-        fill_cells(records[1:7] + records[8:], panel, "test records", "t")
+        fill_cells(*record_columns(records[1:7] + records[8:]), panel, "test records", "t")
+
+
+@pytest.mark.parametrize("defects", [
+    [(3, (2, "y9", "e1", 1.0))],
+    [(5, (9, "y1", "e9", 1.0))],
+    [(6, (5, "y2", "e1", 1.0))],
+    [(4, (7, "y1", "e1", np.nan)), (9, (5, "y1", "e1", 0.0))],
+    [(9, (2, "y1", "e1", 0.0)), (12, (2, "y9", "e1", 1.0))],
+    [(2, (9, "y1", "e1", 0.0)), (20, (5, "y1", "e1", 0.0))],
+], ids=["unknown-series", "unknown-expert", "pair-not-in-panel", "nan-then-duplicate",
+        "duplicate-then-unknown", "repeat-of-a-later-record"])
+def test_fill_cells_reports_the_first_defective_record(defects):
+    """The columns give the error a record-by-record fill raises first."""
+    _, panel = worked_example_panel()
+    records = [(t, panel.labels[i], panel.experts[j], 10.0 * t + r)
+               for t in (5, 2, 9) for r, (i, j) in enumerate(panel.pairs)]
+    for at, record in defects:
+        records.insert(at, record)
+    with pytest.raises(DataError) as expected:
+        fill_cells_records(records, panel, "test records", "t")
+    with pytest.raises(DataError) as got:
+        fill_cells(*record_columns(records), panel, "test records", "t")
+    assert str(got.value) == str(expected.value)
 
 
 def test_panel_from_pairs_numbers_experts_by_first_appearance():
