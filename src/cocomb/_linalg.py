@@ -1,7 +1,8 @@
 """Small dense linear-algebra helpers built on Cholesky factorizations.
 
 All solvers in this package go through these helpers so that symmetric
-positive definite systems are never solved via explicit inverses.
+positive definite systems are never solved via explicit inverses; the one
+inverse, ``pooled_covariance``, is an output.
 """
 
 from __future__ import annotations
@@ -39,3 +40,9 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
+
+
+def pooled_covariance(precision: np.ndarray) -> np.ndarray:
+    """The symmetric inverse of a pooled GLS precision, through its Cholesky factor."""
+    factor = cho_factor_spd(symmetrize(precision), "combined-forecast precision")
+    return symmetrize(cho_solve(factor, np.eye(precision.shape[0])))

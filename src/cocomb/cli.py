@@ -27,7 +27,8 @@ horizon row over every unordered method pair and series: swapping the pair
 negates the statistic and keeps the p-value.
 
 Exit codes: 0 success, 2 bad arguments, 3 data/schema error, 4 numerical
-failure (non-SPD covariance, rank deficiency).
+failure (non-SPD covariance, rank deficiency). Errors, and warnings of a
+successful run (``"code": "warning"``), go to stderr as JSON lines.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
@@ -462,11 +464,15 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
     cols = {h: np.flatnonzero(keys[:, 0] == h) for h in horizon_list}
 
     # accuracy() takes Q_h x n arrays per horizon, C-ordered as the sums expect
-    table = accuracy(
-        {h: y[:, c].T.copy() for h, c in cols.items()},
-        {m: {h: f_m[:, c].T.copy() for h, c in cols.items()} for m, f_m in zip(methods, f)},
-        benchmark, series,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = accuracy(
+            {h: y[:, c].T.copy() for h, c in cols.items()},
+            {m: {h: f_m[:, c].T.copy() for h, c in cols.items()} for m, f_m in zip(methods, f)},
+            benchmark, series,
+        )
+    for w in caught:
+        click.echo(json.dumps({"code": "warning", "message": str(w.message)}), err=True)
     if dm:  # DM rows first: a failing test must leave no output behind
         dm_output = dm_output or Path(str(output) + ".dm.csv")
         n_m, dm_rows = len(methods), []

@@ -3,36 +3,31 @@
 The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
 constraints. It has one closed form per model representation, each a kernel
-on ``W``'s diagonal blocks (``CovarianceEstimate.blocks``: rows and Cholesky
-factor per block) and the variable ``var`` of each stacked row, which gives
-the stacked selector ``K = I_n[var]``. Both pool through
-``combiners.gls_pool``, the one place that factors a pooled precision, which
-sums ``K' W^-1 K`` block by block and returns ``W_c`` with the apply
-``r -> W^-1 K r``:
+on ``W``'s diagonal blocks (``CovarianceEstimate.blocks``) and the variable
+``var`` of each stacked row, which stands for the selector ``K = I_n[var]``.
+Both pool through ``combiners.gls_pool`` (the precision ``K' W^-1 K`` and the
+apply ``r -> W^-1 K r``) and invert with ``_linalg.pooled_covariance``:
 
-* ``_zc``     zero-constrained: pool all forecasts through ``K`` into the
-              multi-task combined forecast (weights ``Omega = W^-1 K W_c``),
-              then project it onto ``C y = 0`` with the oblique projector
-              ``M`` built from its covariance, ``Psi = Omega M'`` as a
-              rank-n_u update of ``Omega``;
-* ``_struct`` structural: pool through ``K S`` (the row gather ``S[var]``)
-              onto the bottom variables, then expand by ``S``:
-              ``Psi = W^-1 K S W_b S'``, ``W_tilde = S W_b S'``.
+* ``_zc``     zero-constrained: pool into the multi-task combined forecast
+              (``W_c``, weights ``Omega = W^-1 K W_c``), then project it onto
+              ``C y = 0`` with the oblique projector ``M``, ``Psi = Omega M'``;
+* ``_struct`` structural: pool onto the bottom variables (``W_b``), expand
+              ``W_tilde = S W_b S'`` and apply: ``Psi = W^-1 K W_tilde``.
 
 The kernels return weights and covariances only. Every public entry (``occ``,
 ``mint_reconcile``, ``scr``, ``src``) sets ``y_tilde = Psi' y_hat`` once, on
 the by-expert ``Psi``, the same apply that ``cocomb reconcile`` runs per
 horizon. No kernel factors ``W`` or one of its blocks: the estimate did.
-Each kernel runs in two stackings, which gives the four ``FORMULATIONS``:
-by-expert (``*_be``) on the panel's ``var_idx``, and by-variable (``*_bv``) on
-``var_idx`` restacked by ``bv_order``, with the same blocks, their rows mapped into
-that stacking, and the weight rows put back in by-expert order. Their
-agreement is checked in the tests against each other, against the dense
-pooling in ``tests/oracles.py`` and against the independent bordered (KKT)
-solve there (``kkt_solve``, ``kkt_residual``). ``mint_reconcile``
-is the zero-constrained kernel with ``K = I_n`` (the single-expert case);
-``scr`` and ``src`` are the sequential combine-then-reconcile and
-reconcile-then-average baselines.
+
+The four ``FORMULATIONS`` run each kernel by expert (``*_be``) or by variable
+(``*_bv``: ``J = P K`` and ``P W P'``). Both are one computation: a block's
+solve reads only its rows' variables, which restacking by ``P`` leaves as
+they are, so the by-variable weights are the by-expert ones with rows
+permuted, and ``occ`` runs each kernel once on ``var_idx``. The tests check
+the routes against the dense pooling and the bordered (KKT) solve in
+``tests/oracles.py``. ``mint_reconcile`` is the zero-constrained kernel with
+``K = I_n`` (the single-expert case); ``scr`` and ``src`` are the sequential
+combine-then-reconcile and reconcile-then-average baselines.
 
 ``fit`` dispatches a method name (``occ``, ``mint``, ``src``, ``scr_*``) for
 ``cocomb reconcile`` and the simulation alike, and holds the baselines'
@@ -46,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cho_factor_spd, cho_solve, symmetrize
+from ._linalg import cho_factor_spd, cho_solve, pooled_covariance, symmetrize
 from .combiners import WeightScheme, gls_pool, single_task_weights
 from .constraints import ConstraintSystem
 from .covariance import CovarianceEstimate, as_covariance, shrink
@@ -78,15 +73,17 @@ class CoherentResult:
 
 
 def _zc(blocks, var: np.ndarray, c: np.ndarray):
-    """Zero-constrained kernel: GLS pooling through ``K``, then the coherent projector.
+    """Zero-constrained kernel: GLS pooling, then the coherent projector.
 
-    ``var`` holds the variable of each stacked row, so ``K = I_n[var]``. Returns ``(Psi, W_tilde, W_c, M)`` with the oblique projector
+    Returns ``(Psi, W_tilde, W_c, M)`` with the oblique projector
     ``M = I - W_c C' G``, ``G = (C W_c C')^-1 C``, ``W_tilde = M W_c`` and
     ``Psi = Omega M' = Omega - (Omega C')(G W_c)``. ``M`` is applied to
     ``Omega`` after pooling, block by block in place: folding it into the
     pooled weights first loses coherence when ``W`` is ill-conditioned.
     """
-    w_c, apply = gls_pool(blocks, np.eye(c.shape[1])[var])
+    precision, apply = gls_pool(blocks, var, c.shape[1])
+    w_c = pooled_covariance(precision)
+    del precision  # freed before the m x n weights are built: it would add to the peak
     psi, n = apply(w_c), w_c.shape[0]
     if c.shape[0] == 0:
         return psi, w_c.copy(), w_c, np.eye(n)
@@ -99,14 +96,14 @@ def _zc(blocks, var: np.ndarray, c: np.ndarray):
 
 
 def _struct(blocks, var: np.ndarray, s: np.ndarray):
-    """Structural kernel: GLS pooling through ``K S``, then ``S`` expansion.
+    """Structural kernel: GLS pooling onto the bottom variables, then ``S`` expansion.
 
-    ``K`` is a 0/1 selector, so ``K S`` is the row gather ``S[var]``. Returns ``(Psi, W_tilde, None, None)`` with ``Psi = W^-1 K S W_b S'``
-    (the pooling weights ``Omega`` times ``S'``) and ``W_tilde = S W_b S'``,
-    ``W_b`` pooling the bottom variables.
+    Returns ``(Psi, W_tilde, None, None)`` with ``W_b = (S' K' W^-1 K S)^-1``,
+    ``W_tilde = S W_b S'`` and ``Psi = W^-1 K S W_b S' = W^-1 K W_tilde``.
     """
-    w_b, apply = gls_pool(blocks, s[var])
-    return apply(w_b @ s.T), s @ w_b @ s.T, None, None
+    precision, apply = gls_pool(blocks, var, s.shape[0])
+    w_tilde = s @ pooled_covariance(s.T @ precision @ s) @ s.T
+    return apply(w_tilde), w_tilde, None, None
 
 
 def occ(
@@ -118,23 +115,16 @@ def occ(
     """Optimal coherent combination of all available base forecasts.
 
     Minimizes the GLS criterion of the stacked base forecasts subject to the
-    zero constraints. The four formulations agree up to floating-point error;
-    ``zc_be`` is the default production route.
+    zero constraints. The two kernels agree up to floating-point error, and a
+    ``*_bv`` route is its ``*_be`` route (module docstring); ``zc_be`` is the
+    default production route.
     """
     if formulation not in FORMULATIONS:
         raise DataError(f"unknown formulation {formulation!r}; pick one of {FORMULATIONS}")
     if panel.labels != sys.labels:
         raise DataError("panel and constraint system must share the variable set")
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
-    blocks = cov.blocks(panel.m)
-    if formulation.endswith("_be"):
-        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.var_idx, target)
-    else:
-        bv = panel.bv_order
-        be = np.argsort(bv)
-        blocks = tuple((be[rows], factor) for rows, factor in blocks)
-        psi, w_tilde, w_c, m_proj = kernel(blocks, panel.var_idx[bv], target)
-        psi = psi[be]
+    psi, w_tilde, w_c, m_proj = kernel(cov.blocks(panel.m), panel.var_idx, target)
     return CoherentResult(psi.T @ panel.y_hat, psi, w_tilde, formulation, w_c, m_proj)
 
 

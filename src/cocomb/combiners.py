@@ -14,9 +14,9 @@ The multi-task combination pools all m forecasts at once through the stacked
 regression of the base forecasts on the target vector, yielding the combined
 vector, its weight matrix and its error covariance. ``gls_pool``, the one GLS
 pooling step (both ``occ`` kernels use it too), takes ``W`` as its diagonal
-blocks with their Cholesky factors (``CovarianceEstimate.blocks``), never as a
-matrix: it solves each block against the design columns the block touches and
-sums the pieces into the n x n pooled precision.
+blocks with their Cholesky factors (``CovarianceEstimate.blocks``) and the
+design as the panel's row index ``var_idx``, never as a matrix, and sums the
+blocks' pieces into the n x n pooled precision.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cho_factor_spd, cho_solve, symmetrize
+from ._linalg import cho_factor_spd, cho_solve, pooled_covariance
 from .covariance import CovarianceEstimate
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
@@ -126,20 +126,21 @@ def combine_single_task(
     return ws.apply(panel)
 
 
-def gls_pool(blocks, k: np.ndarray):
-    """GLS pooling of stacked forecasts with design ``k``, one block of ``W`` at a time.
+def gls_pool(blocks, var: np.ndarray, n: int):
+    """GLS pooling of stacked forecasts onto their variables, one block of ``W`` at a time.
 
     ``blocks`` are ``W``'s diagonal blocks as ``(rows, Cholesky factor)`` pairs
-    (``CovarianceEstimate.blocks``); ``k`` is the selector ``K``, or ``K S``
-    when pooling onto the bottom variables. Returns ``(W_c, apply)`` with
-    ``W_c = (K' W^-1 K)^-1`` and ``apply(r) = W^-1 K r``, so the pooling
-    weights are ``Omega = apply(W_c)``.
+    (``CovarianceEstimate.blocks``); ``var`` is the variable of each stacked
+    row, so ``K = I_n[var]``, which is never built. Returns the n x n precision
+    ``K' W^-1 K`` and ``apply(r) = W^-1 K r``: ``_linalg.pooled_covariance``
+    inverts the precision into ``W_c``, and the weights are ``Omega = apply(W_c)``.
 
-    Block g with rows ``R_g`` touches only the columns ``cols_g`` where
-    ``K[R_g]`` is non-zero, so with ``K_g = K[R_g][:, cols_g]`` and
-    ``B_g = W_g^-1 K_g`` the pooled precision is the scatter-add
-    ``K' W^-1 K = sum_g K_g' B_g`` at ``(cols_g, cols_g)``, and
-    ``(W^-1 K r)[R_g] = B_g r[cols_g]``. The precision is factored once.
+    Block g with rows ``R_g`` touches only the variables ``cols_g`` of
+    ``var[R_g]``. With its 0/1 selector ``K_g = K[R_g][:, cols_g]`` and
+    ``B_g = W_g^-1 K_g``, the precision is ``sum_g K_g' B_g`` scattered at
+    ``(cols_g, cols_g)``, and ``(W^-1 K r)[R_g] = B_g r[cols_g]``. Only the
+    (row, variable) pairs of a block enter, so restacking rows and blocks by
+    variable (``P``) changes no ``K_g`` or ``B_g``.
 
     Dense patterns are the one-block case. Errors uncorrelated across experts
     (``bd_expert*``) give one block per expert j, touching its n_j variables.
@@ -157,26 +158,23 @@ def gls_pool(blocks, k: np.ndarray):
     Wickramasuriya, Athanasopoulos & Hyndman (JASA 2019) with a diagonal
     covariance.
     """
-    m, n = k.shape
     precision = np.zeros((n, n))
     parts = []
     for rows, factor in blocks:
-        k_g = k[rows]
-        cols = k_g.any(axis=0).nonzero()[0]
-        k_g = k_g[:, cols]
+        v = var[rows]
+        cols = np.flatnonzero(np.bincount(v))
+        k_g = (v[:, None] == cols).astype(float)
         b_g = cho_solve(factor, k_g)
         precision[cols[:, None], cols] += k_g.T @ b_g
         parts.append((rows, cols, b_g))
-    f_c = cho_factor_spd(symmetrize(precision), "combined-forecast precision")
-    w_c = symmetrize(cho_solve(f_c, np.eye(n)))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        out = np.empty((m, r.shape[1]))
+        out = np.empty((var.size, r.shape[1]))
         for rows, cols, b_g in parts:
             out[rows] = b_g @ r[cols]
         return out
 
-    return w_c, apply
+    return precision, apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +193,7 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
     ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``gls_pool``).
     Requires an SPD, untagged covariance of size m.
     """
-    w_c, apply = gls_pool(cov.blocks(panel.m), panel.K)
+    precision, apply = gls_pool(cov.blocks(panel.m), panel.var_idx, panel.n)
+    w_c = pooled_covariance(precision)
     omega = apply(w_c)
     return MultiTaskResult(y_c=omega.T @ panel.y_hat, Omega=omega, W_c=w_c)

@@ -91,12 +91,6 @@ class ConstraintSystem:
     def bottom_labels(self) -> tuple[str, ...]:
         return self.labels[self.n_u:]
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataError(f"unknown variable label {label!r}") from None
-
 
 def from_aggregation(A: np.ndarray, labels) -> ConstraintSystem:
     """Build a system from an aggregation matrix mapping bottom to upper variables.

@@ -16,7 +16,9 @@ A panel stores this structure as integer arrays:
   ``bv_order``, so variable i owns ``bv_order[var_start[i]:var_start[i + 1]]``.
 
 The paper's dense 0/1 matrices are properties built from these arrays on
-every access; none of them is stored:
+every access; none of them is stored, and no production code reads them (the
+solvers pool from ``var_idx``, see ``combiners.gls_pool``). They are views
+for the tests and for callers who want the paper's notation:
 
 * ``L_j`` (``selection(j)``, n_j x n): selects expert j's covered variables;
 * ``L``  (m x n*p): block-diagonal of the ``L_j``;

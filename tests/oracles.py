@@ -59,6 +59,11 @@ def gls_normal_equations(K, W, y_hat):
     return np.linalg.solve(a, K.T @ w_inv @ y_hat), np.linalg.inv(a)
 
 
+def dense_precision(W, K):
+    """The pooled precision ``K' W^-1 K`` through the explicit inverse of the dense ``W``."""
+    return K.T @ np.linalg.inv(W) @ K
+
+
 def dense_pool(W, K):
     """GLS pooling through one Cholesky solve of the whole dense ``W``.
 

@@ -92,6 +92,30 @@ def test_reconcile_is_byte_identical_on_rerun(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("cov", sorted(COV_CHOICES))
+def test_by_variable_routes_write_the_by_expert_bytes(tmp_path, cov):
+    """``zc-bv`` and ``struct-bv`` write the forecasts, weights and ``W_tilde`` of the
+    ``*-be`` routes byte for byte."""
+    written = {}
+    for formulation in ("zc-be", "zc-bv", "struct-be", "struct-bv"):
+        outs = [tmp_path / f"{formulation}-{name}.csv" for name in ("y", "psi", "w")]
+        assert run(
+            "reconcile",
+            "--constraints", SAMPLE / "constraints.json",
+            "--panel", SAMPLE / "panel.csv",
+            "--residuals", SAMPLE / "residuals.csv",
+            "--cov", cov,
+            "--method", "occ",
+            "--formulation", formulation,
+            "--output", outs[0],
+            "--emit-weights", outs[1],
+            "--emit-cov", outs[2],
+        ) == 0
+        written[formulation] = [out.read_bytes() for out in outs]
+    assert written["zc-bv"] == written["zc-be"]
+    assert written["struct-bv"] == written["struct-be"]
+
+
 @pytest.mark.parametrize("method", ["scr-ew", "scr-var", "scr-cov"])
 def test_reconcile_sequential_methods(tmp_path, method):
     out = tmp_path / "seq.csv"

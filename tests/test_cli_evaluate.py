@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -119,3 +120,25 @@ def test_dm_output_without_dm_exits_2(tmp_path, rng, capsys):
     assert code == 2
     assert "--dm-output" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_zero_benchmark_warning_is_one_json_line(tmp_path, capsys):
+    """The benchmark's zero loss on one series is reported on stderr as JSON, exit 0."""
+    paths = tmp_path / "actuals.csv", tmp_path / "forecasts.csv"
+    actual = {("a", q): q + 1.0 for q in range(10)} | {("b", q): 2.0 * q for q in range(10)}
+    paths[0].write_text("series,horizon,q,value\n" + "".join(
+        f"{s},1,{q},{v!r}\n" for (s, q), v in actual.items()))
+    shift = {("ew", "a"): 0.0, ("ew", "b"): 0.5, ("other", "a"): 1.0, ("other", "b"): 1.0}
+    paths[1].write_text("method,series,horizon,q,value\n" + "".join(
+        f"{m},{s},1,{q},{v + shift[m, s]!r}\n" for m in ("ew", "other")
+        for (s, q), v in actual.items()))
+    out = tmp_path / "accuracy.csv"
+    code = main(["evaluate", "--actuals", str(paths[0]), "--forecasts", str(paths[1]),
+                 "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0 and out.exists()
+    assert "UserWarning" not in err
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "code": "warning",
+        "message": "excluded 2 zero-benchmark cells from the relative indices"}

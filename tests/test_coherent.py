@@ -25,7 +25,8 @@ from cocomb.coherent import FORMULATIONS, fit
 from cocomb.covariance import ESTIMATORS, PATTERNS
 from conftest import random_panel, random_spd, random_system
 from oracles import (
-    dense_pool, dense_struct, dense_zc, kkt_residual, kkt_solve, orthogonal_projector)
+    dense_pool, dense_precision, dense_struct, dense_zc, kkt_residual, kkt_solve,
+    orthogonal_projector)
 
 HIER_A = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
 HIER_LABELS = ["X", "A", "B", "AA", "AB", "BA", "BB"]
@@ -458,7 +459,12 @@ def _coherence(sys, y):
 @settings(derandomize=True, deadline=None, database=None, max_examples=15)
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-3, 6))
 def test_every_fit_is_psi_applied_once_and_coherent(balanced, seed, log_scale):
-    """Every fit method on every covariance pattern returns ``Psi' y_hat``, coherent."""
+    """Every fit method on every covariance pattern returns ``Psi' y_hat``, coherent.
+
+    Its weights also return a coherent forecast that every expert shares
+    unchanged (``Psi' K S = S``), and where ``W_c`` is filled the reconciled
+    covariance lies below it in the Loewner order (``W_tilde <= W_c``).
+    """
     rng = np.random.default_rng(seed)
     sys = random_system(rng)
     panel = random_panel(rng, sys, balanced=balanced)
@@ -480,6 +486,11 @@ def test_every_fit_is_psi_applied_once_and_coherent(balanced, seed, log_scale):
             case = (pattern, method, formulation)
             assert np.array_equal(res.y_tilde, res.Psi.T @ pan.y_hat), case
             assert _coherence(sys, res.y_tilde) <= 1e-9, case
+            assert np.abs(res.Psi.T @ pan.K @ sys.S - sys.S).max() <= 1e-9, case
+            if res.W_c is not None:
+                gap = res.W_c - res.W_tilde
+                min_eig = np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()
+                assert min_eig >= -1e-9 * np.abs(res.W_c).max(), case
 
 
 @pytest.mark.parametrize("spread", [1e6, 1e9, 1e12])
@@ -537,18 +548,32 @@ def test_coherent_when_a_sole_expert_is_far_noisier(formulation, rng):
 @settings(derandomize=True, deadline=None, database=None, max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_structural_routes_pool_through_the_exact_k_s(balanced, seed):
-    """The row gather ``S[var]`` that ``_struct`` pools through equals ``K S`` exactly."""
+    """Every formulation pools the panel's own ``var_idx`` into the dense ``K' W^-1 K``.
+
+    The zero-constrained routes invert that precision, the structural ones
+    ``S' K' W^-1 K S``, the dense ``(K S)' W^-1 (K S)``.
+    """
     rng = np.random.default_rng(seed)
     sys = random_system(rng)
     panel = random_panel(rng, sys, balanced=balanced)
-    cov = as_covariance(random_spd(rng, panel.m))
-    designs = []
-    gls_pool = coherent.gls_pool
+    w = random_spd(rng, panel.m)
+    pooled, inverted = [], []
+    gls_pool, pooled_covariance = coherent.gls_pool, coherent.pooled_covariance
+
+    def pool(blocks, var, n):
+        precision, apply = gls_pool(blocks, var, n)
+        pooled.append((var, n, precision))
+        return precision, apply
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coherent, "gls_pool",
-                      lambda blocks, k: designs.append(k) or gls_pool(blocks, k))
-        for formulation in ("struct_be", "struct_bv"):
-            occ(panel, sys, cov, formulation)
-    be, bv = designs
-    assert np.array_equal(be, panel.K @ sys.S)
-    assert np.array_equal(bv, panel.J @ sys.S)  # J = K[bv_order]
+        patch.setattr(coherent, "gls_pool", pool)
+        patch.setattr(coherent, "pooled_covariance",
+                      lambda a: inverted.append(a) or pooled_covariance(a))
+        for formulation in FORMULATIONS:
+            occ(panel, sys, as_covariance(w), formulation)
+    assert len(pooled) == len(inverted) == len(FORMULATIONS)
+    for formulation, (var, n, precision), a in zip(FORMULATIONS, pooled, inverted):
+        assert var is panel.var_idx and n == sys.n, formulation
+        _assert_close(precision, dense_precision(w, panel.K))
+        k = panel.K @ sys.S if formulation.startswith("struct") else panel.K
+        _assert_close(a, dense_precision(w, k))

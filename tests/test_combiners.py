@@ -133,9 +133,9 @@ def test_by_variable_pool_is_per_variable_gls(rng, monkeypatch, shrink_blocks, b
     variable i's rows of ``Omega`` hold ``Sigma_i^-1 1 / 1' Sigma_i^-1 1`` in
     column i and exact zeros elsewhere."""
     factored = []
-    factor = cocomb.combiners.cho_factor_spd
-    monkeypatch.setattr(cocomb.combiners, "cho_factor_spd",
-                        lambda a, what: factored.append(np.array(a)) or factor(a, what))
+    invert = cocomb.combiners.pooled_covariance
+    monkeypatch.setattr(cocomb.combiners, "pooled_covariance",
+                        lambda a: factored.append(np.array(a)) or invert(a))
     for _ in range(10):
         sys = random_system(rng)
         panel = random_panel(rng, sys, balanced=balanced)
