@@ -3,8 +3,9 @@
 Every run writes its outputs atomically (rows streamed into a temp file, then
 renamed) and drops a ``<output>.manifest.json`` recording the command, every
 option as parsed (read from the click context) and the library version, so
-reruns from the same inputs are byte-identical. Numeric output is printed with
-17 significant digits and round-trips exactly.
+reruns from the same inputs are byte-identical. ``_write_table`` writes every
+table: labels quoted once by ``csv.writer`` and ``%``-escaped, one ``%.17g`` slot
+per value (17 digits round-trip), and one ``template % values`` per row.
 
 Every label-keyed CSV (panel, residual, actuals, forecasts) goes through one
 reader, ``_read_columns``: it takes ``csv.reader`` rows ``_CHUNK_ROWS`` at a
@@ -34,6 +35,7 @@ successful run (``"code": "warning"``), go to stderr as JSON lines.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -70,10 +72,6 @@ COV_CHOICES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _dashed(names) -> list[str]:
     """Library names (``ow_var``) as the command line spells them (``ow-var``)."""
     return [name.replace("_", "-") for name in names]
@@ -97,12 +95,17 @@ def _atomic_file(path: Path):
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``header`` and the (lazily produced) ``rows`` atomically to ``path``."""
+def _fields(*fields) -> str:
+    """``fields`` as ``csv.writer`` writes them mid-row (a lone "" gets quotes), ``%``-escaped."""
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow([*fields, ""])
+    return buf.getvalue()[:-2].replace("%", "%%")
+
+
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and each ``(template, values)`` row as ``template % values``."""
     with _atomic_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_fields(*header) % () + "\n")
+        fh.writelines(template % values for template, values in rows)
 
 
 def _write_manifest(**resolved) -> None:
@@ -233,14 +236,11 @@ def _read_residual_csv(path: Path, panel) -> np.ndarray:
 
 
 def _write_forecasts(path: Path, horizons: list[int], y: np.ndarray, labels) -> None:
-    """Write the n x H forecasts ``y``, one column per horizon."""
-    if horizons == [1]:
-        rows = ([label, _fmt(v)] for label, v in zip(labels, y[:, 0]))
-        _write_csv(path, ["series", "value"], rows)
-    else:
-        rows = ([label, h, _fmt(v)]
-                for h, y_h in zip(horizons, y.T) for label, v in zip(labels, y_h))
-        _write_csv(path, ["series", "horizon", "value"], rows)
+    """Write the n x H forecasts ``y``, one n-line template per horizon (a lone 1: no column)."""
+    single, quoted = horizons == [1], [_fields(label) for label in labels]
+    _write_table(path, ["series", "value"] if single else ["series", "horizon", "value"], (
+        ("".join(f"{q},%.17g\n" if single else f"{q},{h},%.17g\n" for q in quoted),
+         tuple(y_h.tolist())) for h, y_h in zip(horizons, y.T)))
 
 
 # -- command group ---------------------------------------------------------------
@@ -323,16 +323,15 @@ def reconcile(constraints, panel, residuals, cov, output, method, formulation,
     res = fit(method.replace("-", "_"), frame, sys_, resid, est, formulation.replace("-", "_"))
     _write_forecasts(output, horizons, res.Psi.T @ y_hat, sys_.labels)
 
-    if emit_weights is not None:
-        labels, experts = frame.labels, frame.experts
-        _write_csv(emit_weights, ["expert", "series", "target", "weight"], (
-            [experts[j], labels[i], labels[k], _fmt(w)]
-            for (i, j), psi_r in zip(frame.pairs, res.Psi)
-            for k, w in enumerate(psi_r.tolist())
+    if emit_weights is not None:  # one template of n lines per row of Psi
+        tails = ["", *(f",{_fields(target)},%.17g\n" for target in frame.labels)]
+        _write_table(emit_weights, ["expert", "series", "target", "weight"], (
+            (_fields(frame.experts[j], frame.labels[i]).join(tails), tuple(psi_r.tolist()))
+            for i, j, psi_r in zip(frame.var_idx.tolist(), frame.exp_idx.tolist(), res.Psi)
         ))
     if emit_cov is not None:
-        _write_csv(emit_cov, ["series"] + list(sys_.labels), (
-            [label] + [_fmt(v) for v in row.tolist()]
+        _write_table(emit_cov, ["series", *sys_.labels], (
+            (_fields(label) + ",%.17g" * len(row) + "\n", tuple(row.tolist()))
             for label, row in zip(sys_.labels, res.W_tilde)
         ))
     _write_manifest()
@@ -365,10 +364,9 @@ def simulate(setting, p, n_train, test_len, reps, seed, balanced, error_corr, me
         replications=reps, seed=seed, balanced=balanced,
         error_corr=error_corr.replace("-", "_"),
     )
-    rows = run_experiment(cfg, method_keys, n_jobs=jobs).summary_rows()
-    _write_csv(output, list(rows[0]), (  # the accuracies are the floats
-        [_fmt(v) if isinstance(v, float) else v for v in row.values()] for row in rows
-    ))
+    rows = run_experiment(cfg, method_keys, n_jobs=jobs).summary_rows()  # accuracies last
+    _write_table(output, list(rows[0]), ((_fields(*r[:-2]) + ",%.17g,%.17g\n", r[-2:])
+                                         for r in [tuple(row.values()) for row in rows]))
     _write_manifest()
 
 
@@ -488,12 +486,12 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
                 significant = p < 0.05
                 wins[a, b] = (significant & (stat < 0)).sum(axis=1)
                 wins[b, a] = significant.sum(axis=1) - wins[a, b]
-                dm_rows += ([loss_name, h, methods[i], methods[j], _fmt(100.0 * w / len(series))]
-                            for (i, j), w in np.ndenumerate(wins) if i != j)
-        _write_csv(dm_output,
-                   ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
-    _write_csv(output, ["metric", "method", "horizon", "value"], (
-        [metric, m, h, _fmt(overall[m] if h == "all" else per_h[m][h])]
+                dm_rows += ((_fields(loss_name, h, methods[i], methods[j]) + ",%.17g\n", (v,))
+                            for (i, j), v in np.ndenumerate(100.0 * wins / len(series)) if i != j)
+        _write_table(dm_output,
+                     ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"], dm_rows)
+    _write_table(output, ["metric", "method", "horizon", "value"], (
+        (_fields(metric, m, h) + ",%.17g\n", (overall[m] if h == "all" else per_h[m][h],))
         for metric, per_h, overall in (("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
                                        ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse))
         for m in table.methods for h in (*table.horizons, "all")

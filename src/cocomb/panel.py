@@ -15,11 +15,12 @@ A panel stores this structure as integer arrays:
 * ``var_start``: the n + 1 offsets of each variable's rows within
   ``bv_order``, so variable i owns ``bv_order[var_start[i]:var_start[i + 1]]``.
 
-The paper's dense 0/1 matrices are properties built from these arrays on
-every access; none of them is stored, and no production code reads them (the
-solvers pool from ``var_idx``, see ``combiners.gls_pool``). They are views
-for the tests and for callers who want the paper's notation:
+The paper's dense 0/1 matrices and ``pairs`` are built from these arrays on
+every access; none is stored or read by production code (``combiners.gls_pool``
+pools from ``var_idx``, the CLI writes from ``var_idx`` and ``exp_idx``). They
+are views for the tests and for callers who want the paper's notation:
 
+* ``pairs``: the ``(var_idx[r], exp_idx[r])`` tuples, one per by-expert row;
 * ``L_j`` (``selection(j)``, n_j x n): selects expert j's covered variables;
 * ``L``  (m x n*p): block-diagonal of the ``L_j``;
 * ``K``  (m x n): the stacked ``L_j``, row r is the unit vector of ``var_idx[r]``;

@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: explicit inverses, naive
 loops and dense block solves instead of Cholesky pipelines, one scalar DM test
-per pair of loss series, and CSV readers that take one ``csv.DictReader`` row
-at a time.
+per pair of loss series, CSV readers that take one ``csv.DictReader`` row at a
+time, and CSV writers that pass one list per row to ``csv.writer``, each float
+formatted on its own by ``format(x, ".17g")``.
 """
 
 from __future__ import annotations
@@ -394,3 +395,64 @@ def read_eval_csv(path, what, label_cols, horizons, keep=()):
     grid = np.empty(shape)
     grid.reshape(-1)[flat] = values
     return names, keys, grid
+
+
+def fmt(x) -> str:
+    """One float with 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """``header`` and then each row, one list per row, through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_forecasts(path, horizons, y, labels) -> None:
+    """The CLI's forecast table: the n x H ``y``, no horizon column for a lone horizon 1."""
+    if horizons == [1]:
+        write_csv(path, ["series", "value"],
+                  ([label, fmt(v)] for label, v in zip(labels, y[:, 0])))
+    else:
+        write_csv(path, ["series", "horizon", "value"],
+                  ([label, h, fmt(v)]
+                   for h, y_h in zip(horizons, y.T) for label, v in zip(labels, y_h)))
+
+
+def write_weights(path, panel, psi) -> None:
+    """``reconcile --emit-weights``: one (expert, series, target, weight) row per cell."""
+    write_csv(path, ["expert", "series", "target", "weight"], (
+        [panel.experts[j], panel.labels[i], panel.labels[k], fmt(w)]
+        for (i, j), psi_r in zip(panel.pairs, psi)
+        for k, w in enumerate(psi_r.tolist())
+    ))
+
+
+def write_cov(path, labels, w_tilde) -> None:
+    """``reconcile --emit-cov``: one row per series, one column per series."""
+    write_csv(path, ["series"] + list(labels),
+              ([label] + [fmt(v) for v in row.tolist()] for label, row in zip(labels, w_tilde)))
+
+
+def write_summary(path, rows) -> None:
+    """``simulate``'s table from ``summary_rows()``: floats formatted, other fields as is."""
+    write_csv(path, list(rows[0]),
+              ([fmt(v) if isinstance(v, float) else v for v in row.values()] for row in rows))
+
+
+def write_accuracy(path, table) -> None:
+    """``evaluate``'s accuracy table: per-horizon and overall relative indices per method."""
+    write_csv(path, ["metric", "method", "horizon", "value"], (
+        [metric, m, h, fmt(overall[m] if h == "all" else per_h[m][h])]
+        for metric, per_h, overall in (("avg_rel_mae", table.avg_rel_mae_h, table.avg_rel_mae),
+                                       ("avg_rel_mse", table.avg_rel_mse_h, table.avg_rel_mse))
+        for m in table.methods for h in (*table.horizons, "all")
+    ))
+
+
+def write_dm(path, rows) -> None:
+    """``evaluate --dm``'s table from ``dm_win_table`` rows."""
+    write_csv(path, ["loss", "horizon", "method_a", "method_b", "pct_more_accurate"],
+              ([loss, h, a, b, fmt(pct)] for loss, h, a, b, pct in rows))
