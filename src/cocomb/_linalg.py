@@ -39,7 +39,8 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """``(a + a') / 2`` for a matrix or each matrix of a stack on the last two axes."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def pooled_covariance(precision: np.ndarray) -> np.ndarray:

@@ -351,7 +351,8 @@ def reconcile(constraints, panel, residuals, cov, output, method, formulation,
 @click.option("--methods", default="ew,scr-ew,occ-be", show_default=True,
               help=f"Comma-separated: {', '.join(_dashed(SIMULATION_METHODS))}.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel replication workers; results are identical to a serial run.")
+              help="Worker processes, each given chunks of replications; results are "
+                   "identical to a serial run.")
 @click.option("--output", required=True, type=Path)
 def simulate(setting, p, n_train, test_len, reps, seed, balanced, error_corr, methods,
              jobs, output):

@@ -168,7 +168,8 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
     """Load a constraint system from JSON or CSV.
 
     JSON accepts either ``{"A": [[...]], "upper": [...], "bottom": [...]}`` or
-    ``{"C": [[...]], "vars": [...]}``, labels as lists of strings. CSV holds a
+    ``{"C": [[...]], "vars": [...]}``, labels as lists of strings, each
+    stripped of surrounding whitespace like every CSV label. CSV holds a
     header row of variable names followed by one row of coefficients per
     constraint (general C form).
     """
@@ -194,7 +195,7 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
 
         def names(key):
             if isinstance(payload[key], list) and all(isinstance(x, str) for x in payload[key]):
-                return payload[key]
+                return [x.strip() for x in payload[key]]
             raise DataError(f"'{key}' in constraint JSON must be a list of strings")
 
         if "A" in payload:

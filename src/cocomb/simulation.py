@@ -13,7 +13,11 @@ Six parameter settings vary the expert bias, factor loadings, error variance
 and factor persistence; expert participation is either balanced or governed by
 a two-state (frequent/infrequent) participation mechanism. Replications carry
 independent, counter-based random streams derived from (seed, replication
-index), so parallel and serial runs produce identical results.
+index). A chunk of replications is drawn (expert parameters, raw
+correlations), projected (one stacked ``nearest_correlation`` per matrix size)
+and finished one at a time as it is fitted (factors, noise, mask). Projecting
+draws nothing and follows each matrix's solo iteration, so neither chunking
+nor parallel runs change a bit.
 
 Each method is a single-task scheme or a ``coherent.fit`` method on one
 covariance pattern (``_METHOD_FITS``), or one expert's raw or reconciled
@@ -73,6 +77,8 @@ INFREQUENT_STAY = 0.50
 INFREQUENT_ENTER = 0.20
 FREQUENT_SHARE = 0.40
 
+_CHUNK = 64  # replications drawn and projected together (module docstring)
+
 
 def dgp_system() -> ConstraintSystem:
     """The fixed 7-variable, 4-bottom hierarchy used by the simulation."""
@@ -82,35 +88,38 @@ def dgp_system() -> ConstraintSystem:
 def nearest_correlation(
     r0: np.ndarray, tol: float = 1e-9, max_iter: int = 100, pd_floor: float = 1e-8
 ) -> np.ndarray:
-    """Closest correlation matrix by alternating projections.
+    """Closest correlation matrix to a (d, d) matrix or each of a (k, d, d) stack.
 
-    Dykstra-corrected alternation between the positive semidefinite cone and
-    the unit-diagonal subspace, followed by an eigenvalue floor and diagonal
-    rescale so the result supports a Cholesky draw. Raises after ``max_iter``
-    steps without convergence.
+    Dykstra-corrected alternation (Higham 2002) between the positive
+    semidefinite cone and the unit-diagonal subspace, followed by an eigenvalue
+    floor and diagonal rescale so the result supports a Cholesky draw. A stack
+    member leaves the loop once converged, so it gets its solo bits. Raises
+    after ``max_iter`` steps while any member has not converged.
     """
-    a = symmetrize(np.asarray(r0, dtype=float))
-    y = a.copy()
-    ds = np.zeros_like(a)
+    r0 = np.asarray(r0, dtype=float)
+    y = symmetrize(r0.reshape(-1, *r0.shape[-2:]))
+    ds, out = np.zeros_like(y), np.empty_like(y)
+    live, diag = np.arange(len(y)), np.arange(y.shape[-1])
     for _ in range(max_iter):
         rk = y - ds
         w, v = np.linalg.eigh(rk)
-        x = symmetrize((v * np.clip(w, 0.0, None)) @ v.T)
+        x = symmetrize((v * np.clip(w, 0.0, None)[:, None]) @ np.swapaxes(v, -1, -2))
         ds = x - rk
         y_new = x.copy()
-        np.fill_diagonal(y_new, 1.0)
-        if np.max(np.abs(y_new - y)) <= tol and np.max(np.abs(y_new - x)) <= tol:
-            y = y_new
+        y_new[:, diag, diag] = 1.0
+        done = np.maximum(np.abs(y_new - y), np.abs(y_new - x)).max(axis=(1, 2)) <= tol
+        out[live[done]] = y_new[done]
+        live, y, ds = live[~done], y_new[~done], ds[~done]
+        if not live.size:
             break
-        y = y_new
     else:
         raise NumericalError(f"nearest-correlation projection did not converge in {max_iter} steps")
-    w, v = np.linalg.eigh(symmetrize(y))
-    x = symmetrize((v * np.clip(w, pd_floor, None)) @ v.T)
-    d = np.sqrt(np.diag(x))
-    x = x / np.outer(d, d)
-    np.fill_diagonal(x, 1.0)
-    return symmetrize(x)
+    w, v = np.linalg.eigh(symmetrize(out))
+    x = symmetrize((v * np.clip(w, pd_floor, None)[:, None]) @ np.swapaxes(v, -1, -2))
+    d = np.sqrt(x[:, diag, diag])
+    x = x / (d[:, :, None] * d[:, None])
+    x[:, diag, diag] = 1.0
+    return symmetrize(x).reshape(r0.shape)
 
 
 @dataclass(frozen=True)
@@ -205,12 +214,12 @@ def _expert_params(cfg: SimulationConfig, rng: np.random.Generator):
     return mu, beta, sigma2
 
 
-def _random_correlation(rng: np.random.Generator, size: int) -> np.ndarray:
+def _raw_correlation(rng: np.random.Generator, size: int) -> np.ndarray:
     raw = np.eye(size)
     iu = np.triu_indices(size, k=1)
     raw[iu] = rng.uniform(-1.0, 1.0, size=len(iu[0]))
     raw.T[iu] = raw[iu]
-    return nearest_correlation(raw)
+    return raw
 
 
 def _participation_mask(cfg: SimulationConfig, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -233,57 +242,61 @@ def _participation_mask(cfg: SimulationConfig, rng: np.random.Generator, n: int)
             return mask
 
 
+def _replications(cfg: SimulationConfig, reps, sys: ConstraintSystem):
+    """Yield the replications ``reps`` in order: draw, project, then finish lazily."""
+    n, n_b, T, phi = sys.n, sys.n_b, cfg.total_len, cfg.var_coef
+    drawn, raw_bottom, raw_expert = [], [], []
+    for rep in reps:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, rep]))
+        drawn.append((rng, _expert_params(cfg, rng)))
+        raw_bottom.append(_raw_correlation(rng, n_b))
+        if cfg.error_corr == "random_spd":
+            raw_expert += [_raw_correlation(rng, n) for _ in range(cfg.p)]
+    bottoms = nearest_correlation(np.stack(raw_bottom))
+    thetas = (nearest_correlation(np.stack(raw_expert)).reshape(-1, cfg.p, n, n) if raw_expert
+              else np.broadcast_to(np.eye(n), (len(drawn), cfg.p, n, n)))
+    for (rng, (mu, beta, sigma2)), bottom_corr, theta in zip(drawn, bottoms, thetas):
+        innovations = rng.standard_normal((T, n_b, 2))
+        if phi == 0.0:
+            factors = innovations
+        else:
+            factors = np.empty_like(innovations)
+            state = rng.standard_normal((n_b, 2)) / np.sqrt(1.0 - phi**2)
+            for t in range(T):
+                state = phi * state + innovations[t]
+                factors[t] = state
+
+        chol_bottom = np.linalg.cholesky(bottom_corr)
+        eta = rng.standard_normal((T, n_b)) @ chol_bottom.T
+        bottom = factors[:, :, 0] + factors[:, :, 1] + eta
+        actuals = bottom @ sys.S.T
+
+        # expert error scale: variance proportional to the number of aggregated
+        # bottom series at each node; each expert has its own error correlation
+        agg_size = sys.S @ np.ones(n_b)
+        forecasts = np.empty((cfg.p, T, n))
+        for j in range(cfg.p):
+            systematic = mu[j] + beta[j, 0] * factors[:, :, 0] + beta[j, 1] * factors[:, :, 1]
+            scale = np.sqrt(sigma2[j] * agg_size)
+            chol_err = scale[:, None] * np.linalg.cholesky(theta[j])
+            noise = rng.standard_normal((T, n)) @ chol_err.T
+            forecasts[j] = systematic @ sys.S.T + noise
+
+        if cfg.balanced:
+            availability = np.ones((n, cfg.p), dtype=bool)
+        else:
+            availability = _participation_mask(cfg, rng, n)
+        yield Replication(actuals=actuals, forecasts=forecasts, availability=availability)
+
+
 def generate_replication(cfg: SimulationConfig, rep_index: int) -> Replication:
     """Simulate one replication of actuals and per-expert base forecasts.
 
     Returns (n_train + test_len) observations of the 7-variable hierarchy
     together with the p experts' forecasts and the availability mask. Output
-    is a pure function of (cfg.seed, rep_index).
+    is a pure function of (cfg.seed, rep_index), whatever chunk it is in.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, rep_index]))
-    sys = dgp_system()
-    n, n_b = sys.n, sys.n_b
-    T = cfg.total_len
-    mu, beta, sigma2 = _expert_params(cfg, rng)
-
-    bottom_corr = _random_correlation(rng, n_b) if n_b > 1 else np.eye(1)
-    if cfg.error_corr == "random_spd":
-        thetas = [_random_correlation(rng, n) for _ in range(cfg.p)]
-    else:
-        thetas = [np.eye(n)] * cfg.p
-
-    phi = cfg.var_coef
-    innovations = rng.standard_normal((T, n_b, 2))
-    if phi == 0.0:
-        factors = innovations
-    else:
-        factors = np.empty_like(innovations)
-        state = rng.standard_normal((n_b, 2)) / np.sqrt(1.0 - phi**2)
-        for t in range(T):
-            state = phi * state + innovations[t]
-            factors[t] = state
-
-    chol_bottom = np.linalg.cholesky(bottom_corr)
-    eta = rng.standard_normal((T, n_b)) @ chol_bottom.T
-    bottom = factors[:, :, 0] + factors[:, :, 1] + eta
-    actuals = bottom @ sys.S.T
-
-    # expert error scale: variance proportional to the number of aggregated
-    # bottom series at each node; each expert has its own error correlation
-    agg_size = sys.S @ np.ones(n_b)
-    forecasts = np.empty((cfg.p, T, n))
-    for j in range(cfg.p):
-        systematic = mu[j] + beta[j, 0] * factors[:, :, 0] + beta[j, 1] * factors[:, :, 1]
-        scale = np.sqrt(sigma2[j] * agg_size)
-        chol_err = scale[:, None] * np.linalg.cholesky(thetas[j])
-        noise = rng.standard_normal((T, n)) @ chol_err.T
-        forecasts[j] = systematic @ sys.S.T + noise
-
-    if cfg.balanced:
-        availability = np.ones((n, cfg.p), dtype=bool)
-    else:
-        availability = _participation_mask(cfg, rng, n)
-    return Replication(actuals=actuals, forecasts=forecasts, availability=availability)
+    return next(_replications(cfg, [rep_index], dgp_system()))
 
 
 # -- per-replication method evaluation ----------------------------------------
@@ -334,9 +347,8 @@ def _method_weights(
     return weights
 
 
-def _replication_accuracy(cfg: SimulationConfig, rep_index: int, methods: tuple[str, ...]):
-    data = generate_replication(cfg, rep_index)
-    sys = dgp_system()
+def _replication_accuracy(cfg: SimulationConfig, data: Replication, sys: ConstraintSystem,
+                          methods: tuple[str, ...]):
     panel = from_availability(data.availability, sys)
     n_train = cfg.n_train
     resid = residuals_from_arrays(panel, data.actuals[:n_train], data.forecasts[:, :n_train])
@@ -353,6 +365,12 @@ def _replication_accuracy(cfg: SimulationConfig, rep_index: int, methods: tuple[
         mae[k] = np.abs(err).mean(axis=1)
         mse[k] = (err**2).mean(axis=1)
     return mae, mse
+
+
+def _chunk_accuracy(cfg: SimulationConfig, reps: range, methods: tuple[str, ...]):
+    sys = dgp_system()
+    return [_replication_accuracy(cfg, data, sys, methods)
+            for data in _replications(cfg, reps, sys)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,37 +426,22 @@ def run_experiment(
             raise DataError(f"methods {blocked} are limited to balanced panels")
     wanted = methods if "ew" in methods else ("ew",) + methods
 
+    reps = range(cfg.replications)
+    step = min(_CHUNK, -(-len(reps) // n_jobs))  # every worker gets a chunk
+    chunks = [reps[lo:lo + step] for lo in range(0, len(reps), step)]
+    args = ([cfg] * len(chunks), chunks, [wanted] * len(chunks))
     if n_jobs == 1:
-        per_rep = [
-            _replication_accuracy(cfg, rep, wanted) for rep in range(cfg.replications)
-        ]
+        per_chunk = list(map(_chunk_accuracy, *args))
     else:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            per_rep = list(
-                pool.map(
-                    _replication_accuracy,
-                    [cfg] * cfg.replications,
-                    range(cfg.replications),
-                    [wanted] * cfg.replications,
-                )
-            )
+            per_chunk = list(pool.map(_chunk_accuracy, *args))
+    mae_all, mse_all = map(np.stack, zip(*[acc for chunk in per_chunk for acc in chunk]))
 
-    mae_all = np.stack([mae for mae, _ in per_rep])
-    mse_all = np.stack([mse for _, mse in per_rep])
-    ew_pos = wanted.index("ew")
-    mae = {m: mae_all[:, k, :] for k, m in enumerate(wanted)}
-    mse = {m: mse_all[:, k, :] for k, m in enumerate(wanted)}
-    avg_rel_mae = {
-        m: float(np.exp(np.mean(np.log(mae[m] / mae_all[:, ew_pos, :])))) for m in methods
-    }
-    avg_rel_mse = {
-        m: float(np.exp(np.mean(np.log(mse[m] / mse_all[:, ew_pos, :])))) for m in methods
-    }
-    return ExperimentResult(
-        config=cfg,
-        methods=methods,
-        mae={m: mae[m] for m in methods},
-        mse={m: mse[m] for m in methods},
-        avg_rel_mae=avg_rel_mae,
-        avg_rel_mse=avg_rel_mse,
-    )
+    def per_method(loss_all):  # (replication, method, variable) -> losses, relative index
+        ew = loss_all[:, wanted.index("ew"), :]
+        loss = {m: loss_all[:, wanted.index(m), :] for m in methods}
+        return loss, {m: float(np.exp(np.mean(np.log(loss[m] / ew)))) for m in methods}
+
+    (mae, avg_rel_mae), (mse, avg_rel_mse) = per_method(mae_all), per_method(mse_all)
+    return ExperimentResult(config=cfg, methods=methods, mae=mae, mse=mse,
+                            avg_rel_mae=avg_rel_mae, avg_rel_mse=avg_rel_mse)

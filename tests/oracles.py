@@ -2,9 +2,10 @@
 
 These deliberately avoid the production code paths: explicit inverses, naive
 loops and dense block solves instead of Cholesky pipelines, one scalar DM test
-per pair of loss series, CSV readers that take one ``csv.DictReader`` row at a
-time, and CSV writers that pass one list per row to ``csv.writer``, each float
-formatted on its own by ``format(x, ".17g")``.
+per pair of loss series, one nearest-correlation projection per matrix, CSV
+readers that take one ``csv.DictReader`` row at a time, and CSV writers that
+pass one list per row to ``csv.writer``, each float formatted on its own by
+``format(x, ".17g")``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from cocomb.exceptions import DataError
+from cocomb.exceptions import DataError, NumericalError
 
 
 def kkt_solve(K, W, C, y_hat):
@@ -201,6 +202,41 @@ def dm_win_table(actuals, forecasts, methods, series, horizon_list):
                             wins += 1
                     rows.append((loss_name, h, m_a, m_b, 100.0 * wins / len(series)))
     return rows
+
+
+def nearest_correlation_scalar(r0, tol=1e-9, max_iter=100, pd_floor=1e-8):
+    """Closest correlation matrix to one (d, d) matrix by alternating projections.
+
+    The per-matrix loop that ``simulation.nearest_correlation`` runs on a
+    whole stack: Dykstra-corrected alternation between the semidefinite cone
+    and the unit diagonal, then an eigenvalue floor and a diagonal rescale.
+    """
+
+    def symmetrize(a):
+        return 0.5 * (a + a.T)
+
+    a = symmetrize(np.asarray(r0, dtype=float))
+    y = a.copy()
+    ds = np.zeros_like(a)
+    for _ in range(max_iter):
+        rk = y - ds
+        w, v = np.linalg.eigh(rk)
+        x = symmetrize((v * np.clip(w, 0.0, None)) @ v.T)
+        ds = x - rk
+        y_new = x.copy()
+        np.fill_diagonal(y_new, 1.0)
+        if np.max(np.abs(y_new - y)) <= tol and np.max(np.abs(y_new - x)) <= tol:
+            y = y_new
+            break
+        y = y_new
+    else:
+        raise NumericalError(f"nearest-correlation projection did not converge in {max_iter} steps")
+    w, v = np.linalg.eigh(symmetrize(y))
+    x = symmetrize((v * np.clip(w, pd_floor, None)) @ v.T)
+    d = np.sqrt(np.diag(x))
+    x = x / np.outer(d, d)
+    np.fill_diagonal(x, 1.0)
+    return symmetrize(x)
 
 
 def method_weights_chain(method, panel, sys, resid, cache):

@@ -280,6 +280,40 @@ def test_malformed_constraint_json_exits_3_without_output(tmp_path, capsys, case
     assert not out.exists()
 
 
+def reconcile_sample(constraints, out):
+    return main(["reconcile", "--constraints", str(constraints),
+                 "--panel", str(SAMPLE / "panel.csv"),
+                 "--residuals", str(SAMPLE / "residuals.csv"), "--output", str(out)])
+
+
+@pytest.mark.parametrize("text", [
+    '{"A": [[1, 1]], "upper": [" total"], "bottom": ["east ", " west "]}',
+    '{"C": [[1, -1, -1]], "vars": ["total ", " east", " west "]}',
+])
+def test_padded_json_labels_match_the_panel_labels(tmp_path, text):
+    # JSON labels are stripped like every CSV label, so " east" names the panel's east
+    padded = tmp_path / "padded.json"
+    padded.write_text(text)
+    plain_out, padded_out = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    assert reconcile_sample(SAMPLE / "constraints.json", plain_out) == 0
+    assert reconcile_sample(padded, padded_out) == 0
+    assert padded_out.read_bytes() == plain_out.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    '{"A": [[1, 1]], "upper": ["total"], "bottom": ["east", " east"]}',
+    '{"C": [[1, -1, -1]], "vars": ["total", "west ", " west"]}',
+])
+def test_json_labels_equal_once_stripped_exit_3(tmp_path, capsys, text):
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(text)
+    out = tmp_path / "coherent.csv"
+    assert reconcile_sample(constraints, out) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema" and "labels must be unique" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_simulate_jobs_below_one_exits_2(tmp_path, capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomb import (
     DataError,
@@ -10,14 +12,19 @@ from cocomb import (
     nearest_correlation,
     run_experiment,
 )
+from cocomb import simulation
+from cocomb.exceptions import NumericalError
 from cocomb.panel import from_availability, residuals_from_arrays
 from cocomb.simulation import (
     SIMULATION_METHODS,
     _BALANCED_ONLY,
     _method_weights,
     _participation_mask,
+    _raw_correlation,
+    _replication_accuracy,
+    _replications,
 )
-from oracles import method_weights_chain
+from oracles import method_weights_chain, nearest_correlation_scalar
 
 
 def test_dgp_system_shape():
@@ -106,6 +113,52 @@ def test_nearest_correlation_properties(rng):
     np.testing.assert_allclose(nearest_correlation(good), good, atol=1e-8)
 
 
+def _projection_input(rng, d, kind):
+    """A raw draw (about 20 projection steps), a valid correlation matrix (one
+    step), or a rank-2 correlation matrix with a small hollow symmetric
+    perturbation (near singular, 10-30 steps)."""
+    if kind == "raw":
+        return _raw_correlation(rng, d)
+    x = rng.standard_normal((d, 2 * d if kind == "valid" else 2))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    if kind == "valid":
+        return x @ x.T
+    e = rng.uniform(-1e-3, 1e-3, size=(d, d))
+    e = e + e.T
+    np.fill_diagonal(e, 0.0)
+    return x @ x.T + e
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([4, 7]),
+    kinds=st.lists(st.sampled_from(["raw", "valid", "near_singular"]), min_size=1, max_size=12),
+)
+def test_stacked_projection_is_bitwise_the_per_matrix_projection(seed, d, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_projection_input(rng, d, kind) for kind in kinds])
+    fixed = nearest_correlation(stack)
+    assert fixed.shape == stack.shape
+    for raw, got in zip(stack, fixed):
+        assert np.array_equal(got, nearest_correlation_scalar(raw))
+    alone = nearest_correlation(stack[0])  # a (d, d) input keeps its shape
+    assert alone.shape == (d, d) and np.array_equal(alone, fixed[0])
+
+
+def test_stack_with_one_unconverged_member_raises(rng):
+    valid = [_projection_input(rng, 7, "valid") for _ in range(3)]
+    raw = _raw_correlation(rng, 7)
+    with pytest.raises(NumericalError) as solo:
+        nearest_correlation_scalar(raw, max_iter=1)
+    for v in valid:  # the valid members alone converge in the one step
+        nearest_correlation(v, max_iter=1)
+    with pytest.raises(NumericalError) as stacked:
+        nearest_correlation(np.stack([*valid[:2], raw, valid[2]]), max_iter=1)
+    assert str(stacked.value) == str(solo.value)
+    assert str(stacked.value) == "nearest-correlation projection did not converge in 1 steps"
+
+
 def test_participation_mask_covers_everything():
     cfg = SimulationConfig(setting=1, p=5, n_train=10, replications=1, balanced=False)
     rng = np.random.default_rng(0)
@@ -144,6 +197,37 @@ def test_run_experiment_parallel_matches_serial():
     for m in serial.methods:
         np.testing.assert_array_equal(serial.mae[m], parallel.mae[m])
         assert serial.avg_rel_mae[m] == parallel.avg_rel_mae[m]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_run_experiment_matches_replication_loop_across_chunks(monkeypatch, chunk, n_jobs):
+    # R = 7 splits into chunks of 1, 3 or the default (one chunk serially,
+    # 4 + 3 over two workers)
+    if chunk is not None:
+        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+    cfg = SimulationConfig(setting=4, p=3, n_train=30, test_len=10, replications=7,
+                           seed=12, balanced=False)
+    methods = ("ew", "occ_be", "scr_var")
+    res = run_experiment(cfg, methods, n_jobs=n_jobs)
+    sys = dgp_system()
+    per_rep = [_replication_accuracy(cfg, generate_replication(cfg, r), sys, methods)
+               for r in range(cfg.replications)]
+    for k, m in enumerate(methods):
+        assert np.array_equal(res.mae[m], np.stack([mae[k] for mae, _ in per_rep]))
+        assert np.array_equal(res.mse[m], np.stack([mse[k] for _, mse in per_rep]))
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+@pytest.mark.parametrize("error_corr", ["random_spd", "identity"])
+def test_replication_alone_equals_its_place_in_a_chunk(error_corr, balanced):
+    cfg = SimulationConfig(setting=3, p=3, n_train=30, test_len=5, replications=7, seed=6,
+                           balanced=balanced, error_corr=error_corr)
+    reps = range(2, 7)
+    for r, member in zip(reps, _replications(cfg, reps, dgp_system()), strict=True):
+        alone = generate_replication(cfg, r)
+        for name in ("actuals", "forecasts", "availability"):
+            assert np.array_equal(getattr(alone, name), getattr(member, name)), (r, name)
 
 
 def test_run_experiment_validates_methods():
