@@ -8,10 +8,13 @@ table: labels quoted once by ``csv.writer`` and ``%``-escaped, one ``%.17g`` slo
 per value (17 digits round-trip), and one ``template % values`` per row.
 
 Every label-keyed CSV (panel, residual, actuals, forecasts) goes through one
-reader, ``_read_columns``: it takes ``csv.reader`` rows ``_CHUNK_ROWS`` at a
-time and turns each chunk into columns (integer keys, float values, labels
-coded in order of first appearance), so no row outlives its chunk as a Python
-object. The panel and residual columns go to ``panel.panel_from_pairs`` and
+reader, ``_read_columns``: it parses ``_CHUNK_ROWS`` rows at a time and turns
+each chunk into columns (integer keys, float values, labels coded in order of
+first appearance), so no row outlives its chunk as a Python object. Chunks
+come from ``np.loadtxt``'s C tokenizer; a file it refuses anywhere is read
+again from the top by ``csv.reader`` with ``int`` and ``float``, which reads
+the spellings only Python accepts and alone words every input error. The
+panel and residual columns go to ``panel.panel_from_pairs`` and
 ``panel.fill_cells``, the one place that maps labels to by-expert rows. A
 panel CSV is one zero-valued panel (its availability, shared by every
 horizon) and one m x H forecast matrix ``Y``. ``--cov`` names a pattern of
@@ -124,7 +127,9 @@ def _write_manifest(**resolved) -> None:
 # -- input readers -------------------------------------------------------------
 
 
-_CHUNK_ROWS = 4096  # rows parsed per batch: bounds the memory held as Python lists
+# rows per chunk on both paths (np.loadtxt's, and csv.reader's, which alone words
+# input errors): bounds what one chunk holds as Python objects
+_CHUNK_ROWS = 4096
 
 
 def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
@@ -139,6 +144,14 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     means its last column, and a short row is an error. A cell that does not
     parse raises ``DataError(bad(row, column))``, ``row`` as ``DictReader``
     gives it.
+
+    Two paths read the rows after the header, and the input alone chooses
+    between them. ``_numpy_chunks`` parses with ``np.loadtxt``'s C tokenizer.
+    Where it or ``_require_ascii`` refuses anything (a short row, an empty
+    cell that takes a default, a spelling only Python reads such as ``1_0``,
+    an int beyond int64, text outside ASCII), the whole file is read again
+    from the top by ``_csv_chunks``: ``csv.reader`` rows and ``int`` and
+    ``float``, the reference reader and the only one that names a defect.
     """
     path, defaults = Path(path), defaults or {}
     if not path.exists():
@@ -146,37 +159,97 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     required = {*ints, *labels, "value"} - defaults.keys()
     parsed = [(name, int, np.int64) for name in ints] + [("value", float, np.float64)]
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or not required.issubset(header):
             raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
-        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        try:
+            _require_ascii(path)
+            return _collect(_numpy_chunks(fh, header, parsed, labels, defaults), parsed, labels)
+        except (ValueError, Warning):  # numpy refused the file: csv.reader reads it or names why
+            return _collect(_csv_chunks(fh, path, what, header, parsed, labels, bad, defaults),
+                            parsed, labels)
 
-        def cells(rows, name):
-            if name not in defaults:
-                return map(itemgetter(at[name]), rows)
-            if name not in at:
-                return [defaults[name]] * len(rows)
-            return [x or defaults[name] for x in map(itemgetter(at[name]), rows)]
 
-        numbers = [[np.empty(0, dtype)] for _, _, dtype in parsed]
-        codes = [({}, [np.empty(0, np.int64)]) for _ in labels]
-        while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
-            rows = [row for row in raw if row] if [] in raw else raw
-            try:
-                if min(map(len, rows), default=len(header)) < len(header):
-                    raise ValueError("short row")
-                chunk = [np.fromiter(map(parse, cells(rows, name)), dtype, len(rows))
-                         for name, parse, dtype in parsed]
-            except (ValueError, OverflowError):
-                _raise_first_defect(path, what, header, rows, parsed, bad, defaults)
-            for part, column in zip(numbers, chunk):
-                part.append(column)
-            for (code, part), name in zip(codes, labels):
-                part.append(code_labels(list(map(str.strip, cells(rows, name))), code))
-            del raw, rows  # free this chunk's rows before the next one is read
+def _collect(chunks, parsed, labels):
+    """Join per-chunk (number columns, label cells) into ``_read_columns``' result."""
+    numbers = [[np.empty(0, dtype)] for _, _, dtype in parsed]
+    codes = [({}, [np.empty(0, np.int64)]) for _ in labels]
+    for chunk, cells in chunks:
+        for part, column in zip(numbers, chunk):
+            part.append(column)
+        for (code, part), column in zip(codes, cells):
+            part.append(code_labels(list(map(str.strip, column)), code))
     *ints, values = map(np.concatenate, numbers)
     return ints, values, [(tuple(code), np.concatenate(part)) for code, part in codes]
+
+
+def _require_ascii(path: Path) -> None:
+    """ValueError unless ``path`` is ASCII without U+001C-U+001F, text numpy parses as Python does.
+
+    Outside ASCII, numpy's integer parser takes digit signs such as U+2460
+    that ``int`` refuses; within it, numpy skips the separators U+001C-U+001F
+    as whitespace where ``int`` and ``float`` refuse them.
+    """
+    with path.open("rb") as raw:
+        for piece in iter(lambda: raw.read(io.DEFAULT_BUFFER_SIZE), b""):
+            if not piece.isascii() or any(map(piece.__contains__, b"\x1c\x1d\x1e\x1f")):
+                raise ValueError("text that numpy reads otherwise than int() and float()")
+
+
+def _numpy_chunks(fh, header, parsed, labels, defaults):
+    """Yield (number columns, label cells) per ``np.loadtxt`` chunk of the rows left in ``fh``.
+
+    Only the last column of each parsed name is typed (a repeated name means
+    its last column); every other column is read as ``object``, and
+    ``usecols`` over the whole header keeps ``DictReader``'s field rules.
+    loadtxt pulls lines from the file's iterator, so each call resumes where
+    the last one stopped, quoted commas, newlines and doubled quotes included. Raises
+    ``ValueError``, or the ``Warning``, where loadtxt refuses a row or a cell.
+    """
+    at = {name: i for i, name in enumerate(header)}
+    typed = {at[name]: dtype for name, _, dtype in parsed if name in at}
+    dtype = np.dtype([(f"f{i}", typed.get(i, object)) for i in range(len(header))])
+    while True:
+        with warnings.catch_warnings():
+            # any notice is a refusal (numpy 1.24 reads "1.0" as an int with a
+            # DeprecationWarning) but the "contained no data" of a blank line or the end
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", ".*contained no data")
+            chunk = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"',
+                               usecols=range(len(header)), max_rows=_CHUNK_ROWS, ndmin=1)
+        if not chunk.size:  # the end of input: never the warning, which blank lines share
+            return
+        yield ([chunk[f"f{at[name]}"].copy() if name in at else
+                np.full(chunk.size, defaults[name], dtype) for name, _, dtype in parsed],
+               [chunk[f"f{at[name]}"].tolist() for name in labels])
+
+
+def _csv_chunks(fh, path, what, header, parsed, labels, bad, defaults):
+    """Yield (number columns, label cells) per ``_CHUNK_ROWS`` ``csv.reader`` rows of ``fh``,
+    read from the row after the header."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+
+    def cells(rows, name):
+        if name not in defaults:
+            return map(itemgetter(at[name]), rows)
+        if name not in at:
+            return [defaults[name]] * len(rows)
+        return [x or defaults[name] for x in map(itemgetter(at[name]), rows)]
+
+    while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
+        rows = [row for row in raw if row] if [] in raw else raw
+        try:
+            if min(map(len, rows), default=len(header)) < len(header):
+                raise ValueError("short row")
+            chunk = [np.fromiter(map(parse, cells(rows, name)), dtype, len(rows))
+                     for name, parse, dtype in parsed]
+        except (ValueError, OverflowError):
+            _raise_first_defect(path, what, header, rows, parsed, bad, defaults)
+        yield chunk, [list(cells(rows, name)) for name in labels]
+        del raw, rows  # free this chunk's rows before the next one is read
 
 
 def _raise_first_defect(path, what, header, rows, parsed, bad, defaults) -> None:

@@ -49,6 +49,9 @@ DEFECTS = {
     "panel-bad-horizon": (
         "panel", lambda ls: ls + ["total,alpha,one,17.0"],
         ["bad horizon 'one' in panel CSV"]),
+    "panel-float-horizon": (
+        "panel", lambda ls: ls + ["total,alpha,1.0,17.0"],
+        ["bad horizon '1.0' in panel CSV"]),
     "panel-non-numeric-value": (
         "panel", lambda ls: ls + ["total,alpha,2,abc"],
         ["non-numeric panel value 'abc'"]),
@@ -60,10 +63,20 @@ DEFECTS = {
         ["panel CSV", "no forecasts"]),
 }
 
+# keys beyond int64, which the row readers (Python ints) take without complaint
+INT64_DEFECTS = {
+    "panel-horizon-beyond-int64": (
+        "panel", lambda ls: ls + ["total,alpha,9223372036854775808,17.0"],
+        ["bad horizon '9223372036854775808' in panel CSV"]),
+    "resid-t-beyond-int64": (
+        "residuals", lambda ls: ls + ["9223372036854775808,total,alpha,0.5"],
+        ["bad t '9223372036854775808' in residual CSV"]),
+}
 
-@pytest.mark.parametrize("defect", sorted(DEFECTS))
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS) + sorted(INT64_DEFECTS))
 def test_malformed_input_exits_3_without_output(tmp_path, capsys, defect):
-    which, edit, fragments = DEFECTS[defect]
+    which, edit, fragments = {**DEFECTS, **INT64_DEFECTS}[defect]
     panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
     panel_path.write_text("\n".join(PANEL_LINES) + "\n")
     resid_path.write_text("\n".join(RESID_LINES) + "\n")

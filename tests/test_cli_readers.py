@@ -1,20 +1,33 @@
 """The chunked column readers against the row-by-row ``csv.DictReader`` readers.
 
 Every reader must return the same labels and the same array bits as the
-oracle in ``tests/oracles.py`` whatever the chunk size, on shuffled files whose
-labels first appear in different chunks, with blank lines, quoted labels
-holding commas, padded labels, extra trailing fields, missing or empty
-horizons and a repeated column name (the last one is read).
+oracle in ``tests/oracles.py`` whatever the chunk size, or raise the oracle's
+``DataError`` message: on shuffled files whose labels first appear in
+different chunks, with blank lines, quoted labels holding commas, padded
+labels, extra trailing fields, missing or empty horizons and a repeated column
+name (the last one is read); at the end of input and at every line ending; on
+generated CSV text; and on numbers spelled as only Python reads them, which
+numpy's tokenizer refuses so that the ``csv.reader`` path reads them. Inputs
+that numpy reads must not reach the ``csv.reader`` path at all.
 """
 
 import csv
+import io
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cocomb.cli
 import oracles
-from cocomb import from_aggregation
+from cocomb import from_aggregation, from_availability
+from cocomb.exceptions import DataError
+from conftest import evaluation_csvs
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
 CHUNKS = [1, 3, None]  # None: the module's own chunk size
 SERIES = ("total, all", "east", "west", "north")
@@ -127,3 +140,244 @@ def test_first_appearance_spans_chunks(tmp_path, monkeypatch):
     assert panel.experts == ("gamma", "alpha", "beta, b")
     assert horizons == [1]
     assert y_hat[:, 0].tolist() == [1.0, 2.0, 3.0, 5.0, 4.0]  # by expert, then series
+
+
+def fingerprint(result):
+    """A reader's result as comparable values: labels, array dtypes, shapes and bits."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, (list, tuple)):
+        return tuple(map(fingerprint, result))
+    if hasattr(result, "availability"):  # a panel
+        return result.labels, result.experts, fingerprint(result.availability)
+    return result
+
+
+def outcome(read, *args):
+    try:
+        return "read", fingerprint(read(*args))
+    except DataError as e:
+        return "DataError", str(e)
+
+
+def csv_path_only(read, *args):
+    """``read(*args)`` with the numpy path refused: what the parent commit's reader did."""
+    def refuse(*_):
+        raise ValueError("numpy path refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cocomb.cli, "_numpy_chunks", refuse)
+        return outcome(read, *args)
+
+
+def assert_readers_agree(path, sys_, horizons):
+    """Panel, residual and evaluation readers against their row oracles on ``path``.
+
+    A read equals the oracle's bits, and an error is a ``DataError`` where the
+    oracle raises one, with the message of the ``csv.reader`` path. (A file
+    with more than one defect may differ from the oracle in which defect it
+    names first: the oracle checks labels row by row, the readers after
+    parsing.) Returns each reader's (outcome, oracle outcome).
+    """
+    panel_read = outcome(oracles.read_panel_csv, path, sys_)
+    panel = (oracles.read_panel_csv(path, sys_)[0] if panel_read[0] == "read" else
+             from_availability(np.ones((sys_.n, len(EXPERTS)), bool), sys_,
+                               experts=tuple(e.strip() for e in EXPERTS)))
+    pairs = []
+    for read, oracle, args in (
+            (cocomb.cli._read_panel_csv, oracles.read_panel_csv, (path, sys_)),
+            (cocomb.cli._read_residual_csv, oracles.read_residual_csv, (path, panel)),
+            (cocomb.cli._read_eval_csv, oracles.read_eval_csv,
+             (path, "forecasts", ("expert", "series"), horizons))):
+        got, want = outcome(read, *args), outcome(oracle, *args)
+        assert got[0] == want[0]
+        assert got == (want if want[0] == "read" else csv_path_only(read, *args))
+        pairs.append((got, want))
+    return pairs
+
+
+def csv_line(fields):
+    csv.writer(buf := io.StringIO(), lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+def end_of_input_lines(size):
+    """Header and data lines of a file read as panel, residuals and forecasts.
+
+    ``t`` is the residual key and ``horizon`` the panel key (both run over the
+    same origins, one horizon per origin, ``q`` 0); the data lines are a
+    whole number of chunks of ``size`` rows.
+    """
+    cells = [(s, e) for s in SERIES for e in EXPERTS]
+    return [csv_line(["t", "q", "series", "expert", "horizon", "value"])] + [
+        csv_line([r // len(cells), 0, *cells[r % len(cells)], r // len(cells) + 1,
+                  repr(float(np.sin(r + 0.5)))])
+        for r in range(math.lcm(len(cells), size))]
+
+
+# case -> text of the file from its lines (header first) and the chunk size
+END_OF_INPUT = {
+    "blank-line-ends-each-chunk": lambda ls, size: "\n".join(
+        ls[:1] + [x for k, row in enumerate(ls[1:], 1)
+                  for x in ([row, ""] if k % size == 0 else [row])]) + "\n",
+    "whitespace-only-line": lambda ls, size: "\n".join(
+        ls[:size + 1] + [" \t "] + ls[size + 1:]) + "\n",
+    "whole-number-of-chunks": lambda ls, size: "\n".join(ls) + "\n",
+    "no-trailing-newline": lambda ls, size: "\n".join(ls),
+    "header-only": lambda ls, size: ls[0] + "\n",
+    "crlf": lambda ls, size: "\r\n".join(ls) + "\r\n",
+    "bare-cr": lambda ls, size: "\r".join(ls) + "\r",
+}
+
+
+@pytest.mark.parametrize("case", sorted(END_OF_INPUT))
+def test_end_of_input_matches_row_readers(tmp_path, chunk_rows, case):
+    size = cocomb.cli._CHUNK_ROWS
+    lines = end_of_input_lines(size)
+    path = tmp_path / "cells.csv"
+    path.write_text(END_OF_INPUT[case](lines, size), newline="")
+    origins = (len(lines) - 1) // (len(SERIES) * len(EXPERTS))
+    outcomes = assert_readers_agree(path, system(), list(range(1, origins + 1)))
+    assert all(got == want for got, want in outcomes)  # one defect at most: the oracle's words
+    if case not in ("whitespace-only-line", "header-only"):
+        assert all(got[0] == "read" for got, _ in outcomes)
+
+
+QUOTED_SERIES = ("total, all", 'say "hi"', "two\nlines", "east")  # upper first
+
+
+def spellings(label, clean):
+    """``label`` as a CSV field: quoted, padded inside quotes or, where that keeps
+    the field intact, bare or padded; unless ``clean``, also bare or padded
+    whatever it holds, or with a space before the opening quote (which makes
+    the quotes part of the field)."""
+    quoted = '"' + label.replace('"', '""') + '"'
+    kept = [quoted, quoted.replace('"', '" ', 1)]
+    bare = [label, f" {label}  "]
+    if not clean:
+        return st.sampled_from(kept + bare + [" " + quoted])
+    return st.sampled_from(kept + (bare if label.isalnum() else []))
+
+
+@st.composite
+def generated_csv(draw):
+    """CSV text of (t, q, series, expert[, horizon], value) cells in any column
+    order, with blank lines, extra fields, a repeated column name (its first
+    copy junk), any line ending and spellings of labels and numbers; half the
+    files also hold defects: short rows, empty horizons, broken quoting and
+    non-finite values. A ``1_0`` value in half the files is read by Python alone."""
+    clean = draw(st.booleans())
+    names = draw(st.permutations(["t", "q", "series", "expert", "value"]
+                                 + ["horizon"] * draw(st.booleans())))
+    repeated = draw(st.sampled_from([[], ["value"], ["series"], ["t"]]))
+    header = repeated + names
+    balanced = draw(st.booleans())  # only a balanced file reads as forecasts
+    pairs = [(s, e) for s in QUOTED_SERIES
+             for e in (EXPERTS if balanced else draw(st.sets(st.sampled_from(EXPERTS),
+                                                              min_size=1)))]
+    keys = draw(st.integers(1, 3))
+    cells = draw(st.permutations([(k, s, e) for k in range(keys) for s, e in pairs]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    python_only = ["1_0"] * draw(st.booleans())  # sends the whole file to csv.reader
+    number = st.one_of(st.floats(allow_nan=not clean, allow_infinity=not clean).map(repr),
+                       st.sampled_from([" 2 ", "-0", *python_only]))
+    shapes = ["whole"] * 8 + ["extra", "blank-before"] + ([] if clean else ["short"])
+    lines = [",".join(header)]
+    for k, series, expert in cells:
+        field = {"t": str(k), "q": str(k), "value": draw(number),
+                 "horizon": draw(st.sampled_from([str(k + 1)] * 4 + [""] * (not clean))),
+                 "series": draw(spellings(series, clean)),
+                 "expert": draw(spellings(expert, clean))}
+        row = ["junk"] * len(repeated) + [field[name] for name in names]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "extra":
+            row += ["extra", '"x,y"']
+        elif shape == "short":
+            row = row[:-1]
+        elif shape == "blank-before":
+            lines.append("")
+        lines.append(",".join(row))
+    return end.join(lines) + end * draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=generated_csv(), size=st.sampled_from([1, 2, 3, None]))
+def test_generated_csv_matches_row_readers(tmp_path, text, size):
+    """Generated text reads as the row oracles read it, at any chunk size."""
+    path = tmp_path / "generated.csv"
+    path.write_text(text, newline="")
+    sys_ = from_aggregation(np.ones((1, 3)), list(QUOTED_SERIES))
+    with pytest.MonkeyPatch.context() as patch:
+        if size is not None:
+            patch.setattr(cocomb.cli, "_CHUNK_ROWS", size)
+        assert_readers_agree(path, sys_, [1, 2])
+
+
+class CsvPath(Exception):
+    """Raised in place of the ``csv.reader`` path: the numpy path refused the file."""
+
+
+def no_csv_path(*_):
+    raise CsvPath
+
+
+# characters of numbers, the blanks int() and float() strip, and characters numpy
+# reads otherwise than they do: the separators U+001C-U+001F, digit signs (U+2460)
+SPELLING = st.text(st.sampled_from([*"0123456789+-._eEinfatyINFATYxj ", "\t", "\x0b", "\x0c",
+                                    "\x1c", "\x1f", "\xa0", "\u3000", "\u0663", "\u2460"]),
+                   max_size=8)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spelling=SPELLING, quoted=st.booleans())
+def test_numpy_path_reads_a_number_as_int_and_float_do(tmp_path, spelling, quoted):
+    """Whatever the numpy path accepts, int() and float() read to the same bits."""
+    path = tmp_path / "number.csv"
+    cell = f'"{spelling}"' if quoted else spelling
+    for key, value, parse, column in ((cell, "0", int, 0), ("0", cell, float, 1)):
+        path.write_text(f"t,series,expert,value\n{key},a,b,{value}\n", newline="")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cocomb.cli, "_csv_chunks", no_csv_path)
+            try:
+                (t,), values, _ = cocomb.cli._read_columns(
+                    path, "residual", ("t",), ("series", "expert"), None)
+            except CsvPath:
+                continue
+        got = (t, values)[column]
+        assert got.tobytes() == np.array([parse(spelling)], got.dtype).tobytes()
+
+
+@pytest.mark.parametrize("horizon, value, want_h, want_y", [
+    ("1_0", "1_0", 10, 10.0), ("\u0663", "\u0663", 3, 3.0), ("2", " 1_5 ", 2, 15.0)])
+def test_python_only_spellings_read_through_the_csv_path(tmp_path, chunk_rows, horizon, value,
+                                                         want_h, want_y):
+    path = tmp_path / "panel.csv"
+    path.write_text("series,expert,horizon,value\n" + "".join(
+        f"{s},alpha,{horizon},{value}\n" for s in ('"total, all"', "east", "west", "north")),
+        encoding="utf-8")
+    assert (outcome(cocomb.cli._read_panel_csv, path, system())
+            == outcome(oracles.read_panel_csv, path, system()))
+    _, horizons, y_hat = cocomb.cli._read_panel_csv(path, system())
+    assert horizons == [want_h] and y_hat.tolist() == [[want_y]] * 4
+
+
+def test_numpy_path_reads_every_supported_input(tmp_path, monkeypatch, rng):
+    """Sample, evaluation and quoted-label files never reach the csv.reader path."""
+    monkeypatch.setattr(cocomb.cli, "_csv_chunks", no_csv_path)
+    sys_ = from_aggregation(np.array([[1.0, 1.0]]), ["total", "east", "west"])
+    panel = cocomb.cli._read_panel_csv(SAMPLE / "panel.csv", sys_)[0]
+    cocomb.cli._read_residual_csv(SAMPLE / "residuals.csv", panel)
+    (actuals, forecasts), *_ = evaluation_csvs(tmp_path, rng)
+    cocomb.cli._read_eval_csv(actuals, "actuals", ("series",), [1, 2, 3])
+    cocomb.cli._read_eval_csv(forecasts, "forecasts", ("method", "series"), [1, 2, 3])
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('series,expert,value\n"total, all",alpha,1\n" east ","beta, b",2\n'
+                      '"west","a ""b""",3\n"north","two\nlines",4\n')
+    panel, _, y_hat = cocomb.cli._read_panel_csv(quoted, system())
+    assert panel.experts == ("alpha", "beta, b", 'a "b"', "two\nlines")
+    assert y_hat[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    quoted.write_text("series,expert,horizon,value\ntotal,alpha,1_0,1\n")
+    with pytest.raises(CsvPath):
+        cocomb.cli._read_panel_csv(quoted, sys_)
