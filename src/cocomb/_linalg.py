@@ -1,8 +1,8 @@
 """Small dense linear-algebra helpers built on Cholesky factorizations.
 
-All solvers in this package go through these helpers so that symmetric
-positive definite systems are never solved via explicit inverses; the one
-inverse, ``pooled_covariance``, is an output.
+All solvers in this package go through these helpers and solve SPD systems
+through their factors; ``cho_inverse`` forms an explicit inverse only where
+one is wanted: the pooled covariance, and GLS blocks of distinct variables.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def cho_inverse(factor) -> np.ndarray:
+    """``a^-1``, exactly symmetric, from ``cho_factor_spd(a)`` by LAPACK ``dpotri``:
+    ⅔n³ flops, against 2n³ for a solve against the identity."""
+    inv, info = lapack.dpotri(factor[0], lower=factor[1])
+    if info != 0:
+        raise NumericalError(f"Cholesky inverse failed (LAPACK dpotri info {info})")
+    tri = inv if factor[1] else inv.T  # dpotri filled tri's lower triangle: mirror it in place
+    for j in range(inv.shape[0] - 1):
+        tri[j, j + 1:] = tri[j + 1:, j]
+    return inv.T  # equal to inv, and C-ordered: dpotri returns Fortran order
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """``(a + a') / 2`` for a matrix or each matrix of a stack on the last two axes."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
@@ -45,5 +57,4 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 def pooled_covariance(precision: np.ndarray) -> np.ndarray:
     """The symmetric inverse of a pooled GLS precision, through its Cholesky factor."""
-    factor = cho_factor_spd(symmetrize(precision), "combined-forecast precision")
-    return symmetrize(cho_solve(factor, np.eye(precision.shape[0])))
+    return cho_inverse(cho_factor_spd(symmetrize(precision), "combined-forecast precision"))

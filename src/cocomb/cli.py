@@ -158,16 +158,20 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
         raise DataError(f"{what} file not found: {path}")
     required = {*ints, *labels, "value"} - defaults.keys()
     parsed = [(name, int, np.int64) for name in ints] + [("value", float, np.float64)]
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or not required.issubset(header):
-            raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
-        try:
-            _require_ascii(path)
-            return _collect(_numpy_chunks(fh, header, parsed, labels, defaults), parsed, labels)
-        except (ValueError, Warning):  # numpy refused the file: csv.reader reads it or names why
-            return _collect(_csv_chunks(fh, path, what, header, parsed, labels, bad, defaults),
-                            parsed, labels)
+    try:
+        with path.open(newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or not required.issubset(header):
+                raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
+            try:
+                _require_ascii(path)
+                return _collect(_numpy_chunks(fh, header, parsed, labels, defaults), parsed,
+                                labels)
+            except (ValueError, Warning):  # numpy refused: csv.reader reads it or names why
+                return _collect(_csv_chunks(fh, path, what, header, parsed, labels, bad,
+                                            defaults), parsed, labels)
+    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+        raise DataError(f"{what} CSV {path}: {exc}") from None
 
 
 def _collect(chunks, parsed, labels):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cho_factor_spd, cho_solve, pooled_covariance
+from ._linalg import cho_factor_spd, cho_inverse, cho_solve, pooled_covariance
 from .covariance import CovarianceEstimate
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel
@@ -142,8 +142,11 @@ def gls_pool(blocks, var: np.ndarray, n: int):
     (row, variable) pairs of a block enter, so restacking rows and blocks by
     variable (``P``) changes no ``K_g`` or ``B_g``.
 
-    Dense patterns are the one-block case. Errors uncorrelated across experts
-    (``bd_expert*``) give one block per expert j, touching its n_j variables.
+    A block whose rows are distinct variables (each ``bd_expert*`` block, one
+    per expert j on its n_j variables; ``mint``'s ``arange(n)``) has a
+    permutation ``K_g``: ``cols_g = var[R_g]`` and ``B_g = W_g^-1``, by
+    ``_linalg.cho_inverse``. A block that repeats a variable (a dense pattern,
+    one block, with p>1) solves ``B_g`` against its 0/1 ``K_g``.
     Errors uncorrelated across variables (``bd_variable*``) give one block
     ``Sigma_i`` per variable i, whose p_i rows of ``K`` all equal ``e_i'``, so
     ``K_g = 1`` (a p_i-vector) and ``cols_g = (i,)``. The precision is then
@@ -163,9 +166,13 @@ def gls_pool(blocks, var: np.ndarray, n: int):
     for rows, factor in blocks:
         v = var[rows]
         cols = np.flatnonzero(np.bincount(v))
-        k_g = (v[:, None] == cols).astype(float)
-        b_g = cho_solve(factor, k_g)
-        precision[cols[:, None], cols] += k_g.T @ b_g
+        if cols.size < v.size:  # a repeated variable: solve against the 0/1 selector
+            k_g = (v[:, None] == cols).astype(float)
+            b_g = cho_solve(factor, k_g)
+            precision[cols[:, None], cols] += k_g.T @ b_g
+        else:  # distinct variables: K_g is a permutation, B_g = W_g^-1 in rows' order
+            cols, b_g = v, cho_inverse(factor)
+            precision[v[:, None], v] += b_g
         parts.append((rows, cols, b_g))
 
     def apply(r: np.ndarray) -> np.ndarray:

@@ -129,15 +129,15 @@ def shrink_intensity(residuals: np.ndarray) -> float:
     if np.any(v <= 0):
         raise NumericalError("zero-variance residual coordinate; cannot shrink")
     z = r / np.sqrt(v)[:, None]
-    corr = z @ z.T / T
+    corr_sq, zz = (z @ z.T / T) ** 2, z * z
     # sampling variance of each off-diagonal correlation from the products z_i z_j
-    prod_sq = (z * z) @ (z * z).T
-    var_corr = (prod_sq / T - corr**2) / (T - 1)
-    off = ~np.eye(m, dtype=bool)
-    denom = float(np.sum(corr[off] ** 2))
+    var_corr = (zz @ zz.T / T - corr_sq) / (T - 1)  # zz @ zz.T: numpy's symmetric syrk
+    for a in (corr_sq, var_corr):  # off-diagonal sums; a total minus the trace would
+        np.fill_diagonal(a, 0.0)   # round away from 0 where every correlation is 0
+    denom = float(np.sum(corr_sq))
     if denom == 0.0:
         return 1.0
-    lam = float(np.sum(var_corr[off])) / denom
+    lam = float(np.sum(var_corr)) / denom
     return float(min(1.0, max(0.0, lam)))
 
 

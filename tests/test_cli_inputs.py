@@ -241,6 +241,44 @@ def test_evaluation_defect_in_any_chunk_gives_the_row_reader_error(
     assert not (tmp_path / "out").exists()
 
 
+# a label beyond csv.field_size_limit() (131072) in a file outside ASCII, which
+# csv.reader reads: (input edited, edit of its lines)
+LONG_LABEL = "\u00e9" * 140_000
+FIELD_LIMIT_DEFECTS = {
+    "panel": ("panel", lambda ls: ls + [f"{LONG_LABEL},alpha,1,1.0"]),
+    "residuals": ("residuals", lambda ls: ls + [f"0,{LONG_LABEL},alpha,0.5"]),
+    "residuals-header": ("residuals", lambda ls: [f"{ls[0]},{LONG_LABEL}"] + ls[1:]),
+    "actuals": ("actuals", lambda ls: ls + [f"{LONG_LABEL},1,0,0.0"]),
+    "forecasts": ("forecasts", lambda ls: ls + [f"occ,{LONG_LABEL},1,0,0.0"]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FIELD_LIMIT_DEFECTS))
+def test_field_beyond_the_csv_limit_exits_3_without_output(tmp_path, rng, capsys, defect):
+    which, edit = FIELD_LIMIT_DEFECTS[defect]
+    panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
+    panel_path.write_text("\n".join(PANEL_LINES) + "\n")
+    resid_path.write_text("\n".join(RESID_LINES) + "\n")
+    (actuals_path, forecasts_path), *_ = evaluation_csvs(tmp_path, rng)
+    target = {"panel": panel_path, "residuals": resid_path,
+              "actuals": actuals_path, "forecasts": forecasts_path}[which]
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    if which in ("panel", "residuals"):
+        argv = ["reconcile", "--constraints", str(SAMPLE / "constraints.json"),
+                "--panel", str(panel_path), "--residuals", str(resid_path),
+                "--output", str(out / "coherent.csv")]
+    else:
+        argv = ["evaluate", "--actuals", str(actuals_path), "--forecasts", str(forecasts_path),
+                "--horizons", "1:3", "--output", str(out / "accuracy.csv")]
+    code, line = error_of(argv, capsys)
+    assert code == 3
+    err = json.loads(line)
+    assert err["code"] == "schema"
+    assert str(target) in err["message"] and "field limit" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizons", ["1:x", "a,b", "3:1", ""])
 def test_bad_horizons_exits_2(tmp_path, rng, capsys, horizons):
     (actuals_path, forecasts_path), *_ = evaluation_csvs(tmp_path, rng)

@@ -15,7 +15,7 @@ from cocomb import (
     single_task_weights,
 )
 from conftest import random_panel, random_spd, random_system
-from oracles import gls_normal_equations, simplex_grid_min
+from oracles import dense_pool, dense_precision, gls_normal_equations, simplex_grid_min
 
 
 def panel_with_cov(rng, sys, balanced=None, p_max=6):
@@ -152,6 +152,35 @@ def test_by_variable_pool_is_per_variable_gls(rng, monkeypatch, shrink_blocks, b
             assert abs(precision[i, i] - gamma.sum()) <= 1e-12 * gamma.sum()
             assert np.abs(omega[rows, i] - gamma / gamma.sum()).max() <= 1e-12
             np.testing.assert_array_equal(np.delete(omega[rows], i, axis=1), 0.0)
+
+
+def test_gls_pool_on_unsorted_distinct_variables_matches_dense_pool(rng, monkeypatch):
+    """Blocks whose rows are distinct variables in no sorted order take the inverse
+    path; a block repeating a variable takes the selector solve. Both match the dense
+    pooling of ``tests/oracles.py``."""
+    inverted = []
+    invert = cocomb.combiners.cho_inverse
+    monkeypatch.setattr(cocomb.combiners, "cho_inverse",
+                        lambda f: inverted.append(f) or invert(f))
+    n = 9
+    for _ in range(10):
+        groups = [rng.permutation(n)[:5], rng.permutation(n), rng.permutation(n)[[0, 0, 1]]]
+        var = np.concatenate(groups)
+        rows = np.split(rng.permutation(var.size), np.cumsum([len(g) for g in groups])[:-1])
+        var = var[np.argsort(np.concatenate(rows))]  # group g's variables at its rows
+        w = np.zeros((var.size, var.size))
+        blocks = []
+        for r in rows:
+            w[np.ix_(r, r)] = random_spd(rng, len(r))
+            blocks.append((r, cocomb.combiners.cho_factor_spd(w[np.ix_(r, r)])))
+        inverted.clear()
+        precision, apply = cocomb.combiners.gls_pool(blocks, var, n)
+        assert len(inverted) == 2
+        k = np.eye(n)[var]
+        omega, w_c = dense_pool(w, k)
+        ref = dense_precision(w, k)
+        assert np.abs(precision - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(apply(w_c) - omega).max() <= 1e-12 * np.abs(omega).max()
 
 
 def test_multi_task_matches_normal_equation_oracle(rng):
