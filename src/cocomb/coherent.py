@@ -31,8 +31,9 @@ combine-then-reconcile and reconcile-then-average baselines.
 
 ``fit`` dispatches a method name (``occ``, ``mint``, ``src``, ``scr_*``) for
 ``cocomb reconcile`` and the simulation alike, and holds the baselines'
-covariance policy: ``src`` reconciles each expert with the shrunk MSE of its
-own residual rows, ``scr_*`` with the shrunk MSE of the combined residuals.
+covariance policy: ``src`` reconciles expert j with part j of the
+``bd_expert_shrunk`` estimate (the shrunk MSE of its own residual rows),
+``scr_*`` with the shrunk MSE of the combined residuals.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from ._linalg import cho_factor_spd, cho_solve, pooled_covariance, symmetrize
 from .combiners import WeightScheme, gls_pool, single_task_weights
 from .constraints import ConstraintSystem
-from .covariance import CovarianceEstimate, as_covariance, shrink
+from .covariance import ESTIMATORS, CovarianceEstimate, as_covariance, shrink
 from .exceptions import DataError
 from .panel import ForecastPanel
 
@@ -214,7 +215,7 @@ def fit(
             raise DataError("mint expects a single expert covering every series")
         return mint_reconcile(panel.y_hat, sys, cov)
     if method == "src":
-        return src(panel, sys, [shrink(resid[panel.expert_rows(j)]) for j in range(panel.p)])
+        return src(panel, sys, [c for _, c in ESTIMATORS["bd_expert_shrunk"](resid, panel).parts])
     if method not in _SCR_SCHEMES:
         raise DataError(f"unknown method {method!r}")
     ws = single_task_weights(panel, _SCR_SCHEMES[method], cov)

@@ -209,8 +209,11 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
             return from_general_constraints(matrix("C"), names("vars"))
         raise DataError("constraint JSON must provide either 'A' or 'C'")
 
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with path.open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+        raise DataError(f"constraint CSV {path}: {exc}") from None
     if len(rows) < 2:
         raise DataError("constraint CSV needs a header row and at least one constraint")
     names = [c.strip() for c in rows[0]]

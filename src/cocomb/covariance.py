@@ -14,15 +14,14 @@ ordering. ``ESTIMATORS`` maps each pattern name to its estimator, called as
 * ``bd_variable_shrunk`` per-variable shrunk blocks;
 * ``diagonal``           diagonal of the sample MSE.
 
-Solvers use the covariance only through ``W^-1``, one diagonal block at a
-time: ``CovarianceEstimate.blocks(m)`` returns each block's rows with its
-Cholesky factor (one block per expert or variable for the block patterns,
-set by ``_block_diagonal``; one block of all rows otherwise). Each block is
-factored once, when the estimate is built. A block estimate stores only its
-blocks and assembles the dense ``W`` on first access. A block that fails to
-factor tags the estimate ``singular``, as does an estimator for sample blocks
-wider than T (left unfactored); ``blocks`` refuses tagged or mis-sized
-estimates instead of regularizing behind the caller's back.
+A block estimate is the sum of its blocks' dense estimates, ``sample_mse``
+or ``shrink`` of each block's rows, listed with their rows by
+``CovarianceEstimate.parts`` (a dense estimate is its own one part). Solvers
+use ``W`` only through ``blocks(m)``: each part's rows with its Cholesky
+factor, taken once, when the part is estimated. A part that fails to factor,
+or a sample MSE wider than T (left unfactored), is ``singular``, and so is an
+estimate holding it; ``blocks`` refuses tagged or mis-sized estimates instead
+of regularizing behind the caller's back.
 """
 
 from __future__ import annotations
@@ -39,40 +38,43 @@ class CovarianceEstimate:
 
     ``lam`` is None (no shrinkage), a float (global), or a tuple of per-block
     intensities. ``singular`` marks estimates that cannot back a GLS solve.
-    The block estimators pass their diagonal blocks as ``(rows, matrix)``
+    A block estimate passes its diagonal blocks as ``(rows, dense estimate)``
     pairs instead of ``W``, which is then assembled on first access.
     """
 
     def __init__(self, W, pattern: str, lam: float | tuple[float, ...] | None = None,
-                 singular: bool = False, *, _blocks=None):
-        if _blocks is None:
-            w = np.array(W, dtype=float)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise DataError("covariance must be square")
-            w.setflags(write=False)
-            _blocks = ((slice(None), w),)
-        else:
-            w = None
-        if not all(np.isfinite(block).all() for _, block in _blocks):
-            raise DataError("covariance contains non-finite entries")
+                 singular: bool = False, *, _parts=None):
         if pattern not in PATTERNS:
             raise DataError(f"unknown covariance pattern {pattern!r}")
+        self.pattern, self.lam, self._W, self._parts = pattern, lam, None, _parts
+        if _parts is not None:
+            self.singular, self.m = any(p.singular for _, p in _parts), sum(p.m for _, p in _parts)
+            return
+        w = np.array(W, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise DataError("covariance must be square")
+        if not np.isfinite(w).all():
+            raise DataError("covariance contains non-finite entries")
+        w.setflags(write=False)
         try:
-            factors = None if singular else tuple(
-                (rows, cho_factor_spd(block)) for rows, block in _blocks)
+            self._factor = None if singular else cho_factor_spd(w)
         except NumericalError:
-            factors = None
-        self.pattern, self.lam, self.singular = pattern, lam, factors is None
-        self.m = sum(block.shape[0] for _, block in _blocks)
-        self._W, self._blocks, self._factors = w, _blocks, factors
+            self._factor = None
+        self.singular, self.m, self._W = self._factor is None, w.shape[0], w
+
+    @property
+    def parts(self) -> tuple:
+        """The diagonal blocks as ``(rows, dense estimate)`` pairs; one of all rows if dense."""
+        # built on access: a stored ``(slice(None), self)`` would be a reference cycle
+        return self._parts if self._parts is not None else ((slice(None), self),)
 
     @property
     def W(self) -> np.ndarray:
         """The dense m x m matrix (read-only)."""
         if self._W is None:
             w = np.zeros((self.m, self.m))
-            for rows, block in self._blocks:
-                w[np.ix_(rows, rows)] = block
+            for rows, part in self._parts:
+                w[np.ix_(rows, rows)] = part.W
             w.setflags(write=False)
             self._W = w
         return self._W
@@ -88,7 +90,7 @@ class CovarianceEstimate:
         if self.singular:
             raise NumericalError("covariance estimate is flagged singular; "
                                  "use a shrunk or block pattern")
-        return self._factors
+        return tuple((rows, part._factor) for rows, part in self.parts)
 
 
 def _check_residuals(residuals: np.ndarray) -> np.ndarray:
@@ -141,8 +143,13 @@ def shrink_intensity(residuals: np.ndarray) -> float:
     return float(min(1.0, max(0.0, lam)))
 
 
-def _shrunk(r: np.ndarray, lam: float | None) -> tuple[np.ndarray, float]:
-    """The MSE of ``r`` shrunk toward its diagonal, and the intensity used."""
+def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimate:
+    """Sample MSE shrunk toward its diagonal: ``lam*diag(W) + (1-lam)*W``.
+
+    ``lam`` defaults to the estimated intensity; passing an explicit value
+    overrides it (used to pin the endpoints in tests).
+    """
+    r = _check_residuals(residuals)
     w = _mse(r)
     if np.any(np.diag(w) <= 0):
         raise NumericalError("zero-variance residual coordinate; cannot shrink")
@@ -150,17 +157,7 @@ def _shrunk(r: np.ndarray, lam: float | None) -> tuple[np.ndarray, float]:
         lam = shrink_intensity(r)
     if not 0.0 <= lam <= 1.0:
         raise DataError("shrinkage intensity must lie in [0, 1]")
-    return lam * np.diag(np.diag(w)) + (1.0 - lam) * w, lam
-
-
-def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimate:
-    """Sample MSE shrunk toward its diagonal: ``lam*diag(W) + (1-lam)*W``.
-
-    ``lam`` defaults to the estimated intensity; passing an explicit value
-    overrides it (used to pin the endpoints in tests).
-    """
-    w, lam = _shrunk(_check_residuals(residuals), lam)
-    return CovarianceEstimate(w, "shrunk", lam=lam)
+    return CovarianceEstimate(lam * np.diag(np.diag(w)) + (1.0 - lam) * w, "shrunk", lam=lam)
 
 
 def diagonal_mse(residuals: np.ndarray) -> CovarianceEstimate:
@@ -172,24 +169,16 @@ def diagonal_mse(residuals: np.ndarray) -> CovarianceEstimate:
 def _block_diagonal(
     residuals: np.ndarray, panel: ForecastPanel, groups, kind: str, shrink_blocks: bool
 ) -> CovarianceEstimate:
-    """Block-diagonal estimate with one block per group of the panel's residual rows.
-
-    Each block is the sample MSE of its rows, shrunk with its own intensity
-    when ``shrink_blocks`` is set, placed at those rows and columns.
-    """
+    """The sum of one dense estimate per group of the panel's residual rows: ``shrink``
+    (with its own intensity) when ``shrink_blocks`` is set, ``sample_mse`` otherwise."""
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
-    blocks, lams = [], []
-    for rows in groups:
-        block, lam = _shrunk(r[rows], None) if shrink_blocks else (_mse(r[rows]), None)
-        blocks.append((rows, block))
-        lams.append(lam)
+    estimate = shrink if shrink_blocks else sample_mse
+    parts = tuple((rows, estimate(r[rows])) for rows in groups)
+    lam = tuple(part.lam for _, part in parts) if shrink_blocks else None
     pattern = f"{kind}_shrunk" if shrink_blocks else kind
-    lam = tuple(lams) if shrink_blocks else None
-    # an unshrunk block wider than T is rank deficient
-    wide = not shrink_blocks and max(len(rows) for rows, _ in blocks) > r.shape[1]
-    return CovarianceEstimate(None, pattern, lam=lam, singular=wide, _blocks=tuple(blocks))
+    return CovarianceEstimate(None, pattern, lam=lam, _parts=parts)
 
 
 def block_by_expert(

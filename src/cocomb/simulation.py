@@ -35,7 +35,7 @@ import numpy as np
 from ._linalg import symmetrize
 from .coherent import fit, mint_reconcile
 from .constraints import ConstraintSystem, from_aggregation
-from .covariance import ESTIMATORS, shrink
+from .covariance import ESTIMATORS
 from .combiners import SINGLE_TASK_SCHEMES, single_task_weights
 from .exceptions import DataError, NumericalError
 from .panel import ForecastPanel, from_availability, residuals_from_arrays
@@ -312,7 +312,8 @@ def _method_weights(
     """The fixed (n x m) map from stacked base forecasts to the method output.
 
     ``cache`` holds the replication's covariance estimates by pattern and, by
-    ``("mint", j)``, expert j's mint projector under its own shrunk MSE.
+    ``("mint", j)``, expert j's mint projector under part j of the cached
+    ``bd_expert_shrunk``, so no expert block is estimated or factored twice.
     ``base_star`` takes the expert of least MSE, ``base_star_shr`` reconciles
     it, ``base_shr`` reconciles the expert of least reconciled MSE.
     """
@@ -322,16 +323,19 @@ def _method_weights(
             cache[key] = compute()
         return cache[key]
 
+    def estimate(pattern):
+        return cached(pattern, lambda: ESTIMATORS[pattern](resid, panel))
+
     def projector(j):
         return cached(("mint", j), lambda: mint_reconcile(
-            np.zeros(sys.n), sys, shrink(resid[panel.expert_rows(j)])).Psi.T)
+            np.zeros(sys.n), sys, estimate("bd_expert_shrunk").parts[j][1]).Psi.T)
 
     experts = range(panel.p)
     if method == "src" and panel.balanced:  # fit("src").Psi.T from the shared projectors
         return np.hstack([projector(j) / panel.p for j in experts])
     if method in _METHOD_FITS:
         how, pattern = _METHOD_FITS[method]
-        cov = pattern and cached(pattern, lambda: ESTIMATORS[pattern](resid, panel))
+        cov = pattern and estimate(pattern)
         if how in SINGLE_TASK_SCHEMES:
             return single_task_weights(panel, how, cov).matrix(panel).T
         return fit(how, panel, sys, resid, cov).Psi.T

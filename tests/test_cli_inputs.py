@@ -249,6 +249,7 @@ FIELD_LIMIT_DEFECTS = {
     "residuals": ("residuals", lambda ls: ls + [f"0,{LONG_LABEL},alpha,0.5"]),
     "residuals-header": ("residuals", lambda ls: [f"{ls[0]},{LONG_LABEL}"] + ls[1:]),
     "actuals": ("actuals", lambda ls: ls + [f"{LONG_LABEL},1,0,0.0"]),
+    "constraints": ("constraints", lambda ls: ls + [f'"{LONG_LABEL}",0,0']),
     "forecasts": ("forecasts", lambda ls: ls + [f"occ,{LONG_LABEL},1,0,0.0"]),
 }
 
@@ -259,13 +260,16 @@ def test_field_beyond_the_csv_limit_exits_3_without_output(tmp_path, rng, capsys
     panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
     panel_path.write_text("\n".join(PANEL_LINES) + "\n")
     resid_path.write_text("\n".join(RESID_LINES) + "\n")
+    constraints_path = tmp_path / "constraints.csv"
+    constraints_path.write_text("total,east,west\n1,-1,-1\n")
     (actuals_path, forecasts_path), *_ = evaluation_csvs(tmp_path, rng)
-    target = {"panel": panel_path, "residuals": resid_path,
+    target = {"panel": panel_path, "residuals": resid_path, "constraints": constraints_path,
               "actuals": actuals_path, "forecasts": forecasts_path}[which]
     target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
     out = tmp_path / "out"
-    if which in ("panel", "residuals"):
-        argv = ["reconcile", "--constraints", str(SAMPLE / "constraints.json"),
+    if which in ("panel", "residuals", "constraints"):
+        constraints = constraints_path if which == "constraints" else SAMPLE / "constraints.json"
+        argv = ["reconcile", "--constraints", str(constraints),
                 "--panel", str(panel_path), "--residuals", str(resid_path),
                 "--output", str(out / "coherent.csv")]
     else:

@@ -395,6 +395,16 @@ def test_src_identical_experts_reduce_to_mint(rng):
     np.testing.assert_allclose(res.y_tilde, expected.y_tilde, atol=1e-12)
 
 
+def test_fit_src_reconciles_each_expert_with_its_shrunk_mse(rng):
+    sys = hierarchy()
+    panel = from_availability(np.ones((7, 3), dtype=bool), sys, values=rng.standard_normal(21))
+    resid = rng.standard_normal((panel.m, 30)) + rng.standard_normal(30)
+    res = fit("src", panel, sys, resid, None)
+    ref = src(panel, sys, [shrink(resid[panel.expert_rows(j)]) for j in range(panel.p)])
+    for a, b in ((res.y_tilde, ref.y_tilde), (res.Psi, ref.Psi), (res.W_tilde, ref.W_tilde)):
+        assert np.array_equal(a, b)
+
+
 def test_src_rejects_unbalanced(rng):
     sys, panel = worked_shape_panel(rng)
     with pytest.raises(DataError):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,6 +37,15 @@ def test_sample_mse_rank_one():
     est = sample_mse(resid)
     np.testing.assert_allclose(est.W, np.outer(v, v), atol=1e-15)
     assert est.singular  # rank one cannot back a solve
+
+
+def test_wider_than_T_is_singular_even_where_cholesky_succeeds():
+    # an MSE of 3 rows over T = 2 observations has rank 2, yet rounding lets
+    # its Cholesky factorization pass for about half of all draws
+    for seed in range(20):
+        resid = np.random.default_rng(seed).standard_normal((6, 2))
+        assert sample_mse(resid[:3]).singular
+        assert block_by_expert(resid, small_panel()).singular
 
 
 def test_sample_mse_identity():
@@ -202,18 +214,24 @@ def test_per_block_intensities_are_reported(rng):
     assert all(0.0 <= lam <= 1.0 for lam in est.lam)
 
 
+@pytest.mark.parametrize("shrink_blocks", [False, True])
 @pytest.mark.parametrize("estimator, p", [(block_by_expert, 2), (block_by_variable, 8)])
-def test_shrunk_blocks_wider_than_T_are_not_singular(rng, estimator, p):
+def test_blocks_wider_than_T_are_singular_unless_shrunk(rng, estimator, p, shrink_blocks):
     # every block (9 variables per expert, 8 experts per variable) is wider
-    # than the T = 6 observations, yet each shrunk block is positive definite
+    # than the T = 6 observations: its sample MSE is rank deficient, so the
+    # estimate is tagged singular, yet each shrunk block is positive definite
     a = np.kron(np.eye(3), np.ones((1, 2)))
     sys = from_aggregation(a, [f"v{k}" for k in range(9)])
     panel = from_availability(
         np.ones((9, p), dtype=bool), sys, values=rng.standard_normal(9 * p)
     )
     resid = rng.standard_normal((panel.m, 6))
-    est = estimator(resid, panel, shrink_blocks=True)
-    assert not est.singular
+    est = estimator(resid, panel, shrink_blocks=shrink_blocks)
+    assert est.singular is not shrink_blocks
+    if not shrink_blocks:
+        with pytest.raises(NumericalError, match="flagged singular"):
+            occ(panel, sys, est)
+        return
     res = occ(panel, sys, est)
     assert kkt_residual(panel.K, est.W, sys.C, panel.y_hat, res.y_tilde) <= 1e-9
 
@@ -250,6 +268,23 @@ def test_block_patterns_factor_blocks_only(rng, monkeypatch, estimator, shrink_b
     assert all(a.shape != (panel.m, panel.m) for a in factored)
     assert not any(np.array_equal(a, b) for a in factored for b in blocks)
     scipy.linalg.cho_factor(est.W)
+
+
+def test_estimates_are_freed_by_reference_counting(rng):
+    # a dense estimate builds its one part on access: a stored part holding
+    # the estimate itself would be a cycle, left to the cyclic collector
+    panel = small_panel()
+    resid = rng.standard_normal((6, 50))
+    gc.disable()
+    try:
+        for build in (lambda: shrink(resid), lambda: block_by_expert(resid, panel, True)):
+            est = build()
+            est.parts, est.blocks(panel.m), est.W
+            ref = weakref.ref(est)
+            del est
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_user_covariance_must_be_finite_and_square():

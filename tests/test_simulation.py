@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,6 +267,26 @@ def test_method_table_matches_branch_chain(balanced):
         cache = {}
         for m in order:
             assert np.array_equal(_method_weights(m, panel, sys, resid, cache), expected[m]), m
+
+
+def test_shared_expert_blocks_are_factored_once(monkeypatch):
+    # occ_be, src and the base_* projectors all read expert j's block from the
+    # cached bd_expert_shrunk estimate, so no matrix is factored twice
+    factored = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda a, *args, **kw: factored.append(np.array(a))
+                        or cho_factor(a, *args, **kw))
+    cfg = SimulationConfig(setting=5, p=4, n_train=40, test_len=5, replications=1, seed=21)
+    sys = dgp_system()
+    data = generate_replication(cfg, 0)
+    panel = from_availability(data.availability, sys)
+    resid = residuals_from_arrays(panel, data.actuals[:40], data.forecasts[:, :40])
+    cache = {}
+    for m in ("occ_be", "src", "base_star_shr", "base_shr"):
+        _method_weights(m, panel, sys, resid, cache)
+    assert len(factored) == 14  # 4 expert blocks; 2 pooled solves for occ_be and each expert
+    assert not any(np.array_equal(a, b) for k, a in enumerate(factored) for b in factored[:k])
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
