@@ -11,18 +11,19 @@ Every label-keyed CSV (panel, residual, actuals, forecasts) goes through one
 reader, ``_read_columns``: it parses ``_CHUNK_ROWS`` rows at a time and turns
 each chunk into columns (integer keys, float values, labels coded in order of
 first appearance), so no row outlives its chunk as a Python object. Chunks
-come from ``np.loadtxt``'s C tokenizer; a file it refuses anywhere is read
-again from the top by ``csv.reader`` with ``int`` and ``float``, which reads
-the spellings only Python accepts and alone words every input error. The
-panel and residual columns go to ``panel.panel_from_pairs`` and
-``panel.fill_cells``, the one place that maps labels to by-expert rows. A
-panel CSV is one zero-valued panel (its availability, shared by every
-horizon) and one m x H forecast matrix ``Y``. ``--cov`` names a pattern of
-``covariance.ESTIMATORS`` through ``COV_CHOICES``, and ``reconcile`` hands its
-method to ``coherent.fit``, which the simulation shares. The weights depend
-only on the availability and the error covariance, so ``reconcile`` and
-``combine`` fit once and apply once, ``Psi' Y`` (``combine``: ``Omega`` or
-``WeightScheme.matrix`` as ``Psi``).
+come from ``np.loadtxt``'s C tokenizer, whose number columns are typed in a
+plain-ASCII file and otherwise cast by ``int`` and ``float``; a file it
+refuses anywhere is read again from the top by ``csv.DictReader``, which
+alone words every input error. The panel and residual columns go to
+``panel.panel_from_pairs`` and ``panel.fill_cells``, the one place that maps
+labels to by-expert rows. A panel CSV is one zero-valued panel (its
+availability, shared by every horizon) and one m x H forecast matrix ``Y``.
+``--cov`` names a pattern of ``covariance.ESTIMATORS`` through
+``COV_CHOICES``, and ``reconcile`` hands its method to ``coherent.fit``,
+which the simulation shares. The weights depend only on the availability and
+the error covariance, so ``reconcile`` and ``combine`` fit once and apply
+once, ``Psi' Y`` (``combine``: ``Omega`` or ``WeightScheme.matrix`` as
+``Psi``).
 
 ``evaluate`` reads each evaluation CSV through ``_read_eval_csv`` into one
 array with sorted labels and a last axis over the sorted (horizon, q) keys,
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -47,7 +47,6 @@ import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
-from operator import itemgetter
 from pathlib import Path
 
 import click
@@ -127,8 +126,8 @@ def _write_manifest(**resolved) -> None:
 # -- input readers -------------------------------------------------------------
 
 
-# rows per chunk on both paths (np.loadtxt's, and csv.reader's, which alone words
-# input errors): bounds what one chunk holds as Python objects
+# rows per chunk on both paths (np.loadtxt's, and csv.DictReader's, which alone
+# words input errors): bounds what one chunk holds as Python objects
 _CHUNK_ROWS = 4096
 
 
@@ -139,19 +138,17 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     order of first appearance and the int64 code of each row. A missing or
     empty cell of an ``ints`` column with an entry in ``defaults`` reads as
     that default; the other named columns and ``value`` are required. Rows
-    are parsed ``_CHUNK_ROWS`` at a time under ``csv.DictReader``'s rules:
-    blank lines are skipped, extra fields ignored, a repeated column name
-    means its last column, and a short row is an error. A cell that does not
-    parse raises ``DataError(bad(row, column))``, ``row`` as ``DictReader``
-    gives it.
+    are read under ``csv.DictReader``'s rules: blank lines are skipped, extra
+    fields ignored, a repeated column name means its last column, and a short
+    row is an error. A cell that does not parse raises
+    ``DataError(bad(row, column))``, ``row`` as ``DictReader`` gives it.
 
-    Two paths read the rows after the header, and the input alone chooses
-    between them. ``_numpy_chunks`` parses with ``np.loadtxt``'s C tokenizer.
-    Where it or ``_require_ascii`` refuses anything (a short row, an empty
-    cell that takes a default, a spelling only Python reads such as ``1_0``,
-    an int beyond int64, text outside ASCII), the whole file is read again
-    from the top by ``_csv_chunks``: ``csv.reader`` rows and ``int`` and
-    ``float``, the reference reader and the only one that names a defect.
+    ``_numpy_chunks`` reads the rows after the header with ``np.loadtxt``'s C
+    tokenizer, ``_CHUNK_ROWS`` at a time. Where it refuses anything (a short
+    row, an empty cell that takes a default, a number ``int`` or ``float``
+    refuses, an int beyond int64), the whole file is read again from the top
+    by ``_csv_chunks``, ``csv.DictReader`` row by row: the reference reader,
+    and the only one that names a defect.
     """
     path, defaults = Path(path), defaults or {}
     if not path.exists():
@@ -164,12 +161,11 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
             if header is None or not required.issubset(header):
                 raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
             try:
-                _require_ascii(path)
-                return _collect(_numpy_chunks(fh, header, parsed, labels, defaults), parsed,
-                                labels)
-            except (ValueError, Warning):  # numpy refused: csv.reader reads it or names why
-                return _collect(_csv_chunks(fh, path, what, header, parsed, labels, bad,
-                                            defaults), parsed, labels)
+                return _collect(_numpy_chunks(fh, header, parsed, labels, defaults,
+                                              _plain_ascii(path)), parsed, labels)
+            except (ValueError, OverflowError, Warning):  # DictReader reads it or names why
+                return _collect(_csv_chunks(fh, path, what, parsed, labels, bad, defaults),
+                                parsed, labels)
     except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
         raise DataError(f"{what} CSV {path}: {exc}") from None
 
@@ -187,32 +183,34 @@ def _collect(chunks, parsed, labels):
     return ints, values, [(tuple(code), np.concatenate(part)) for code, part in codes]
 
 
-def _require_ascii(path: Path) -> None:
-    """ValueError unless ``path`` is ASCII without U+001C-U+001F, text numpy parses as Python does.
+def _plain_ascii(path: Path) -> bool:
+    """Whether ``path`` is ASCII without U+001C-U+001F: numbers numpy parses as Python does.
 
     Outside ASCII, numpy's integer parser takes digit signs such as U+2460
     that ``int`` refuses; within it, numpy skips the separators U+001C-U+001F
     as whitespace where ``int`` and ``float`` refuse them.
     """
     with path.open("rb") as raw:
-        for piece in iter(lambda: raw.read(io.DEFAULT_BUFFER_SIZE), b""):
-            if not piece.isascii() or any(map(piece.__contains__, b"\x1c\x1d\x1e\x1f")):
-                raise ValueError("text that numpy reads otherwise than int() and float()")
+        return all(piece.isascii() and not any(map(piece.__contains__, b"\x1c\x1d\x1e\x1f"))
+                   for piece in iter(lambda: raw.read(io.DEFAULT_BUFFER_SIZE), b""))
 
 
-def _numpy_chunks(fh, header, parsed, labels, defaults):
+def _numpy_chunks(fh, header, parsed, labels, defaults, typed):
     """Yield (number columns, label cells) per ``np.loadtxt`` chunk of the rows left in ``fh``.
 
-    Only the last column of each parsed name is typed (a repeated name means
-    its last column); every other column is read as ``object``, and
+    With ``typed``, only the last column of each parsed name is read as its
+    dtype by numpy's own number parser (a repeated name means its last
+    column). Otherwise every column is read as ``object`` and each number
+    column is cast with ``astype``, which calls ``int`` and ``float``.
     ``usecols`` over the whole header keeps ``DictReader``'s field rules.
     loadtxt pulls lines from the file's iterator, so each call resumes where
-    the last one stopped, quoted commas, newlines and doubled quotes included. Raises
-    ``ValueError``, or the ``Warning``, where loadtxt refuses a row or a cell.
+    the last one stopped, quoted commas, newlines and doubled quotes included.
+    Raises ``ValueError``, ``OverflowError`` or the ``Warning`` where a row or
+    a cell is refused.
     """
     at = {name: i for i, name in enumerate(header)}
-    typed = {at[name]: dtype for name, _, dtype in parsed if name in at}
-    dtype = np.dtype([(f"f{i}", typed.get(i, object)) for i in range(len(header))])
+    numbers = {at[name]: dtype for name, _, dtype in parsed if typed and name in at}
+    dtype = np.dtype([(f"f{i}", numbers.get(i, object)) for i in range(len(header))])
     while True:
         with warnings.catch_warnings():
             # any notice is a refusal (numpy 1.24 reads "1.0" as an int with a
@@ -223,57 +221,34 @@ def _numpy_chunks(fh, header, parsed, labels, defaults):
                                usecols=range(len(header)), max_rows=_CHUNK_ROWS, ndmin=1)
         if not chunk.size:  # the end of input: never the warning, which blank lines share
             return
-        yield ([chunk[f"f{at[name]}"].copy() if name in at else
+        yield ([chunk[f"f{at[name]}"].astype(dtype) if name in at else
                 np.full(chunk.size, defaults[name], dtype) for name, _, dtype in parsed],
                [chunk[f"f{at[name]}"].tolist() for name in labels])
 
 
-def _csv_chunks(fh, path, what, header, parsed, labels, bad, defaults):
-    """Yield (number columns, label cells) per ``_CHUNK_ROWS`` ``csv.reader`` rows of ``fh``,
-    read from the row after the header."""
+def _csv_chunks(fh, path, what, parsed, labels, bad, defaults):
+    """Yield (number columns, label cells) per ``_CHUNK_ROWS`` ``csv.DictReader`` rows of ``fh``,
+    read from the top: the first defective row raises its ``DataError``."""
     fh.seek(0)
-    reader = csv.reader(fh)
-    next(reader)
-    at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    reader = csv.DictReader(fh)
 
-    def cells(rows, name):
-        if name not in defaults:
-            return map(itemgetter(at[name]), rows)
-        if name not in at:
-            return [defaults[name]] * len(rows)
-        return [x or defaults[name] for x in map(itemgetter(at[name]), rows)]
-
-    while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
-        rows = [row for row in raw if row] if [] in raw else raw
-        try:
-            if min(map(len, rows), default=len(header)) < len(header):
-                raise ValueError("short row")
-            chunk = [np.fromiter(map(parse, cells(rows, name)), dtype, len(rows))
-                     for name, parse, dtype in parsed]
-        except (ValueError, OverflowError):
-            _raise_first_defect(path, what, header, rows, parsed, bad, defaults)
-        yield chunk, [list(cells(rows, name)) for name in labels]
-        del raw, rows  # free this chunk's rows before the next one is read
-
-
-def _raise_first_defect(path, what, header, rows, parsed, bad, defaults) -> None:
-    """Raise the error of the first defective row of a chunk, as a row-by-row read would."""
-    for row in rows:
-        if len(row) < len(header):
-            with path.open(newline="") as fh:  # the line number DictReader reports
-                reader = csv.DictReader(fh)
-                next(r for r in reader if None in r.values())
+    def parse_row(row):  # numbers, then labels
+        if None in row.values():
             raise DataError(f"{what} CSV {path} line {reader.line_num} has too few fields")
-        record = dict(zip(header, row))
-        if len(row) > len(header):
-            record[None] = row[len(header):]
+        numbers = []
         for name, parse, dtype in parsed:
-            cell = (record.get(name) or defaults[name]) if name in defaults else record[name]
             try:
-                dtype(parse(cell))
+                numbers.append(dtype(parse(
+                    (row.get(name) or defaults[name]) if name in defaults else row[name])))
             except (ValueError, OverflowError):
-                raise DataError(bad(record, name)) from None
-    raise AssertionError("a chunk failed to parse without a defective row")
+                raise DataError(bad(row, name)) from None
+        return (*numbers, *(row[name] for name in labels))
+
+    # zip takes a row from the reader only while the range lasts
+    while rows := [parse_row(row) for _, row in zip(range(_CHUNK_ROWS), reader)]:
+        columns = list(zip(*rows))
+        yield ([np.array(column, dtype) for column, (_, _, dtype) in zip(columns, parsed)],
+               columns[len(parsed):])
 
 
 def _cell_columns(path: Path, what: str, key: str, default=None):

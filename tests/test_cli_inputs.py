@@ -63,13 +63,17 @@ DEFECTS = {
         ["panel CSV", "no forecasts"]),
 }
 
-# keys beyond int64, which the row readers (Python ints) take without complaint
+# keys beyond int64, which the row readers (Python ints) take without complaint;
+# an extra field outside ASCII makes the cast of an object column refuse them
 INT64_DEFECTS = {
     "panel-horizon-beyond-int64": (
         "panel", lambda ls: ls + ["total,alpha,9223372036854775808,17.0"],
         ["bad horizon '9223372036854775808' in panel CSV"]),
     "resid-t-beyond-int64": (
         "residuals", lambda ls: ls + ["9223372036854775808,total,alpha,0.5"],
+        ["bad t '9223372036854775808' in residual CSV"]),
+    "resid-t-beyond-int64-outside-ascii": (
+        "residuals", lambda ls: ls + ["9223372036854775808,total,alpha,0.5,\u00e9"],
         ["bad t '9223372036854775808' in residual CSV"]),
 }
 
@@ -120,6 +124,16 @@ def test_short_row_exits_3(tmp_path, capsys, which):
     assert not (tmp_path / "coherent.csv").exists()
 
 
+def test_reconcile_without_residuals_exits_3(tmp_path, capsys):
+    out = tmp_path / "out" / "coherent.csv"
+    code = main(["reconcile", "--constraints", str(SAMPLE / "constraints.json"),
+                 "--panel", str(SAMPLE / "panel.csv"), "--output", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "schema" and "requires --residuals" in err["message"]
+    assert not out.parent.exists()
+
+
 def with_value(line, value):
     return line.rsplit(",", 1)[0] + "," + value
 
@@ -149,6 +163,9 @@ EVAL_DEFECTS = {
     "actuals-series-missing-at-one-horizon": (
         "actuals", lambda ls: [line for line in ls if not line.startswith("east,2,")],
         ["actuals CSV must hold every", "series 'east', horizon 2, q 0 appears 0 times"]),
+    "forecasts-series-missing": (
+        "forecasts", lambda ls: [line for line in ls if line.split(",")[1] != "west"],
+        ["forecasts CSV does not cover the actuals' series and (horizon, q) cells"]),
 }
 
 
@@ -241,16 +258,18 @@ def test_evaluation_defect_in_any_chunk_gives_the_row_reader_error(
     assert not (tmp_path / "out").exists()
 
 
-# a label beyond csv.field_size_limit() (131072) in a file outside ASCII, which
-# csv.reader reads: (input edited, edit of its lines)
+# a field beyond csv.field_size_limit() (131072), which the csv module refuses:
+# (input edited, edit of its lines). numpy's tokenizer has no such limit, so
+# each long data row is followed by a short row, which numpy refuses: the file
+# then reaches csv.DictReader, which meets the long field first.
 LONG_LABEL = "\u00e9" * 140_000
 FIELD_LIMIT_DEFECTS = {
-    "panel": ("panel", lambda ls: ls + [f"{LONG_LABEL},alpha,1,1.0"]),
-    "residuals": ("residuals", lambda ls: ls + [f"0,{LONG_LABEL},alpha,0.5"]),
+    "panel": ("panel", lambda ls: ls + [f"{LONG_LABEL},alpha,1,1.0", "west"]),
+    "residuals": ("residuals", lambda ls: ls + [f"0,{LONG_LABEL},alpha,0.5", "0"]),
     "residuals-header": ("residuals", lambda ls: [f"{ls[0]},{LONG_LABEL}"] + ls[1:]),
-    "actuals": ("actuals", lambda ls: ls + [f"{LONG_LABEL},1,0,0.0"]),
+    "actuals": ("actuals", lambda ls: ls + [f"{LONG_LABEL},1,0,0.0", "east"]),
     "constraints": ("constraints", lambda ls: ls + [f'"{LONG_LABEL}",0,0']),
-    "forecasts": ("forecasts", lambda ls: ls + [f"occ,{LONG_LABEL},1,0,0.0"]),
+    "forecasts": ("forecasts", lambda ls: ls + [f"occ,{LONG_LABEL},1,0,0.0", "occ"]),
 }
 
 

@@ -6,9 +6,9 @@ oracle in ``tests/oracles.py`` whatever the chunk size, or raise the oracle's
 different chunks, with blank lines, quoted labels holding commas, padded
 labels, extra trailing fields, missing or empty horizons and a repeated column
 name (the last one is read); at the end of input and at every line ending; on
-generated CSV text; and on numbers spelled as only Python reads them, which
-numpy's tokenizer refuses so that the ``csv.reader`` path reads them. Inputs
-that numpy reads must not reach the ``csv.reader`` path at all.
+generated CSV text; and on numbers spelled as only Python reads them. Inputs
+that numpy reads, non-ASCII ones included, must not reach the
+``csv.DictReader`` path at all.
 """
 
 import csv
@@ -174,7 +174,7 @@ def assert_readers_agree(path, sys_, horizons):
     """Panel, residual and evaluation readers against their row oracles on ``path``.
 
     A read equals the oracle's bits, and an error is a ``DataError`` where the
-    oracle raises one, with the message of the ``csv.reader`` path. (A file
+    oracle raises one, with the message of the ``csv.DictReader`` path. (A file
     with more than one defect may differ from the oracle in which defect it
     names first: the oracle checks labels row by row, the readers after
     parsing.) Returns each reader's (outcome, oracle outcome).
@@ -265,7 +265,8 @@ def generated_csv(draw):
     order, with blank lines, extra fields, a repeated column name (its first
     copy junk), any line ending and spellings of labels and numbers; half the
     files also hold defects: short rows, empty horizons, broken quoting and
-    non-finite values. A ``1_0`` value in half the files is read by Python alone."""
+    non-finite values. A ``1_0`` value in half the files is read by Python alone,
+    and half the files spell their junk outside ASCII."""
     clean = draw(st.booleans())
     names = draw(st.permutations(["t", "q", "series", "expert", "value"]
                                  + ["horizon"] * draw(st.booleans())))
@@ -278,7 +279,8 @@ def generated_csv(draw):
     keys = draw(st.integers(1, 3))
     cells = draw(st.permutations([(k, s, e) for k in range(keys) for s, e in pairs]))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    python_only = ["1_0"] * draw(st.booleans())  # sends the whole file to csv.reader
+    python_only = ["1_0"] * draw(st.booleans())  # sends an ASCII file to csv.DictReader
+    junk = draw(st.sampled_from(["junk", "j\u00fcnk"]))  # outside ASCII: object columns
     number = st.one_of(st.floats(allow_nan=not clean, allow_infinity=not clean).map(repr),
                        st.sampled_from([" 2 ", "-0", *python_only]))
     shapes = ["whole"] * 8 + ["extra", "blank-before"] + ([] if clean else ["short"])
@@ -288,10 +290,10 @@ def generated_csv(draw):
                  "horizon": draw(st.sampled_from([str(k + 1)] * 4 + [""] * (not clean))),
                  "series": draw(spellings(series, clean)),
                  "expert": draw(spellings(expert, clean))}
-        row = ["junk"] * len(repeated) + [field[name] for name in names]
+        row = [junk] * len(repeated) + [field[name] for name in names]
         shape = draw(st.sampled_from(shapes))
         if shape == "extra":
-            row += ["extra", '"x,y"']
+            row += ["extra", f'"x,{junk}"']
         elif shape == "short":
             row = row[:-1]
         elif shape == "blank-before":
@@ -315,7 +317,7 @@ def test_generated_csv_matches_row_readers(tmp_path, text, size):
 
 
 class CsvPath(Exception):
-    """Raised in place of the ``csv.reader`` path: the numpy path refused the file."""
+    """Raised in place of the ``csv.DictReader`` path: the numpy path refused the file."""
 
 
 def no_csv_path(*_):
@@ -351,8 +353,11 @@ def test_numpy_path_reads_a_number_as_int_and_float_do(tmp_path, spelling, quote
 
 @pytest.mark.parametrize("horizon, value, want_h, want_y", [
     ("1_0", "1_0", 10, 10.0), ("\u0663", "\u0663", 3, 3.0), ("2", " 1_5 ", 2, 15.0)])
-def test_python_only_spellings_read_through_the_csv_path(tmp_path, chunk_rows, horizon, value,
-                                                         want_h, want_y):
+def test_python_only_spellings_read_as_int_and_float_do(tmp_path, chunk_rows, horizon, value,
+                                                        want_h, want_y):
+    """Spellings numpy's own parser refuses read as the row reader reads them: ``1_0``
+    in an ASCII file through ``csv.DictReader``, the Arabic-Indic digit on the
+    numpy path, whose object columns are cast by ``int`` and ``float``."""
     path = tmp_path / "panel.csv"
     path.write_text("series,expert,horizon,value\n" + "".join(
         f"{s},alpha,{horizon},{value}\n" for s in ('"total, all"', "east", "west", "north")),
@@ -364,11 +369,20 @@ def test_python_only_spellings_read_through_the_csv_path(tmp_path, chunk_rows, h
 
 
 def test_numpy_path_reads_every_supported_input(tmp_path, monkeypatch, rng):
-    """Sample, evaluation and quoted-label files never reach the csv.reader path."""
+    """Sample, evaluation, quoted-label and non-ASCII files never reach the
+    csv.DictReader path; a non-ASCII copy of the sample reads to its bits."""
     monkeypatch.setattr(cocomb.cli, "_csv_chunks", no_csv_path)
     sys_ = from_aggregation(np.array([[1.0, 1.0]]), ["total", "east", "west"])
-    panel = cocomb.cli._read_panel_csv(SAMPLE / "panel.csv", sys_)[0]
-    cocomb.cli._read_residual_csv(SAMPLE / "residuals.csv", panel)
+    panel, horizons, y_hat = cocomb.cli._read_panel_csv(SAMPLE / "panel.csv", sys_)
+    resid = cocomb.cli._read_residual_csv(SAMPLE / "residuals.csv", panel)
+    for name in ("panel.csv", "residuals.csv"):  # a "note" column holding "\u00e9"
+        head, *rows = (SAMPLE / name).read_text().splitlines()
+        text = "".join(f"{row},\u00e9\n" for row in rows)
+        (tmp_path / name).write_text(f"{head},note\n{text}", encoding="utf-8")
+    noted = cocomb.cli._read_panel_csv(tmp_path / "panel.csv", sys_)
+    assert fingerprint(noted) == fingerprint((panel, horizons, y_hat))
+    noted_resid = cocomb.cli._read_residual_csv(tmp_path / "residuals.csv", noted[0])
+    assert fingerprint(noted_resid) == fingerprint(resid)
     (actuals, forecasts), *_ = evaluation_csvs(tmp_path, rng)
     cocomb.cli._read_eval_csv(actuals, "actuals", ("series",), [1, 2, 3])
     cocomb.cli._read_eval_csv(forecasts, "forecasts", ("method", "series"), [1, 2, 3])

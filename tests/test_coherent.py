@@ -88,6 +88,26 @@ def test_mint_identity_covariance_is_orthogonal_projection():
     np.testing.assert_allclose(res.y_tilde, orthogonal_projector(sys.C) @ e1, atol=1e-12)
 
 
+def test_unconstrained_system_is_the_multi_task_combination(rng):
+    """With no constraint (``C`` has no rows) every route is the multi-task
+    combination, the projector is the identity and mint changes nothing."""
+    sys = from_aggregation(np.zeros((0, 3)), ["a", "b", "c"])
+    avail = np.array([[True, True], [True, False], [False, True]])
+    panel = from_availability(avail, sys, values=rng.standard_normal(4))
+    est = shrink(rng.standard_normal((panel.m, 40)))
+    combined = combine_multi_task(panel, est)
+    for f in FORMULATIONS:
+        res = occ(panel, sys, est, f)
+        np.testing.assert_array_equal(res.y_tilde, combined.y_c)
+        np.testing.assert_array_equal(res.W_tilde, combined.W_c)
+        if f.startswith("zc"):
+            np.testing.assert_array_equal(res.W_c, combined.W_c)
+            np.testing.assert_array_equal(res.M, np.eye(3))
+    y_hat = rng.standard_normal(3)
+    np.testing.assert_allclose(mint_reconcile(y_hat, sys, random_spd(rng, 3)).y_tilde, y_hat,
+                               rtol=0, atol=1e-12)
+
+
 def test_occ_worked_shape_matches_kkt_oracle(rng):
     sys, panel = worked_shape_panel(rng)
     w = random_spd(rng, 7)

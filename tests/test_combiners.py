@@ -68,13 +68,26 @@ def test_weights_sum_to_one(rng):
                     assert gamma.min() >= -1e-12
 
 
+def correlated_spd(rng, k):
+    """Strongly correlated covariances: a random SPD matrix plus ``0.8 * 11'``."""
+    return random_spd(rng, k, lo=0.2, hi=4.0) + 0.8 * np.outer(np.ones(k), np.ones(k))
+
+
+def scaled_gram(rng, k):
+    """``a a' + 1e-3 I``, ``a`` N(0,1) with each column scaled by U(0.1, 3): dropping
+    the negative weights of the first solve often overshoots, so some re-enter."""
+    a = rng.standard_normal((k, k)) * rng.uniform(0.1, 3.0, size=k)
+    return a @ a.T + 1e-3 * np.eye(k)
+
+
 def test_simplex_weights_satisfy_kkt(rng):
-    for _ in range(100):
-        k = int(rng.integers(2, 7))
-        sigma = random_spd(rng, k, lo=0.2, hi=4.0)
-        # make negative unconstrained weights likely by adding strong correlation
-        sigma += 0.8 * np.outer(np.ones(k), np.ones(k))
+    draws = [correlated_spd(rng, int(rng.integers(2, 7))) for _ in range(100)]
+    draws += [scaled_gram(rng, int(rng.integers(5, 7))) for _ in range(100)]
+    reentered = 0
+    for sigma in draws:
         gamma = simplex_weights(sigma)
+        free = np.linalg.solve(sigma, np.ones(len(sigma)))
+        reentered += bool(((free / free.sum() < 0) & (gamma > 0)).any())
         assert abs(gamma.sum() - 1.0) <= 1e-12
         assert gamma.min() >= 0.0
         grad = sigma @ gamma
@@ -83,6 +96,7 @@ def test_simplex_weights_satisfy_kkt(rng):
         assert np.abs(grad[active] - mu).max() <= 1e-8
         if (~active).any():
             assert grad[~active].min() >= mu - 1e-8
+    assert reentered  # a weight negative in the all-free solve is positive in the result
 
 
 def test_simplex_weights_match_grid_oracle(rng):
