@@ -3,13 +3,13 @@
 All solvers in this package go through these helpers and solve SPD systems
 through their factors; ``cho_inverse`` forms an explicit inverse only where
 one is wanted: the pooled covariance, and GLS blocks of distinct variables.
+Each helper imports ``scipy.linalg`` when called, not with the package: that
+import costs more than the rest of ``import cocomb``, and ``evaluate`` never factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .exceptions import NumericalError
 
@@ -20,6 +20,8 @@ def cho_factor_spd(a: np.ndarray, what: str = "matrix"):
     Raises NumericalError (not scipy's LinAlgError) so callers can map the
     failure to a structured exit code.
     """
+    import scipy.linalg
+
     try:
         return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -32,6 +34,8 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
     ``scipy.linalg.cho_solve`` calls the same routine behind ~20 us of
     argument checks, which dominate the small solves of the block patterns.
     """
+    from scipy.linalg import lapack
+
     x, info = lapack.dpotrs(factor[0], b, lower=factor[1])
     if info != 0:
         raise NumericalError(f"Cholesky solve failed (LAPACK dpotrs info {info})")
@@ -41,6 +45,8 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
 def cho_inverse(factor) -> np.ndarray:
     """``a^-1``, exactly symmetric, from ``cho_factor_spd(a)`` by LAPACK ``dpotri``:
     ⅔n³ flops, against 2n³ for a solve against the identity."""
+    from scipy.linalg import lapack
+
     inv, info = lapack.dpotri(factor[0], lower=factor[1])
     if info != 0:
         raise NumericalError(f"Cholesky inverse failed (LAPACK dpotri info {info})")

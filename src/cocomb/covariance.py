@@ -123,7 +123,10 @@ def shrink_intensity(residuals: np.ndarray) -> float:
     correlations divided by their summed squares, computed on standardized
     residuals under the uncentered MSE convention.
     """
-    r = _check_residuals(residuals)
+    return _shrink_intensity(_check_residuals(residuals))
+
+
+def _shrink_intensity(r: np.ndarray) -> float:  # r as checked by _check_residuals
     m, T = r.shape
     if m == 1:
         return 1.0
@@ -154,7 +157,7 @@ def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimat
     if np.any(np.diag(w) <= 0):
         raise NumericalError("zero-variance residual coordinate; cannot shrink")
     if lam is None:
-        lam = shrink_intensity(r)
+        lam = _shrink_intensity(r)
     if not 0.0 <= lam <= 1.0:
         raise DataError("shrinkage intensity must lie in [0, 1]")
     return CovarianceEstimate(lam * np.diag(np.diag(w)) + (1.0 - lam) * w, "shrunk", lam=lam)

@@ -27,7 +27,6 @@ estimates each covariance and per-expert projector they share once.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -437,6 +436,7 @@ def run_experiment(
     if n_jobs == 1:
         per_chunk = list(map(_chunk_accuracy, *args))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             per_chunk = list(pool.map(_chunk_accuracy, *args))
     mae_all, mse_all = map(np.stack, zip(*[acc for chunk in per_chunk for acc in chunk]))

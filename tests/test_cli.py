@@ -487,13 +487,61 @@ def test_outputs_honour_the_umask(tmp_path, umask):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
-def test_importing_the_cli_loads_no_scipy_subpackage_but_linalg():
-    """Every command pays this import; ``scipy.special`` alone would add tens of ms."""
-    code = ("import sys, cocomb.cli; print(*sorted(name for name, mod in sys.modules.items()"
-            " if name.count('.') == 1 and name.startswith('scipy.')"
-            " and not name.startswith('scipy._') and hasattr(mod, '__path__')))")
+def fresh_python(code, *args, cwd=None):
+    """Stdout of ``python -c code *args`` in a new interpreter importing this checkout's cocomb."""
     src = str(Path(cocomb.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120).stdout
-    assert out.split() == ["scipy.linalg"]
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+LAZY = ("scipy.linalg", "concurrent.futures.process")
+
+
+def test_importing_the_cli_loads_no_scipy_module_nor_the_process_pool():
+    """Every command pays this import; ``scipy.linalg`` alone would add about 0.3 s."""
+    loaded = fresh_python("import sys, cocomb, cocomb.cli; print(*sys.modules)").split()
+    assert [name for name in loaded if name.partition(".")[0] == "scipy" or name in LAZY] == []
+
+
+def command_argv(command, tmp_path, rng):
+    if command == "evaluate":
+        (actuals, forecasts), *_ = evaluation_csvs(tmp_path, rng)
+        return ["evaluate", "--actuals", actuals, "--forecasts", forecasts, "--benchmark", "ew",
+                "--horizons", "1:3", "--dm", "--output", "out.csv", "--dm-output", "dm.csv"]
+    if command.startswith("simulate"):
+        return ["simulate", "--setting", "1", "--p", "3", "--n-train", "40", "--test-len", "10",
+                "--reps", "4", "--jobs", command.removeprefix("simulate-jobs-"),
+                "--output", "out.csv"]
+    inputs = ["--constraints", SAMPLE / "constraints.json", "--panel", SAMPLE / "panel.csv"]
+    if command == "combine":
+        return ["combine", *inputs, "--scheme", "ew", "--output", "out.csv"]
+    if command == "reconcile":
+        return ["reconcile", *inputs, "--residuals", SAMPLE / "residuals.csv",
+                "--output", "out.csv", "--emit-weights", "weights.csv"]
+    return [command]
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("--help", ()), ("--version", ()), ("evaluate", ()), ("combine", ()),
+    ("reconcile", LAZY[:1]), ("simulate-jobs-1", LAZY[:1]),
+    ("simulate-jobs-2", LAZY[1:]),  # the workers factor, not the parent
+])
+def test_commands_load_scipy_linalg_and_the_pool_only_when_used(
+        tmp_path, rng, monkeypatch, command, loads):
+    """Run in a new interpreter, a command loads only the modules it uses, and
+    writes the same output bytes as the same command run in this process."""
+    argv = command_argv(command, tmp_path, rng)
+    (tmp_path / "fresh").mkdir()
+    code = ("import sys; from cocomb.cli import main; code = main(sys.argv[1:]);"
+            f" print(code, *[name for name in {LAZY!r} if name in sys.modules])")
+    status = fresh_python(code, *argv, cwd=tmp_path / "fresh").splitlines()[-1]
+    assert status.split() == ["0", *loads]
+
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    assert run(*argv) == 0
+    written = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "here").iterdir())
+    for name in written:
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()

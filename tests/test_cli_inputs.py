@@ -393,7 +393,7 @@ def test_simulate_jobs_below_one_exits_2(tmp_path, capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr("cocomb.simulation.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     out = tmp_path / "sim.csv"
     code = main(["simulate", "--setting", "1", "--reps", "2", "--jobs", jobs,
                  "--output", str(out)])

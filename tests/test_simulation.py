@@ -294,7 +294,7 @@ def test_run_experiment_rejects_jobs_below_one(monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr("cocomb.simulation.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = SimulationConfig(setting=1, p=3, n_train=40, replications=2)
     with pytest.raises(DataError, match="n_jobs"):
         run_experiment(cfg, ["ew"], n_jobs=jobs)
