@@ -58,7 +58,7 @@ from .combiners import SINGLE_TASK_SCHEMES, combine_multi_task, single_task_weig
 from .constraints import read_constraint_file
 from .covariance import ESTIMATORS
 from .exceptions import DataError, NumericalError
-from .metrics import accuracy, dm_test
+from .metrics import LOSSES, accuracy, dm_test
 from .panel import code_labels, fill_cells, panel_from_pairs
 from .simulation import SIMULATION_METHODS, SimulationConfig, run_experiment
 
@@ -142,6 +142,10 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     fields ignored, a repeated column name means its last column, and a short
     row is an error. A cell that does not parse raises
     ``DataError(bad(row, column))``, ``row`` as ``DictReader`` gives it.
+    Every row parses before a label or value is checked, so the defect a file
+    reports is, in this order: the first row that does not parse, then (in
+    ``panel.fill_cells``) the first record with an unknown label, a
+    non-finite value or a repeated cell, then the first missing cell.
 
     ``_numpy_chunks`` reads the rows after the header with ``np.loadtxt``'s C
     tokenizer, ``_CHUNK_ROWS`` at a time. Where it refuses anything (a short
@@ -528,8 +532,8 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
         dm_output = dm_output or Path(str(output) + ".dm.csv")
         n_m, dm_rows = len(methods), []
         a, b = np.triu_indices(n_m, 1)  # the unordered pairs; none, and nothing is tested
-        for loss_name, power in (("absolute", 1), ("squared", 2)) if a.size else ():
-            loss = np.abs(y - f) ** power  # methods x series x keys
+        for loss_name, loss_of in zip(("absolute", "squared"), LOSSES.values() if a.size else ()):
+            loss = loss_of(y - f)  # methods x series x keys
             for h in horizon_list + ["all"]:
                 hs = horizon_list if h == "all" else [h]
                 idx = np.concatenate([cols[hh] for hh in hs])

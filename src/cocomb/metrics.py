@@ -1,6 +1,10 @@
 """Forecast accuracy evaluation: per-horizon MAE/MSE, geometric-mean relative
 indices against a benchmark method, and the pairwise test of equal predictive
 accuracy.
+
+``LOSSES`` (the elementwise absolute and squared error) and ``geo_mean`` are
+the one definition of the paper's losses and relative index: ``accuracy``,
+the simulation's ``run_experiment`` and ``cocomb evaluate --dm`` all use them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,11 @@ class AccuracyTable:
     excluded: tuple[tuple[str, int, str], ...]
 
 
-def _geo_mean(values: np.ndarray) -> float:
+# elementwise loss of a forecast error; a per-series loss is its mean over origins
+LOSSES = {"mae": np.abs, "mse": np.square}
+
+
+def geo_mean(values: np.ndarray) -> float:
     """Geometric mean in log space; NaN cells are excluded, zeros give 0."""
     vals = values[~np.isnan(values)]
     if vals.size == 0:
@@ -67,8 +75,7 @@ def accuracy(actuals: dict, forecasts: dict, benchmark: str, series) -> Accuracy
         raise DataError(f"benchmark {benchmark!r} not among the evaluated methods")
     n = len(series)
 
-    mae: dict = {m: {} for m in methods}
-    mse: dict = {m: {} for m in methods}
+    loss: dict = {tag: {m: {} for m in methods} for tag in LOSSES}
     for h in horizons:
         y = np.asarray(actuals[h], dtype=float)
         if y.ndim != 2 or y.shape[1] != n or y.shape[0] < 1:
@@ -83,51 +90,42 @@ def accuracy(actuals: dict, forecasts: dict, benchmark: str, series) -> Accuracy
                     f"forecasts for {m!r} at horizon {h} must have shape {y.shape}"
                 )
             err = y - f
-            mae[m][h] = np.abs(err).mean(axis=0)
-            mse[m][h] = (err**2).mean(axis=0)
+            for tag, elementwise in LOSSES.items():
+                loss[tag][m][h] = elementwise(err).mean(axis=0)
 
     excluded: list[tuple[str, int, str]] = []
-    rel_mae: dict = {m: {} for m in methods}
-    rel_mse: dict = {m: {} for m in methods}
+    rel: dict = {tag: {m: {} for m in methods} for tag in LOSSES}
     for h in horizons:
-        for loss, rel, tag in ((mae, rel_mae, "mae"), (mse, rel_mse, "mse")):
-            bench = loss[benchmark][h]
+        for tag in LOSSES:
+            bench = loss[tag][benchmark][h]
             zero = bench == 0.0
-            if zero.any():
-                for i in np.flatnonzero(zero):
-                    excluded.append((series[i], h, tag))
+            excluded += [(series[i], h, tag) for i in np.flatnonzero(zero)]
             for m in methods:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = loss[m][h] / bench
-                ratio = np.where(zero, np.nan, ratio)
-                rel[m][h] = ratio
+                    rel[tag][m][h] = np.where(zero, np.nan, loss[tag][m][h] / bench)
     if excluded:
         warnings.warn(
             f"excluded {len(excluded)} zero-benchmark cells from the relative indices",
             stacklevel=2,
         )
 
-    avg_rel_mae_h = {m: {h: _geo_mean(rel_mae[m][h]) for h in horizons} for m in methods}
-    avg_rel_mse_h = {m: {h: _geo_mean(rel_mse[m][h]) for h in horizons} for m in methods}
-    avg_rel_mae = {
-        m: _geo_mean(np.array([avg_rel_mae_h[m][h] for h in horizons])) for m in methods
-    }
-    avg_rel_mse = {
-        m: _geo_mean(np.array([avg_rel_mse_h[m][h] for h in horizons])) for m in methods
-    }
+    avg_h = {tag: {m: {h: geo_mean(rel[tag][m][h]) for h in horizons} for m in methods}
+             for tag in LOSSES}
+    avg = {tag: {m: geo_mean(np.array(list(avg_h[tag][m].values()))) for m in methods}
+           for tag in LOSSES}
     return AccuracyTable(
         series=series,
         horizons=horizons,
         methods=methods,
         benchmark=benchmark,
-        mae=mae,
-        mse=mse,
-        rel_mae=rel_mae,
-        rel_mse=rel_mse,
-        avg_rel_mae_h=avg_rel_mae_h,
-        avg_rel_mse_h=avg_rel_mse_h,
-        avg_rel_mae=avg_rel_mae,
-        avg_rel_mse=avg_rel_mse,
+        mae=loss["mae"],
+        mse=loss["mse"],
+        rel_mae=rel["mae"],
+        rel_mse=rel["mse"],
+        avg_rel_mae_h=avg_h["mae"],
+        avg_rel_mse_h=avg_h["mse"],
+        avg_rel_mae=avg["mae"],
+        avg_rel_mse=avg["mse"],
         excluded=tuple(excluded),
     )
 

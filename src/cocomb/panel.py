@@ -247,8 +247,11 @@ def fill_cells(k, series, expert, value, panel: ForecastPanel, source: str, key:
     the matrix with one column per ``k``, rows in by-expert order. Each record
     must name a pair of the panel and a finite value; each cell may appear
     once and every cell must be covered. ``source`` names the input and
-    ``key`` the meaning of ``k`` in error messages; the record reported is
-    the first defective one.
+    ``key`` the meaning of ``k`` in error messages. The readers parse every
+    row before calling this, so rows that do not parse are reported first;
+    here the first record, in record order, with an unknown label, a
+    non-finite value or a repeated cell, and after those the first missing
+    cell.
     """
     (labels, s), (experts, e) = series, expert
     k, value = np.asarray(k, dtype=np.int64), np.asarray(value, dtype=float)

@@ -22,7 +22,9 @@ nor parallel runs change a bit.
 Each method is a single-task scheme or a ``coherent.fit`` method on one
 covariance pattern (``_METHOD_FITS``), or one expert's raw or reconciled
 forecasts (``base_*``); a replication fits each method's weights once, and
-estimates each covariance and per-expert projector they share once.
+estimates each covariance and per-expert projector they share once. Its
+per-series test losses and relative index are ``metrics.LOSSES`` and
+``metrics.geo_mean``, as ``cocomb evaluate`` scores.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .constraints import ConstraintSystem, from_aggregation
 from .covariance import ESTIMATORS
 from .combiners import SINGLE_TASK_SCHEMES, single_task_weights
 from .exceptions import DataError, NumericalError
+from .metrics import LOSSES, geo_mean
 from .panel import ForecastPanel, from_availability, residuals_from_arrays
 
 DGP_LABELS = ("X", "A", "B", "AA", "AB", "BA", "BB")
@@ -340,11 +343,10 @@ def _method_weights(
         return fit(how, panel, sys, resid, cov).Psi.T
     if method not in _BASE_METHODS:
         raise DataError(f"unknown simulation method {method!r}")
-    if method == "base_shr":
-        mse = [np.mean((projector(j) @ resid[panel.expert_rows(j)]) ** 2) for j in experts]
-    else:
-        mse = [np.mean(resid[panel.expert_rows(j)] ** 2) for j in experts]
-    j = int(np.argmin(mse))
+    fitted = [resid[panel.expert_rows(j)] for j in experts]
+    if method == "base_shr":  # the expert whose reconciled residuals fit best
+        fitted = [projector(j) @ r for j, r in zip(experts, fitted)]
+    j = int(np.argmin([LOSSES["mse"](r).mean() for r in fitted]))
     weights = np.zeros((panel.n, panel.m))
     weights[:, panel.expert_rows(j)] = np.eye(panel.n) if method == "base_star" else projector(j)
     return weights
@@ -360,14 +362,13 @@ def _replication_accuracy(cfg: SimulationConfig, data: Replication, sys: Constra
     stacked = data.forecasts[panel.exp_idx, n_train:, panel.var_idx]
 
     cache: dict = {}
-    mae = np.empty((len(methods), panel.n))
-    mse = np.empty((len(methods), panel.n))
+    loss = np.empty((len(LOSSES), len(methods), panel.n))
     for k, method in enumerate(methods):
         weights = _method_weights(method, panel, sys, resid, cache)
         err = test_actuals.T - weights @ stacked
-        mae[k] = np.abs(err).mean(axis=1)
-        mse[k] = (err**2).mean(axis=1)
-    return mae, mse
+        for i, elementwise in enumerate(LOSSES.values()):
+            loss[i, k] = elementwise(err).mean(axis=1)
+    return loss
 
 
 def _chunk_accuracy(cfg: SimulationConfig, reps: range, methods: tuple[str, ...]):
@@ -439,13 +440,11 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             per_chunk = list(pool.map(_chunk_accuracy, *args))
-    mae_all, mse_all = map(np.stack, zip(*[acc for chunk in per_chunk for acc in chunk]))
-
-    def per_method(loss_all):  # (replication, method, variable) -> losses, relative index
-        ew = loss_all[:, wanted.index("ew"), :]
-        loss = {m: loss_all[:, wanted.index(m), :] for m in methods}
-        return loss, {m: float(np.exp(np.mean(np.log(loss[m] / ew)))) for m in methods}
-
-    (mae, avg_rel_mae), (mse, avg_rel_mse) = per_method(mae_all), per_method(mse_all)
-    return ExperimentResult(config=cfg, methods=methods, mae=mae, mse=mse,
-                            avg_rel_mae=avg_rel_mae, avg_rel_mse=avg_rel_mse)
+    loss_all = np.stack([acc for chunk in per_chunk for acc in chunk], axis=2)
+    # (loss, method, replication, variable) -> per-method losses and relative index
+    loss = {tag: {m: all_m[wanted.index(m)] for m in methods}
+            for tag, all_m in zip(LOSSES, loss_all)}
+    avg_rel = {tag: {m: geo_mean(loss[tag][m] / all_m[wanted.index("ew")]) for m in methods}
+               for tag, all_m in zip(LOSSES, loss_all)}
+    return ExperimentResult(config=cfg, methods=methods, mae=loss["mae"], mse=loss["mse"],
+                            avg_rel_mae=avg_rel["mae"], avg_rel_mse=avg_rel["mse"])

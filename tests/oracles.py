@@ -1,17 +1,18 @@
 """Independent reference implementations used only for verification.
 
 These deliberately avoid the production code paths: explicit inverses, naive
-loops and dense block solves instead of Cholesky pipelines, one scalar DM test
-per pair of loss series, one nearest-correlation projection per matrix, CSV
-readers that take one ``csv.DictReader`` row at a time, and CSV writers that
-pass one list per row to ``csv.writer``, each float formatted on its own by
-``format(x, ".17g")``.
+loops, dense block solves and an exact rational solve instead of Cholesky
+pipelines, one scalar DM test per pair of loss series, one nearest-correlation
+projection per matrix, CSV readers that take one ``csv.DictReader`` row at a
+time, and CSV writers that pass one list per row to ``csv.writer``, each float
+formatted on its own by ``format(x, ".17g")``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,48 @@ def kkt_residual(K, W, C, y_hat, y_tilde):
     if feasibility.size:
         parts.append(np.abs(feasibility).max())
     return float(max(parts))
+
+
+def exact_occ(W, var, S, y_hat):
+    """The coherent combination ``S b`` in exact rational arithmetic.
+
+    Solves ``S' K' W^-1 K S b = S' K' W^-1 y_hat``, ``K = I_n[var]``, with
+    every float read as the rational it is: ``W^-1 [K S | y_hat]`` by Gaussian
+    elimination on the SPD ``W`` (whose pivots are positive), then the small
+    normal equations the same way. With ``K = I_n`` it is MinT, with
+    ``S = I_n`` the multi-task combination. Returns the exact ``S b`` as floats.
+    """
+    S = [[Fraction(x) for x in row] for row in np.asarray(S, dtype=float).tolist()]
+    k_s = [S[v] + [Fraction(y)] for v, y in zip(np.asarray(var).tolist(),
+                                                  np.asarray(y_hat, dtype=float).tolist())]
+    solved = _exact_solve([[Fraction(x) for x in row] for row in np.asarray(W).tolist()], k_s)
+    n_b = len(S[0])
+    normal = [[sum((k_s[r][i] * solved[r][j] for r in range(len(k_s))), Fraction(0))
+               for j in range(n_b + 1)] for i in range(n_b)]
+    b = [row[0] for row in _exact_solve([row[:n_b] for row in normal],
+                                        [row[n_b:] for row in normal])]
+    return np.array([float(sum((s * b_k for s, b_k in zip(row, b)), Fraction(0)))
+                     for row in S])
+
+
+def _exact_solve(a, rhs):
+    """``a^-1 rhs`` for a square ``a`` with non-zero leading minors, both lists of
+    ``Fraction`` rows: elimination without pivoting, then back substitution."""
+    rows = [a_r + rhs_r for a_r, rhs_r in zip(a, rhs)]
+    n = len(rows)
+    for k in range(n):
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            factor = row[k] / pivot[k]
+            if factor:
+                for j in range(k, len(row)):
+                    row[j] -= factor * pivot[j]
+    out = [None] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        out[k] = [(row[j] - sum((row[i] * out[i][j - n] for i in range(k + 1, n)), Fraction(0)))
+                  / row[k] for j in range(n, len(row))]
+    return out
 
 
 def gls_normal_equations(K, W, y_hat):
@@ -339,10 +382,14 @@ def cell_records(path, what, key, default=None):
 
 
 def fill_cells_records(records, panel, source, key):
-    """(sorted keys, m x K cell matrix) from (k, series, expert, value) records, one at a time."""
+    """(sorted keys, m x K cell matrix) from (k, series, expert, value) records.
+
+    Every record is parsed before the first is checked, as the readers do;
+    then each is checked one at a time, in record order.
+    """
     row_of = {(panel.labels[i], panel.experts[j]): r for r, (i, j) in enumerate(panel.pairs)}
     columns = {}
-    for k, label, expert, value in records:
+    for k, label, expert, value in list(records):
         r = row_of.get((label, expert))
         if r is None:
             if label not in set(panel.labels):

@@ -124,6 +124,18 @@ def test_short_row_exits_3(tmp_path, capsys, which):
     assert not (tmp_path / "coherent.csv").exists()
 
 
+def test_missing_panel_file_exits_3(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    out = tmp_path / "out" / "coherent.csv"
+    code = main(["reconcile", "--constraints", str(SAMPLE / "constraints.json"),
+                 "--panel", str(panel), "--residuals", str(SAMPLE / "residuals.csv"),
+                 "--output", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"code": "schema", "message": f"panel file not found: {panel}"}
+    assert not out.parent.exists()
+
+
 def test_reconcile_without_residuals_exits_3(tmp_path, capsys):
     out = tmp_path / "out" / "coherent.csv"
     code = main(["reconcile", "--constraints", str(SAMPLE / "constraints.json"),
@@ -332,32 +344,68 @@ BAD_CONSTRAINT_JSON = {
                       "'vars' in constraint JSON must be a list of strings"),
     "bottom-holds-a-number": ('{"A": [[1, 1]], "upper": ["total"], "bottom": ["east", 7]}',
                               "'bottom' in constraint JSON must be a list of strings"),
+    "truncated": ('{"A": [[1, 1]], "upper": ["total"], "bott', "invalid JSON in"),
+    "A-without-bottom": ('{"A": [[1, 1]], "upper": ["total"]}',
+                         "A-form JSON requires 'upper' and 'bottom' lists"),
+    "C-without-vars": ('{"C": [[1, -1, -1]]}', "C-form JSON requires a 'vars' list"),
+    "neither-A-nor-C": ('{"vars": ["total", "east", "west"]}',
+                        "constraint JSON must provide either 'A' or 'C'"),
+    "vars-count-differs": ('{"C": [[1, -1, -1]], "vars": ["total", "east"]}',
+                           "expected 3 labels, got 2"),
+    "NaN-entry": ('{"C": [[1, NaN, -1]], "vars": ["total", "east", "west"]}',
+                  "constraint matrix contains non-finite entries"),
 }
 
-
-@pytest.mark.parametrize("case", sorted(BAD_CONSTRAINT_JSON))
-def test_malformed_constraint_json_exits_3_without_output(tmp_path, capsys, case):
-    text, fragment = BAD_CONSTRAINT_JSON[case]
-    constraints = tmp_path / "constraints.json"
-    constraints.write_text(text)
-    out = tmp_path / "coherent.csv"
-    code = main([
-        "reconcile",
-        "--constraints", str(constraints),
-        "--panel", str(SAMPLE / "panel.csv"),
-        "--residuals", str(SAMPLE / "residuals.csv"),
-        "--output", str(out),
-    ])
-    assert code == 3
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["code"] == "schema" and fragment in err["message"]
-    assert not out.exists()
+# constraint CSVs (header of names, one row of coefficients per constraint) that
+# are no constraint system: (file text, message fragment)
+BAD_CONSTRAINT_CSV = {
+    "header-only": ("total,east,west\n",
+                    "constraint CSV needs a header row and at least one constraint"),
+    "non-numeric-entry": ("total,east,west\n1,x,-1\n", "non-numeric entry in constraint CSV"),
+    "row-shorter-than-header": ("total,east,west\n1,-1\n",
+                                "constraint CSV rows do not match the header length"),
+}
 
 
 def reconcile_sample(constraints, out):
     return main(["reconcile", "--constraints", str(constraints),
                  "--panel", str(SAMPLE / "panel.csv"),
                  "--residuals", str(SAMPLE / "residuals.csv"), "--output", str(out)])
+
+
+def reconcile_under(constraints, text, capsys):
+    """Exit code, and the last stderr JSON line, of reconcile on the sample under
+    the constraint file ``constraints`` written with ``text``."""
+    constraints.write_text(text)
+    code = reconcile_sample(constraints, constraints.parent / "coherent.csv")
+    return code, json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRAINT_JSON))
+def test_malformed_constraint_json_exits_3_without_output(tmp_path, capsys, case):
+    text, fragment = BAD_CONSTRAINT_JSON[case]
+    code, err = reconcile_under(tmp_path / "constraints.json", text, capsys)
+    assert code == 3
+    assert err["code"] == "schema" and fragment in err["message"]
+    assert not (tmp_path / "coherent.csv").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRAINT_CSV))
+def test_malformed_constraint_csv_exits_3_without_output(tmp_path, capsys, case):
+    text, fragment = BAD_CONSTRAINT_CSV[case]
+    code, err = reconcile_under(tmp_path / "constraints.csv", text, capsys)
+    assert code == 3
+    assert err["code"] == "schema" and fragment in err["message"]
+    assert not (tmp_path / "coherent.csv").exists()
+
+
+def test_constraints_leaving_no_free_variable_exit_4(tmp_path, capsys):
+    text = '{"C": [[1, -1, -1], [0, 1, 0], [0, 0, 1]], "vars": ["total", "east", "west"]}'
+    code, err = reconcile_under(tmp_path / "constraints.json", text, capsys)
+    assert code == 4
+    assert err == {"code": "numeric",
+                   "message": "constraints must leave at least one free variable"}
+    assert not (tmp_path / "coherent.csv").exists()
 
 
 @pytest.mark.parametrize("text", [

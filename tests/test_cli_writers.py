@@ -186,3 +186,39 @@ def test_percent_labels_round_trip_bit_for_bit(tmp_path, monkeypatch):
     assert w_tilde.tobytes() == res.W_tilde.tobytes()
     with open(outs[0], newline="") as fh:
         assert [row[0] for row in list(csv.reader(fh))[1:]] == labels
+
+
+class WriteFailed(Exception):
+    pass
+
+
+def failing_rows():
+    yield "a,%.17g\n", (1.0,)
+    raise WriteFailed
+
+
+def failing_replace(*_):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize("failure", ["rows", "replace"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_write_leaves_no_temp_file_and_the_old_bytes(tmp_path, monkeypatch, failure,
+                                                              existing):
+    """A row that raises mid-write, or a refused rename, propagates its error;
+    the temp file is removed and a target already there keeps its bytes."""
+    target = tmp_path / "table.csv"
+    if existing:
+        target.write_bytes(b"old,bytes\r\n")
+    rows = [("a,%.17g\n", (1.0,))]
+    if failure == "rows":
+        rows, error = failing_rows(), WriteFailed
+    else:
+        monkeypatch.setattr(cocomb.cli.os, "replace", failing_replace)
+        error = OSError
+    with pytest.raises(error):
+        cocomb.cli._write_table(target, ["name", "value"], rows)
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["table.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old,bytes\r\n"

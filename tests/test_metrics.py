@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocomb import DataError, accuracy, dm_test
+from cocomb.metrics import geo_mean
 from oracles import dm_test_scalar, geo_mean_log
 
 
@@ -91,6 +92,19 @@ def test_accuracy_validates_inputs(rng):
     bad = {m: {h: forecasts[m][h][:, :1] for h in actuals} for m in forecasts}
     with pytest.raises(DataError):
         accuracy(actuals, bad, benchmark="ew", series=series)
+    with pytest.raises(DataError, match="actuals for horizon 1 must be Q_h x 2"):
+        accuracy({**actuals, 1: actuals[1][:, :1]}, forecasts, benchmark="ew", series=series)
+    lacking = {**forecasts, "other": {1: forecasts["other"][1]}}
+    with pytest.raises(DataError, match="method 'other' lacks forecasts for horizon 2"):
+        accuracy(actuals, lacking, benchmark="ew", series=series)
+    # every benchmark loss zero at horizon 1: its indices average no cell and read NaN
+    exact = {**forecasts, "ew": {**forecasts["ew"], 1: actuals[1].copy()}}
+    with pytest.warns(UserWarning, match="excluded 4 zero-benchmark cells"):
+        table = accuracy(actuals, exact, benchmark="ew", series=series)
+    assert math.isnan(table.avg_rel_mae_h["other"][1]) and math.isnan(table.avg_rel_mse_h["ew"][1])
+    assert table.avg_rel_mae["other"] == table.avg_rel_mae_h["other"][2]
+    with pytest.raises(DataError, match="must be non-negative"):
+        geo_mean(np.array([1.0, -0.5]))
 
 
 def test_dm_identical_losses_degenerate():
