@@ -3,29 +3,43 @@
 All solvers in this package go through these helpers and solve SPD systems
 through their factors; ``cho_inverse`` forms an explicit inverse only where
 one is wanted: the pooled covariance, and GLS blocks of distinct variables.
-Each helper imports ``scipy.linalg`` when called, not with the package: that
-import costs more than the rest of ``import cocomb``, and ``evaluate`` never factors.
+The helpers call LAPACK's ``dpotrf``/``dpotrs``/``dpotri`` directly: scipy's
+wrappers spend more on argument checks than the small factorizations of the
+simulation take. ``scipy.linalg.lapack`` is imported on the first call, not
+with the package: that import costs more than the rest of ``import cocomb``,
+and ``evaluate`` never factors. Each routine is still looked up on the module
+at call time.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
 from .exceptions import NumericalError
 
 
+@cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported by the first call."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def cho_factor_spd(a: np.ndarray, what: str = "matrix"):
-    """Cholesky-factor a symmetric positive definite matrix.
+    """Cholesky-factor a symmetric positive definite matrix by LAPACK ``dpotrf``.
 
-    Raises NumericalError (not scipy's LinAlgError) so callers can map the
-    failure to a structured exit code.
+    Returns the ``(factor, lower)`` pair of ``scipy.linalg.cho_factor(a,
+    lower=True, check_finite=False)``, the same array with ``a``'s upper
+    triangle left in place; ``a`` itself is not modified. Raises
+    NumericalError, naming ``what``, so callers can map the failure to a
+    structured exit code.
     """
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} is not symmetric positive definite") from exc
+    c, info = _lapack().dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise NumericalError(f"{what} is not symmetric positive definite")
+    return c, True
 
 
 def cho_solve(factor, b: np.ndarray) -> np.ndarray:
@@ -34,9 +48,7 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
     ``scipy.linalg.cho_solve`` calls the same routine behind ~20 us of
     argument checks, which dominate the small solves of the block patterns.
     """
-    from scipy.linalg import lapack
-
-    x, info = lapack.dpotrs(factor[0], b, lower=factor[1])
+    x, info = _lapack().dpotrs(factor[0], b, lower=factor[1])
     if info != 0:
         raise NumericalError(f"Cholesky solve failed (LAPACK dpotrs info {info})")
     return x
@@ -45,9 +57,7 @@ def cho_solve(factor, b: np.ndarray) -> np.ndarray:
 def cho_inverse(factor) -> np.ndarray:
     """``a^-1``, exactly symmetric, from ``cho_factor_spd(a)`` by LAPACK ``dpotri``:
     ⅔n³ flops, against 2n³ for a solve against the identity."""
-    from scipy.linalg import lapack
-
-    inv, info = lapack.dpotri(factor[0], lower=factor[1])
+    inv, info = _lapack().dpotri(factor[0], lower=factor[1])
     if info != 0:
         raise NumericalError(f"Cholesky inverse failed (LAPACK dpotri info {info})")
     tri = inv if factor[1] else inv.T  # dpotri filled tri's lower triangle: mirror it in place

@@ -218,5 +218,10 @@ def fit(
         return src(panel, sys, [c for _, c in ESTIMATORS["bd_expert_shrunk"](resid, panel).parts])
     if method not in _SCR_SCHEMES:
         raise DataError(f"unknown method {method!r}")
-    ws = single_task_weights(panel, _SCR_SCHEMES[method], cov)
-    return scr(panel, sys, ws, cov, shrink(ws.matrix(panel).T @ resid))
+    return _scr_fit(panel, sys, resid, single_task_weights(panel, _SCR_SCHEMES[method], cov))
+
+
+def _scr_fit(panel, sys, resid, ws: WeightScheme) -> CoherentResult:
+    """``scr`` under the weights ``ws``, reconciled with the shrunk MSE of the
+    combined residuals: ``fit``'s ``scr_*``, for callers holding the weights."""
+    return scr(panel, sys, ws, None, shrink(ws.matrix(panel).T @ resid))

@@ -67,10 +67,10 @@ def simplex_weights(sigma: np.ndarray, tol: float = 1e-8, max_iter: int = 200) -
     free = np.ones(k, dtype=bool)
     for _ in range(max_iter):
         idx = np.flatnonzero(free)
-        sub = sigma[np.ix_(idx, idx)]
+        sub = sigma[idx[:, None], idx]
         raw = cho_solve(cho_factor_spd(sub, "per-variable covariance"), np.ones(len(idx)))
         gamma_free = raw / raw.sum()
-        if np.any(gamma_free < -tol):
+        if (gamma_free < -tol).any():
             free[idx[gamma_free < -tol]] = False
             continue
         gamma = np.zeros(k)
@@ -104,17 +104,16 @@ def single_task_weights(
         if scheme == "ew" or p_i == 1:
             weights.append(np.full(p_i, 1.0 / p_i))
             continue
-        sigma_i = cov.W[np.ix_(rows, rows)]
         if scheme == "ow_var":
-            variances = np.diag(sigma_i)
-            if np.any(variances <= 0):
+            variances = cov.W.diagonal()[rows]
+            if (variances <= 0).any():
                 raise NumericalError(
                     f"zero error variance for variable {panel.labels[i]!r}"
                 )
             w = 1.0 / variances
             weights.append(w / w.sum())
         else:
-            weights.append(simplex_weights(sigma_i))
+            weights.append(simplex_weights(cov.W[rows[:, None], rows]))
     return WeightScheme(scheme, tuple(weights))
 
 

@@ -217,10 +217,10 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
     if len(rows) < 2:
         raise DataError("constraint CSV needs a header row and at least one constraint")
     names = [c.strip() for c in rows[0]]
+    if any(len(row) != len(names) for row in rows[1:]):
+        raise DataError("constraint CSV rows do not match the header length")
     try:
         c_raw = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise DataError(f"non-numeric entry in constraint CSV: {exc}") from exc
-    if c_raw.shape[1] != len(names):
-        raise DataError("constraint CSV rows do not match the header length")
     return from_general_constraints(c_raw, names)

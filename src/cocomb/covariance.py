@@ -16,7 +16,12 @@ ordering. ``ESTIMATORS`` maps each pattern name to its estimator, called as
 
 A block estimate is the sum of its blocks' dense estimates, ``sample_mse``
 or ``shrink`` of each block's rows, listed with their rows by
-``CovarianceEstimate.parts`` (a dense estimate is its own one part). Solvers
+``CovarianceEstimate.parts`` (a dense estimate is its own one part). Every
+estimator reads its estimates off ``_Moments``, one pass over a residual
+matrix: a library block estimator takes one pass per block (no m x m
+product), while the simulation takes one pass over all rows per replication
+and reads each pattern's blocks off it as sub-blocks. Estimates built this way
+are neither copied nor re-checked; a user's matrix is (``as_covariance``). Solvers
 use ``W`` only through ``blocks(m)``: each part's rows with its Cholesky
 factor, taken once, when the part is estimated. A part that fails to factor,
 or a sample MSE wider than T (left unfactored), is ``singular``, and so is an
@@ -25,6 +30,8 @@ of regularizing behind the caller's back.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -38,23 +45,36 @@ class CovarianceEstimate:
 
     ``lam`` is None (no shrinkage), a float (global), or a tuple of per-block
     intensities. ``singular`` marks estimates that cannot back a GLS solve.
-    A block estimate passes its diagonal blocks as ``(rows, dense estimate)``
-    pairs instead of ``W``, which is then assembled on first access.
+    The constructor copies and checks ``W``; the package's own estimators
+    build through ``_built`` instead, on matrices they made from checked
+    residuals, which a block estimate passes as its diagonal blocks
+    (``(rows, dense estimate)`` pairs) and assembles into ``W`` on first access.
     """
 
     def __init__(self, W, pattern: str, lam: float | tuple[float, ...] | None = None,
-                 singular: bool = False, *, _parts=None):
+                 singular: bool = False):
         if pattern not in PATTERNS:
             raise DataError(f"unknown covariance pattern {pattern!r}")
-        self.pattern, self.lam, self._W, self._parts = pattern, lam, None, _parts
-        if _parts is not None:
-            self.singular, self.m = any(p.singular for _, p in _parts), sum(p.m for _, p in _parts)
-            return
         w = np.array(W, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DataError("covariance must be square")
         if not np.isfinite(w).all():
             raise DataError("covariance contains non-finite entries")
+        self._set(w, pattern, lam, singular, None)
+
+    @classmethod
+    def _built(cls, w, pattern: str, lam=None, singular: bool = False, parts=None):
+        """An estimate of a finite square ``w`` (or of ``parts``) this package
+        built and owns: neither copied nor checked again."""
+        est = cls.__new__(cls)
+        est._set(w, pattern, lam, singular, parts)
+        return est
+
+    def _set(self, w, pattern, lam, singular, parts) -> None:
+        self.pattern, self.lam, self._W, self._parts = pattern, lam, None, parts
+        if parts is not None:
+            self.singular, self.m = any(p.singular for _, p in parts), sum(p.m for _, p in parts)
+            return
         w.setflags(write=False)
         try:
             self._factor = None if singular else cho_factor_spd(w)
@@ -104,16 +124,81 @@ def _check_residuals(residuals: np.ndarray) -> np.ndarray:
     return r
 
 
-def _mse(residuals: np.ndarray) -> np.ndarray:
-    m, T = residuals.shape
-    w = residuals @ residuals.T / T
-    return 0.5 * (w + w.T)
+class _Moments:
+    """One pass over m x T residuals (as ``_check_residuals`` returns them).
+
+    Holds the row variances, and computes on first use the sample MSE and the
+    squared correlations of the standardized rows with their sampling
+    variances (diagonals zeroed). Each row is standardized on its own, so the
+    moments of any set of rows are sub-blocks of these, and ``dense`` and
+    ``estimate`` read estimates off them: one pass over all rows serves every
+    pattern. Read over all its rows, a pass gives ``sample_mse``, ``shrink``
+    and ``diagonal_mse`` of its residuals; a sub-block read rounds differently
+    from a pass over those rows alone, within 1e-14 relative.
+    """
+
+    def __init__(self, r: np.ndarray):
+        self.r, self.T, self.var = r, r.shape[1], np.einsum("it,it->i", r, r) / r.shape[1]
+
+    @cached_property
+    def mse(self) -> np.ndarray:
+        w = self.r @ self.r.T / self.T
+        return 0.5 * (w + w.T)
+
+    @cached_property
+    def corr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The squared correlations and the sampling variance of each correlation,
+        from the products ``z_i z_j`` (``zz @ zz.T``: numpy's syrk), diagonals
+        zeroed: an off-diagonal sum taken as a total minus the trace would round
+        away from 0 where every correlation is 0. A zero-variance row stays
+        zero; a shrunk read of it raises before reading these."""
+        z = self.r / np.sqrt(np.where(self.var > 0, self.var, 1.0))[:, None]
+        corr_sq, zz = (z @ z.T / self.T) ** 2, z * z
+        var_corr = (zz @ zz.T / self.T - corr_sq) / (self.T - 1)
+        for a in (corr_sq, var_corr):
+            np.fill_diagonal(a, 0.0)
+        return corr_sq, var_corr
+
+    def intensity(self, rows=slice(None)) -> float:
+        """The shrinkage intensity of ``rows`` (an index array, or all rows), clamped to [0, 1]."""
+        v = self.var[rows]
+        if v.size == 1:
+            return 1.0
+        if (v <= 0).any():
+            raise NumericalError("zero-variance residual coordinate; cannot shrink")
+        corr_sq, var_corr = (a[rows][:, rows] for a in self.corr)
+        denom = float(corr_sq.sum())
+        if denom == 0.0:
+            return 1.0
+        lam = float(var_corr.sum()) / denom
+        return float(min(1.0, max(0.0, lam)))
+
+    def dense(self, shrunk: bool, rows=slice(None), lam: float | None = None) -> CovarianceEstimate:
+        """The ``sample`` or (``lam``, by default estimated) ``shrunk`` estimate of ``rows``."""
+        w = self.mse[rows][:, rows]
+        if not shrunk:
+            return CovarianceEstimate._built(w, "sample", singular=w.shape[0] > self.T)
+        if (w.diagonal() <= 0).any():
+            raise NumericalError("zero-variance residual coordinate; cannot shrink")
+        lam = self.intensity(rows) if lam is None else lam
+        if not 0.0 <= lam <= 1.0:
+            raise DataError("shrinkage intensity must lie in [0, 1]")
+        return CovarianceEstimate._built(lam * np.diag(np.diag(w)) + (1.0 - lam) * w,
+                                         "shrunk", lam=lam)
+
+    def estimate(self, pattern: str, panel: ForecastPanel | None = None) -> CovarianceEstimate:
+        """``ESTIMATORS[pattern]`` of these residuals, every block read off this pass."""
+        if pattern == "diagonal":
+            return CovarianceEstimate._built(np.diag(self.var), "diagonal")
+        if pattern in ("sample", "shrunk"):
+            return self.dense(pattern == "shrunk")
+        kind = pattern.removesuffix("_shrunk")
+        return _block_diagonal(self.dense, panel, kind, kind != pattern)
 
 
 def sample_mse(residuals: np.ndarray) -> CovarianceEstimate:
     """Sample forecast MSE matrix ``(1/T) sum_t e_t e_t'``."""
-    r = _check_residuals(residuals)
-    return CovarianceEstimate(_mse(r), "sample", singular=r.shape[0] > r.shape[1])
+    return _Moments(_check_residuals(residuals)).dense(False)
 
 
 def shrink_intensity(residuals: np.ndarray) -> float:
@@ -123,27 +208,7 @@ def shrink_intensity(residuals: np.ndarray) -> float:
     correlations divided by their summed squares, computed on standardized
     residuals under the uncentered MSE convention.
     """
-    return _shrink_intensity(_check_residuals(residuals))
-
-
-def _shrink_intensity(r: np.ndarray) -> float:  # r as checked by _check_residuals
-    m, T = r.shape
-    if m == 1:
-        return 1.0
-    v = np.einsum("it,it->i", r, r) / T
-    if np.any(v <= 0):
-        raise NumericalError("zero-variance residual coordinate; cannot shrink")
-    z = r / np.sqrt(v)[:, None]
-    corr_sq, zz = (z @ z.T / T) ** 2, z * z
-    # sampling variance of each off-diagonal correlation from the products z_i z_j
-    var_corr = (zz @ zz.T / T - corr_sq) / (T - 1)  # zz @ zz.T: numpy's symmetric syrk
-    for a in (corr_sq, var_corr):  # off-diagonal sums; a total minus the trace would
-        np.fill_diagonal(a, 0.0)   # round away from 0 where every correlation is 0
-    denom = float(np.sum(corr_sq))
-    if denom == 0.0:
-        return 1.0
-    lam = float(np.sum(var_corr)) / denom
-    return float(min(1.0, max(0.0, lam)))
+    return _Moments(_check_residuals(residuals)).intensity()
 
 
 def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimate:
@@ -152,36 +217,32 @@ def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimat
     ``lam`` defaults to the estimated intensity; passing an explicit value
     overrides it (used to pin the endpoints in tests).
     """
-    r = _check_residuals(residuals)
-    w = _mse(r)
-    if np.any(np.diag(w) <= 0):
-        raise NumericalError("zero-variance residual coordinate; cannot shrink")
-    if lam is None:
-        lam = _shrink_intensity(r)
-    if not 0.0 <= lam <= 1.0:
-        raise DataError("shrinkage intensity must lie in [0, 1]")
-    return CovarianceEstimate(lam * np.diag(np.diag(w)) + (1.0 - lam) * w, "shrunk", lam=lam)
+    return _Moments(_check_residuals(residuals)).dense(True, lam=lam)
 
 
 def diagonal_mse(residuals: np.ndarray) -> CovarianceEstimate:
     """Diagonal of the sample MSE matrix."""
-    r = _check_residuals(residuals)
-    return CovarianceEstimate(np.diag(np.einsum("it,it->i", r, r) / r.shape[1]), "diagonal")
+    return _Moments(_check_residuals(residuals)).estimate("diagonal")
 
 
-def _block_diagonal(
-    residuals: np.ndarray, panel: ForecastPanel, groups, kind: str, shrink_blocks: bool
-) -> CovarianceEstimate:
-    """The sum of one dense estimate per group of the panel's residual rows: ``shrink``
-    (with its own intensity) when ``shrink_blocks`` is set, ``sample_mse`` otherwise."""
+def _block_diagonal(dense, panel: ForecastPanel, kind: str, shrink_blocks: bool):
+    """The sum of one dense estimate ``dense(shrink_blocks, rows)`` per block of
+    ``kind``, each expert's or each variable's rows: ``shrink`` (with its own
+    intensity) when ``shrink_blocks`` is set, ``sample_mse`` otherwise."""
+    groups = (np.split(np.arange(panel.m), np.cumsum(panel.n_j)[:-1]) if kind == "bd_expert"
+              else (panel.variable_rows(i) for i in range(panel.n)))
+    parts = tuple((rows, dense(shrink_blocks, rows)) for rows in groups)
+    return CovarianceEstimate._built(None, f"{kind}_shrunk" if shrink_blocks else kind, parts=parts,
+                                     lam=tuple(p.lam for _, p in parts) if shrink_blocks else None)
+
+
+def _blocks_one_pass_each(residuals, panel: ForecastPanel, kind: str, shrink_blocks: bool):
+    """A block pattern with one pass per block, over that block's rows alone:
+    no m x m product, and each block as ``sample_mse`` or ``shrink`` gives it."""
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
-    estimate = shrink if shrink_blocks else sample_mse
-    parts = tuple((rows, estimate(r[rows])) for rows in groups)
-    lam = tuple(part.lam for _, part in parts) if shrink_blocks else None
-    pattern = f"{kind}_shrunk" if shrink_blocks else kind
-    return CovarianceEstimate(None, pattern, lam=lam, _parts=parts)
+    return _block_diagonal(lambda s, rows: _Moments(r[rows]).dense(s), panel, kind, shrink_blocks)
 
 
 def block_by_expert(
@@ -192,8 +253,7 @@ def block_by_expert(
     Each block is the n_j x n_j sample MSE of expert j's residual rows, each
     shrunk with its own intensity when ``shrink_blocks`` is set.
     """
-    groups = (np.arange(panel.m)[panel.expert_rows(j)] for j in range(panel.p))
-    return _block_diagonal(residuals, panel, groups, "bd_expert", shrink_blocks)
+    return _blocks_one_pass_each(residuals, panel, "bd_expert", shrink_blocks)
 
 
 def block_by_variable(
@@ -205,8 +265,7 @@ def block_by_variable(
     shrunk with its own intensity when ``shrink_blocks`` is set), placed at
     those rows and columns of the by-expert ordering.
     """
-    groups = (panel.variable_rows(i) for i in range(panel.n))
-    return _block_diagonal(residuals, panel, groups, "bd_variable", shrink_blocks)
+    return _blocks_one_pass_each(residuals, panel, "bd_variable", shrink_blocks)
 
 
 def as_covariance(w: np.ndarray, pattern: str = "sample") -> CovarianceEstimate:

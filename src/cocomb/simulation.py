@@ -22,9 +22,12 @@ nor parallel runs change a bit.
 Each method is a single-task scheme or a ``coherent.fit`` method on one
 covariance pattern (``_METHOD_FITS``), or one expert's raw or reconciled
 forecasts (``base_*``); a replication fits each method's weights once, and
-estimates each covariance and per-expert projector they share once. Its
-per-series test losses and relative index are ``metrics.LOSSES`` and
-``metrics.geo_mean``, as ``cocomb evaluate`` scores.
+computes what they share once: one moment pass over its residuals
+(``covariance._Moments``), off which every covariance pattern is read, each
+single-task weight scheme (``scr_var`` reuses ``ow_var``'s weights) and each
+per-expert projector. Its per-series test losses and relative index are
+``metrics.LOSSES`` and ``metrics.geo_mean``, as ``cocomb evaluate`` scores,
+each loss averaged once over every method's errors.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import symmetrize
-from .coherent import fit, mint_reconcile
+from .coherent import _SCR_SCHEMES, _scr_fit, fit, mint_reconcile
 from .constraints import ConstraintSystem, from_aggregation
-from .covariance import ESTIMATORS
+from .covariance import _check_residuals, _Moments
 from .combiners import SINGLE_TASK_SCHEMES, single_task_weights
 from .exceptions import DataError, NumericalError
 from .metrics import LOSSES, geo_mean
@@ -313,11 +316,13 @@ def _method_weights(
 ) -> np.ndarray:
     """The fixed (n x m) map from stacked base forecasts to the method output.
 
-    ``cache`` holds the replication's covariance estimates by pattern and, by
-    ``("mint", j)``, expert j's mint projector under part j of the cached
-    ``bd_expert_shrunk``, so no expert block is estimated or factored twice.
-    ``base_star`` takes the expert of least MSE, ``base_star_shr`` reconciles
-    it, ``base_shr`` reconciles the expert of least reconciled MSE.
+    ``cache`` holds the replication's one moment pass over ``resid``, the
+    covariance estimates read off it by pattern, the single-task weights by
+    ``(scheme, pattern)`` and, by ``("mint", j)``, expert j's mint projector
+    under part j of the cached ``bd_expert_shrunk``, so no moment, block,
+    factor or weight scheme is computed twice. ``base_star`` takes the expert
+    of least MSE, ``base_star_shr`` reconciles it, ``base_shr`` reconciles the
+    expert of least reconciled MSE.
     """
 
     def cached(key, compute):
@@ -326,7 +331,8 @@ def _method_weights(
         return cache[key]
 
     def estimate(pattern):
-        return cached(pattern, lambda: ESTIMATORS[pattern](resid, panel))
+        moments = cached("moments", lambda: _Moments(_check_residuals(resid)))
+        return cached(pattern, lambda: moments.estimate(pattern, panel))
 
     def projector(j):
         return cached(("mint", j), lambda: mint_reconcile(
@@ -337,10 +343,11 @@ def _method_weights(
         return np.hstack([projector(j) / panel.p for j in experts])
     if method in _METHOD_FITS:
         how, pattern = _METHOD_FITS[method]
-        cov = pattern and estimate(pattern)
-        if how in SINGLE_TASK_SCHEMES:
-            return single_task_weights(panel, how, cov).matrix(panel).T
-        return fit(how, panel, sys, resid, cov).Psi.T
+        cov, scheme = pattern and estimate(pattern), _SCR_SCHEMES.get(how, how)
+        if scheme not in SINGLE_TASK_SCHEMES:
+            return fit(how, panel, sys, resid, cov).Psi.T
+        ws = cached((scheme, pattern), lambda: single_task_weights(panel, scheme, cov))
+        return (ws.matrix(panel) if how == scheme else _scr_fit(panel, sys, resid, ws).Psi).T
     if method not in _BASE_METHODS:
         raise DataError(f"unknown simulation method {method!r}")
     fitted = [resid[panel.expert_rows(j)] for j in experts]
@@ -362,13 +369,9 @@ def _replication_accuracy(cfg: SimulationConfig, data: Replication, sys: Constra
     stacked = data.forecasts[panel.exp_idx, n_train:, panel.var_idx]
 
     cache: dict = {}
-    loss = np.empty((len(LOSSES), len(methods), panel.n))
-    for k, method in enumerate(methods):
-        weights = _method_weights(method, panel, sys, resid, cache)
-        err = test_actuals.T - weights @ stacked
-        for i, elementwise in enumerate(LOSSES.values()):
-            loss[i, k] = elementwise(err).mean(axis=1)
-    return loss
+    err = np.stack([test_actuals.T - _method_weights(m, panel, sys, resid, cache) @ stacked
+                    for m in methods])  # one product per method: a stacked one rounds otherwise
+    return np.stack([elementwise(err).mean(axis=2) for elementwise in LOSSES.values()])
 
 
 def _chunk_accuracy(cfg: SimulationConfig, reps: range, methods: tuple[str, ...]):

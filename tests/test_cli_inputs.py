@@ -364,6 +364,8 @@ BAD_CONSTRAINT_CSV = {
     "non-numeric-entry": ("total,east,west\n1,x,-1\n", "non-numeric entry in constraint CSV"),
     "row-shorter-than-header": ("total,east,west\n1,-1\n",
                                 "constraint CSV rows do not match the header length"),
+    "ragged-rows": ("total,east,west\n1,-1,-1\n1,-1\n",
+                    "constraint CSV rows do not match the header length"),
 }
 
 

@@ -4,24 +4,31 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocomb import (
     CovarianceEstimate,
     DataError,
     NumericalError,
+    SimulationConfig,
     as_covariance,
     block_by_expert,
     block_by_variable,
     combine_multi_task,
+    dgp_system,
     diagonal_mse,
     from_aggregation,
     from_availability,
+    generate_replication,
     occ,
     sample_mse,
     shrink,
     shrink_intensity,
 )
 from cocomb.coherent import FORMULATIONS
+from cocomb.covariance import ESTIMATORS, _Moments
+from cocomb.panel import residuals_from_arrays
 from conftest import random_panel, random_system
 from oracles import kkt_residual, loop_mse
 
@@ -243,10 +250,10 @@ def test_block_patterns_factor_blocks_only(rng, monkeypatch, estimator, shrink_b
     # multi-task pool solve with those factors, so they factor neither the
     # m x m W nor one of its blocks again
     factored = []
-    cho_factor = scipy.linalg.cho_factor
-    monkeypatch.setattr(scipy.linalg, "cho_factor",
+    dpotrf = scipy.linalg.lapack.dpotrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
                         lambda a, *args, **kw: factored.append(np.array(a))
-                        or cho_factor(a, *args, **kw))
+                        or dpotrf(a, *args, **kw))
     sys = from_aggregation(np.kron(np.eye(2), np.ones((1, 2))), [f"v{k}" for k in range(6)])
     panel = from_availability(np.ones((6, 3), dtype=bool), sys, values=np.arange(18.0))
     resid = rng.standard_normal((panel.m, 40))
@@ -292,3 +299,58 @@ def test_user_covariance_must_be_finite_and_square():
         CovarianceEstimate(np.diag([1.0, np.nan, 1.0]), "sample")
     with pytest.raises(DataError, match="square"):
         as_covariance(np.ones((2, 3)))
+
+
+def dgp_residuals(setting, balanced, seed, n_train):
+    """The panel and in-sample residuals of one simulated replication."""
+    cfg = SimulationConfig(setting=setting, p=4, n_train=n_train, test_len=1, replications=1,
+                           seed=seed, balanced=balanced)
+    data = generate_replication(cfg, 0)
+    panel = from_availability(data.availability, dgp_system())
+    return panel, residuals_from_arrays(panel, data.actuals[:n_train], data.forecasts[:, :n_train])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(setting=st.integers(1, 6), balanced=st.booleans(), seed=st.integers(0, 2**16),
+       n_train=st.sampled_from([20, 50, 200]))
+def test_one_moment_pass_reads_every_pattern(setting, balanced, seed, n_train):
+    # every block read off one pass over all rows matches the estimator's own
+    # pass over that block's rows, within rounding
+    panel, resid = dgp_residuals(setting, balanced, seed, n_train)
+    moments = _Moments(resid)
+    for pattern, estimator in ESTIMATORS.items():
+        expected, got = estimator(resid, panel), moments.estimate(pattern, panel)
+        assert (got.pattern, got.singular) == (pattern, expected.singular)
+        assert np.abs(got.W - expected.W).max() <= 1e-14 * np.abs(expected.W).max(), pattern
+        if expected.lam is None:
+            assert got.lam is None
+        else:
+            lam, lam_expected = np.atleast_1d(got.lam), np.atleast_1d(expected.lam)
+            assert lam.shape == lam_expected.shape
+            assert np.all(np.abs(lam - lam_expected) <= 1e-14 * lam_expected), pattern
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("balanced", [True, False])
+def test_one_moment_pass_refuses_to_shrink_a_zero_variance_row(balanced):
+    # as the estimators: every shrunk pattern raises, sample and diagonal
+    # patterns are tagged singular; a block without the row still shrinks,
+    # and standardizing the zero row divides by nothing
+    panel, resid = dgp_residuals(3, balanced, 5, 50)
+    resid = resid.copy()
+    resid[2] = 0.0
+    moments = _Moments(resid)
+    for pattern, estimator in ESTIMATORS.items():
+        if pattern.endswith("shrunk"):
+            for read in (lambda: estimator(resid, panel), lambda: moments.estimate(pattern, panel)):
+                with pytest.raises(NumericalError, match="zero-variance"):
+                    read()
+        else:
+            assert moments.estimate(pattern, panel).singular and estimator(resid, panel).singular
+    for read in (lambda: shrink(resid[2:3]), lambda: moments.dense(True, np.array([2]))):
+        with pytest.raises(NumericalError, match="zero-variance"):
+            read()  # a one-row block, which has no correlation to standardize
+    rows = np.arange(3, panel.m)
+    got, expected = moments.dense(True, rows), shrink(resid[rows])
+    assert np.abs(got.W - expected.W).max() <= 1e-14 * np.abs(expected.W).max()
+    assert abs(got.lam - expected.lam) <= 1e-14 * expected.lam
