@@ -5,10 +5,11 @@ through their factors; ``cho_inverse`` forms an explicit inverse only where
 one is wanted: the pooled covariance, and GLS blocks of distinct variables.
 The helpers call LAPACK's ``dpotrf``/``dpotrs``/``dpotri`` directly: scipy's
 wrappers spend more on argument checks than the small factorizations of the
-simulation take. ``scipy.linalg.lapack`` is imported on the first call, not
-with the package: that import costs more than the rest of ``import cocomb``,
-and ``evaluate`` never factors. Each routine is still looked up on the module
-at call time.
+simulation take. Those routines live in one extension module,
+``scipy.linalg._flapack``, which ``_lapack`` loads on the first call, not by
+``import cocomb`` (``evaluate`` never factors), and alone: the ``scipy.linalg``
+package around it takes about 15 times the time and 8 times the memory to
+import. Each routine is still looked up on the module at call time.
 """
 
 from __future__ import annotations
@@ -22,9 +23,37 @@ from .exceptions import NumericalError
 
 @cache
 def _lapack():
-    """``scipy.linalg.lapack``, imported by the first call."""
-    from scipy.linalg import lapack
-    return lapack
+    """``scipy.linalg._flapack``, loaded by the first call without ``scipy.linalg``.
+
+    Only the top-level ``scipy`` package is imported (on Windows it sets up
+    the DLL paths the extension needs). The extension is found by the import
+    system's own finder in ``scipy/linalg`` and registered in ``sys.modules``,
+    so a later ``import scipy.linalg`` reuses it; if ``scipy.linalg`` was
+    imported first, its module is returned. One wart: a child module already
+    in ``sys.modules`` is not set as an attribute of the package, so
+    ``scipy.linalg._flapack`` stays unset after a later ``import
+    scipy.linalg``. SciPy reaches the module only by ``from scipy.linalg
+    import _flapack`` (in ``scipy/linalg/lapack.py``), which falls back to
+    ``sys.modules``, so ``scipy.linalg.lapack`` and ``cho_factor`` still work.
+    Raises ImportError, naming the module, if the SciPy installed has none.
+    """
+    import os
+    import sys
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        if (spec := finder.find_spec(name)) is None:
+            raise ImportError(f"SciPy's LAPACK extension {name} was not found", name=name)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module  # registered once loaded, as a failed load leaves no entry
+    return sys.modules[name]
 
 
 def cho_factor_spd(a: np.ndarray, what: str = "matrix"):

@@ -55,7 +55,7 @@ import numpy as np
 from . import __version__
 from .coherent import FORMULATIONS, fit
 from .combiners import SINGLE_TASK_SCHEMES, combine_multi_task, single_task_weights
-from .constraints import read_constraint_file
+from .constraints import csv_fields_unlimited, read_constraint_file
 from .covariance import ESTIMATORS
 from .exceptions import DataError, NumericalError
 from .metrics import LOSSES, accuracy, dm_test
@@ -152,7 +152,8 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     row, an empty cell that takes a default, a number ``int`` or ``float``
     refuses, an int beyond int64), the whole file is read again from the top
     by ``_csv_chunks``, ``csv.DictReader`` row by row: the reference reader,
-    and the only one that names a defect.
+    and the only one that names a defect. Both read with the csv module's
+    field limit lifted, so a long field is judged on its merits on either.
     """
     path, defaults = Path(path), defaults or {}
     if not path.exists():
@@ -160,7 +161,7 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     required = {*ints, *labels, "value"} - defaults.keys()
     parsed = [(name, int, np.int64) for name in ints] + [("value", float, np.float64)]
     try:
-        with path.open(newline="") as fh:
+        with csv_fields_unlimited(), path.open(newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None or not required.issubset(header):
                 raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
@@ -170,7 +171,7 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
             except (ValueError, OverflowError, Warning):  # DictReader reads it or names why
                 return _collect(_csv_chunks(fh, path, what, parsed, labels, bad, defaults),
                                 parsed, labels)
-    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+    except csv.Error as exc:  # a NUL byte, up to Python 3.10
         raise DataError(f"{what} CSV {path}: {exc}") from None
 
 

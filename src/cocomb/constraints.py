@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,6 +165,21 @@ def is_coherent(sys: ConstraintSystem, y: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(sys.C @ y))) <= tol
 
 
+@contextmanager
+def csv_fields_unlimited():
+    """Lift ``csv.field_size_limit()`` (131072 characters by default) inside the block.
+
+    numpy's tokenizer, which reads the label-keyed CSVs first, has no such
+    limit; lifted, a long field is judged on its merits on every path. The
+    old limit is restored on exit.
+    """
+    old = csv.field_size_limit(2**31 - 1)  # a C long on every platform; sys.maxsize is not
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
     """Load a constraint system from JSON or CSV.
 
@@ -210,9 +226,9 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
         raise DataError("constraint JSON must provide either 'A' or 'C'")
 
     try:
-        with path.open(newline="") as fh:
+        with csv_fields_unlimited(), path.open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+    except csv.Error as exc:  # a NUL byte, up to Python 3.10
         raise DataError(f"constraint CSV {path}: {exc}") from None
     if len(rows) < 2:
         raise DataError("constraint CSV needs a header row and at least one constraint")

@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cocomb
 from cocomb import from_aggregation, from_availability
 
 
@@ -77,3 +82,11 @@ def evaluation_csvs(tmp_path, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def fresh_python(code, *args, cwd=None):
+    """Stdout of ``python -c code *args`` in a new interpreter importing this checkout's cocomb."""
+    src = str(Path(cocomb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout

@@ -2,9 +2,12 @@
 schema error naming the defect, no output; an unusable ``--horizons``,
 ``--jobs`` or ``--methods`` exits 2."""
 
+import csv
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cocomb.cli
@@ -270,24 +273,31 @@ def test_evaluation_defect_in_any_chunk_gives_the_row_reader_error(
     assert not (tmp_path / "out").exists()
 
 
-# a field beyond csv.field_size_limit() (131072), which the csv module refuses:
-# (input edited, edit of its lines). numpy's tokenizer has no such limit, so
-# each long data row is followed by a short row, which numpy refuses: the file
-# then reaches csv.DictReader, which meets the long field first.
+# a field beyond csv.field_size_limit() (131072 by default), which every reader
+# lifts: (input edited, edit of its lines, fragments the error message must
+# contain). Each long data row is followed by a short row, which numpy's
+# tokenizer refuses: the file then reaches csv.DictReader, which must name the
+# file's real defect, not the long field.
 LONG_LABEL = "\u00e9" * 140_000
 FIELD_LIMIT_DEFECTS = {
-    "panel": ("panel", lambda ls: ls + [f"{LONG_LABEL},alpha,1,1.0", "west"]),
-    "residuals": ("residuals", lambda ls: ls + [f"0,{LONG_LABEL},alpha,0.5", "0"]),
-    "residuals-header": ("residuals", lambda ls: [f"{ls[0]},{LONG_LABEL}"] + ls[1:]),
-    "actuals": ("actuals", lambda ls: ls + [f"{LONG_LABEL},1,0,0.0", "east"]),
-    "constraints": ("constraints", lambda ls: ls + [f'"{LONG_LABEL}",0,0']),
-    "forecasts": ("forecasts", lambda ls: ls + [f"occ,{LONG_LABEL},1,0,0.0", "occ"]),
+    "panel": ("panel", lambda ls: ls + [f"{LONG_LABEL},alpha,1,1.0", "west"],
+              ["panel CSV", "has too few fields"]),
+    "residuals": ("residuals", lambda ls: ls + [f"0,{LONG_LABEL},alpha,0.5", "0"],
+                  ["residual CSV", "has too few fields"]),
+    "residuals-header": ("residuals", lambda ls: [f"{ls[0]},{LONG_LABEL}"] + ls[1:],
+                         ["residual CSV", "line 2 has too few fields"]),
+    "actuals": ("actuals", lambda ls: ls + [f"{LONG_LABEL},1,0,0.0", "east"],
+                ["actuals CSV", "has too few fields"]),
+    "constraints": ("constraints", lambda ls: ls + [f'"{LONG_LABEL}",0,0'],
+                    ["non-numeric entry in constraint CSV"]),
+    "forecasts": ("forecasts", lambda ls: ls + [f"occ,{LONG_LABEL},1,0,0.0", "occ"],
+                  ["forecasts CSV", "has too few fields"]),
 }
 
 
-@pytest.mark.parametrize("defect", sorted(FIELD_LIMIT_DEFECTS))
-def test_field_beyond_the_csv_limit_exits_3_without_output(tmp_path, rng, capsys, defect):
-    which, edit = FIELD_LIMIT_DEFECTS[defect]
+def edited_inputs_argv(tmp_path, rng, which, edit):
+    """(argv, output directory): reconcile on the sample panel, residuals and a
+    CSV constraint system, or evaluate, with input ``which`` edited by ``edit``."""
     panel_path, resid_path = tmp_path / "panel.csv", tmp_path / "residuals.csv"
     panel_path.write_text("\n".join(PANEL_LINES) + "\n")
     resid_path.write_text("\n".join(RESID_LINES) + "\n")
@@ -300,17 +310,81 @@ def test_field_beyond_the_csv_limit_exits_3_without_output(tmp_path, rng, capsys
     out = tmp_path / "out"
     if which in ("panel", "residuals", "constraints"):
         constraints = constraints_path if which == "constraints" else SAMPLE / "constraints.json"
-        argv = ["reconcile", "--constraints", str(constraints),
+        return ["reconcile", "--constraints", str(constraints),
                 "--panel", str(panel_path), "--residuals", str(resid_path),
-                "--output", str(out / "coherent.csv")]
-    else:
-        argv = ["evaluate", "--actuals", str(actuals_path), "--forecasts", str(forecasts_path),
-                "--horizons", "1:3", "--output", str(out / "accuracy.csv")]
+                "--output", str(out / "coherent.csv")], out
+    return ["evaluate", "--actuals", str(actuals_path), "--forecasts", str(forecasts_path),
+            "--horizons", "1:3", "--output", str(out / "accuracy.csv")], out
+
+
+@pytest.mark.parametrize("defect", sorted(FIELD_LIMIT_DEFECTS))
+def test_field_beyond_the_csv_limit_exits_3_without_output(tmp_path, rng, capsys, defect):
+    which, edit, fragments = FIELD_LIMIT_DEFECTS[defect]
+    argv, out = edited_inputs_argv(tmp_path, rng, which, edit)
+    limit = csv.field_size_limit()
     code, line = error_of(argv, capsys)
+    assert csv.field_size_limit() == limit  # restored
     assert code == 3
     err = json.loads(line)
     assert err["code"] == "schema"
-    assert str(target) in err["message"] and "field limit" in err["message"]
+    assert "field limit" not in err["message"]
+    for fragment in fragments:
+        assert fragment in err["message"]
+    assert not out.exists()
+
+
+# one record holding a label, alone at the end of the file: (input edited, the
+# record as a format string, exit code, fragment of the message). The panel's
+# empty horizon takes its default, which numpy refuses, so that file is read
+# by csv.DictReader; the others stay on numpy's tokenizer.
+LONG_LABEL_RECORDS = {
+    "panel": ("panel", "{},alpha,1,1.0", 3, "unknown series"),
+    "panel-default-horizon": ("panel", "{},alpha,,1.0", 3, "unknown series"),
+    "residuals": ("residuals", "0,{},alpha,0.5", 3, "unknown series"),
+    "actuals": ("actuals", "{},1,0,0.0", 3, "must hold every (series, horizon, q) cell"),
+    "forecasts": ("forecasts", "occ,{},1,0,0.0", 0, None),  # a series evaluate never reads
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_LABEL_RECORDS))
+def test_a_field_beyond_the_csv_limit_is_judged_on_its_merits(tmp_path, capsys, case):
+    """A label over the csv module's default field limit gets what a short label
+    unknown to the inputs gets in its place: the same exit code, message and output."""
+    which, record, expected_code, fragment = LONG_LABEL_RECORDS[case]
+    outcomes = []
+    for label in (LONG_LABEL, "far"):
+        (tmp_path / label[:3]).mkdir()
+        argv, out = edited_inputs_argv(tmp_path / label[:3], np.random.default_rng(5), which,
+                                       lambda ls: ls + [record.format(label)])
+        code, err = main(argv), capsys.readouterr().err
+        written = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        outcomes.append((code, err.replace(json.dumps(label)[1:-1], "<label>"), written))
+    assert outcomes[0] == outcomes[1]
+    code, err, _ = outcomes[0]
+    assert code == expected_code
+    if fragment is not None:
+        assert fragment in json.loads(err)["message"]
+
+
+# a NUL byte: the one input that still reaches the readers' csv.Error handler,
+# as csv.reader refuses it up to Python 3.10; from 3.11 on it is a character of
+# the name it sits in, which then names no expected column or variable
+NUL_DEFECTS = {
+    "panel-header": ("panel", lambda ls: [ls[0].replace("value", "val\0ue")] + ls[1:],
+                     "must have columns"),
+    "constraints-header": ("constraints", lambda ls: [ls[0].replace("east", "ea\0st")] + ls[1:],
+                           "unknown series 'east'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NUL_DEFECTS))
+def test_nul_byte_exits_3_without_output(tmp_path, rng, capsys, defect):
+    which, edit, later = NUL_DEFECTS[defect]
+    argv, out = edited_inputs_argv(tmp_path, rng, which, edit)
+    code, line = error_of(argv, capsys)
+    assert code == 3
+    message = json.loads(line)["message"]
+    assert ("line contains NUL" if sys.version_info < (3, 11) else later) in message
     assert not out.exists()
 
 

@@ -26,6 +26,7 @@ from cocomb import (
     shrink,
     shrink_intensity,
 )
+from cocomb._linalg import _lapack
 from cocomb.coherent import FORMULATIONS
 from cocomb.covariance import ESTIMATORS, _Moments
 from cocomb.panel import residuals_from_arrays
@@ -250,8 +251,8 @@ def test_block_patterns_factor_blocks_only(rng, monkeypatch, estimator, shrink_b
     # multi-task pool solve with those factors, so they factor neither the
     # m x m W nor one of its blocks again
     factored = []
-    dpotrf = scipy.linalg.lapack.dpotrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+    dpotrf = _lapack().dpotrf
+    monkeypatch.setattr(_lapack(), "dpotrf",
                         lambda a, *args, **kw: factored.append(np.array(a))
                         or dpotrf(a, *args, **kw))
     sys = from_aggregation(np.kron(np.eye(2), np.ones((1, 2))), [f"v{k}" for k in range(6)])

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from cocomb._linalg import cho_factor_spd, cho_inverse, cho_solve
 from cocomb.exceptions import NumericalError
-from conftest import random_spd
+from conftest import fresh_python, random_spd
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -48,3 +48,30 @@ def test_cho_inverse_of_an_upper_factor(rng):
 def test_cho_inverse_refuses_a_zero_pivot():
     with pytest.raises(NumericalError, match="dpotri info 2"):
         cho_inverse((np.array([[1.0, 0.0], [0.5, 0.0]]), True))
+
+
+def test_the_lapack_extension_is_shared_with_scipy_linalg_in_either_import_order():
+    # cocomb first: one _flapack in sys.modules, which scipy.linalg then uses
+    # (its cho_factor gives cocomb's factor bit for bit); scipy.linalg first:
+    # _lapack() returns SciPy's own module
+    out = fresh_python("""if True:
+        import sys
+        import numpy as np
+        from cocomb._linalg import _lapack, cho_factor_spd
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 9))
+        a = x.T @ x + np.eye(9)
+        factor = cho_factor_spd(a)[0]
+        print("scipy.linalg" in sys.modules)
+        import scipy.linalg
+        print(*[name for name, module in sys.modules.items()
+                if getattr(module, "__name__", "").endswith("_flapack")], sep=",")
+        print(scipy.linalg.lapack.dpotrf is _lapack().dpotrf)
+        print(np.array_equal(scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0],
+                             factor))
+    """).split()
+    assert out == ["False", "scipy.linalg._flapack", "True", "True"]
+    out = fresh_python("import scipy.linalg, sys; from cocomb._linalg import _lapack;"
+                       " print(_lapack() is sys.modules['scipy.linalg._flapack']"
+                       " is scipy.linalg._flapack)").split()
+    assert out == ["True"]

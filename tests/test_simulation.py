@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +13,7 @@ from cocomb import (
     run_experiment,
 )
 from cocomb import simulation
+from cocomb._linalg import _lapack
 from cocomb.exceptions import NumericalError
 from cocomb.panel import from_availability, residuals_from_arrays
 from cocomb.simulation import (
@@ -281,8 +281,8 @@ def test_shared_expert_blocks_are_factored_once(monkeypatch):
     # occ_be, src and the base_* projectors all read expert j's block from the
     # cached bd_expert_shrunk estimate, so no matrix is factored twice
     factored = []
-    dpotrf = scipy.linalg.lapack.dpotrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+    dpotrf = _lapack().dpotrf
+    monkeypatch.setattr(_lapack(), "dpotrf",
                         lambda a, *args, **kw: factored.append(np.array(a))
                         or dpotrf(a, *args, **kw))
     cfg = SimulationConfig(setting=5, p=4, n_train=40, test_len=5, replications=1, seed=21)
