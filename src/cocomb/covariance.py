@@ -20,8 +20,9 @@ or ``shrink`` of each block's rows, listed with their rows by
 estimator reads its estimates off ``_Moments``, one pass over a residual
 matrix: a library block estimator takes one pass per block (no m x m
 product), while the simulation takes one pass over all rows per replication
-and reads each pattern's blocks off it as sub-blocks. Estimates built this way
-are neither copied nor re-checked; a user's matrix is (``as_covariance``). Solvers
+and reads each pattern's blocks off it as sub-blocks. Every dense estimate,
+read off a pass or supplied by a user (``as_covariance``), goes through
+``CovarianceEstimate``'s copy and its square and finite checks. Solvers
 use ``W`` only through ``blocks(m)``: each part's rows with its Cholesky
 factor, taken once, when the part is estimated. A part that fails to factor,
 or a sample MSE wider than T (left unfactored), is ``singular``, and so is an
@@ -45,10 +46,11 @@ class CovarianceEstimate:
 
     ``lam`` is None (no shrinkage), a float (global), or a tuple of per-block
     intensities. ``singular`` marks estimates that cannot back a GLS solve.
-    The constructor copies and checks ``W``; the package's own estimators
-    build through ``_built`` instead, on matrices they made from checked
-    residuals, which a block estimate passes as its diagonal blocks
-    (``(rows, dense estimate)`` pairs) and assembles into ``W`` on first access.
+    The constructor is the only way to a dense estimate, the package's own
+    included: it copies ``W``, checks that it is square and finite, marks it
+    read-only and factors it (unless tagged ``singular``). A block estimate
+    holds no matrix of its own: ``_of_parts`` assembles it from its diagonal
+    blocks, ``(rows, dense estimate)`` pairs, and ``W`` on first access.
     """
 
     def __init__(self, W, pattern: str, lam: float | tuple[float, ...] | None = None,
@@ -60,27 +62,21 @@ class CovarianceEstimate:
             raise DataError("covariance must be square")
         if not np.isfinite(w).all():
             raise DataError("covariance contains non-finite entries")
-        self._set(w, pattern, lam, singular, None)
-
-    @classmethod
-    def _built(cls, w, pattern: str, lam=None, singular: bool = False, parts=None):
-        """An estimate of a finite square ``w`` (or of ``parts``) this package
-        built and owns: neither copied nor checked again."""
-        est = cls.__new__(cls)
-        est._set(w, pattern, lam, singular, parts)
-        return est
-
-    def _set(self, w, pattern, lam, singular, parts) -> None:
-        self.pattern, self.lam, self._W, self._parts = pattern, lam, None, parts
-        if parts is not None:
-            self.singular, self.m = any(p.singular for _, p in parts), sum(p.m for _, p in parts)
-            return
         w.setflags(write=False)
         try:
             self._factor = None if singular else cho_factor_spd(w)
         except NumericalError:
             self._factor = None
-        self.singular, self.m, self._W = self._factor is None, w.shape[0], w
+        self.pattern, self.lam, self._W, self._parts = pattern, lam, w, None
+        self.singular, self.m = self._factor is None, w.shape[0]
+
+    @classmethod
+    def _of_parts(cls, parts: tuple, pattern: str, lam: tuple[float, ...] | None = None):
+        """The block estimate of ``parts``, its diagonal blocks as ``(rows, dense estimate)``."""
+        est = cls.__new__(cls)
+        est.pattern, est.lam, est._W, est._parts = pattern, lam, None, parts
+        est.singular, est.m = any(p.singular for _, p in parts), sum(p.m for _, p in parts)
+        return est
 
     @property
     def parts(self) -> tuple:
@@ -177,19 +173,18 @@ class _Moments:
         """The ``sample`` or (``lam``, by default estimated) ``shrunk`` estimate of ``rows``."""
         w = self.mse[rows][:, rows]
         if not shrunk:
-            return CovarianceEstimate._built(w, "sample", singular=w.shape[0] > self.T)
+            return CovarianceEstimate(w, "sample", singular=w.shape[0] > self.T)
         if (w.diagonal() <= 0).any():
             raise NumericalError("zero-variance residual coordinate; cannot shrink")
         lam = self.intensity(rows) if lam is None else lam
         if not 0.0 <= lam <= 1.0:
             raise DataError("shrinkage intensity must lie in [0, 1]")
-        return CovarianceEstimate._built(lam * np.diag(np.diag(w)) + (1.0 - lam) * w,
-                                         "shrunk", lam=lam)
+        return CovarianceEstimate(lam * np.diag(np.diag(w)) + (1.0 - lam) * w, "shrunk", lam=lam)
 
     def estimate(self, pattern: str, panel: ForecastPanel | None = None) -> CovarianceEstimate:
         """``ESTIMATORS[pattern]`` of these residuals, every block read off this pass."""
         if pattern == "diagonal":
-            return CovarianceEstimate._built(np.diag(self.var), "diagonal")
+            return CovarianceEstimate(np.diag(self.var), "diagonal")
         if pattern in ("sample", "shrunk"):
             return self.dense(pattern == "shrunk")
         kind = pattern.removesuffix("_shrunk")
@@ -232,8 +227,8 @@ def _block_diagonal(dense, panel: ForecastPanel, kind: str, shrink_blocks: bool)
     groups = (np.split(np.arange(panel.m), np.cumsum(panel.n_j)[:-1]) if kind == "bd_expert"
               else (panel.variable_rows(i) for i in range(panel.n)))
     parts = tuple((rows, dense(shrink_blocks, rows)) for rows in groups)
-    return CovarianceEstimate._built(None, f"{kind}_shrunk" if shrink_blocks else kind, parts=parts,
-                                     lam=tuple(p.lam for _, p in parts) if shrink_blocks else None)
+    return CovarianceEstimate._of_parts(parts, f"{kind}_shrunk" if shrink_blocks else kind,
+                                        tuple(p.lam for _, p in parts) if shrink_blocks else None)
 
 
 def _blocks_one_pass_each(residuals, panel: ForecastPanel, kind: str, shrink_blocks: bool):
