@@ -73,6 +73,9 @@ COV_CHOICES = {
     "diag": "diagonal",
 }
 
+# every --output, --emit-* and --dm-output: an existing directory there exits 2
+_OUTPUT_PATH = click.Path(dir_okay=False, path_type=Path)
+
 
 def _dashed(names) -> list[str]:
     """Library names (``ow_var``) as the command line spells them (``ow-var``)."""
@@ -161,7 +164,7 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     required = {*ints, *labels, "value"} - defaults.keys()
     parsed = [(name, int, np.int64) for name in ints] + [("value", float, np.float64)]
     try:
-        with csv_fields_unlimited(), path.open(newline="") as fh:
+        with csv_fields_unlimited(), path.open(newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
             if header is None or not required.issubset(header):
                 raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
@@ -173,6 +176,8 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
                                 parsed, labels)
     except csv.Error as exc:  # a NUL byte, up to Python 3.10
         raise DataError(f"{what} CSV {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
+        raise DataError(f"cannot read {what} CSV {path}: {exc}") from None
 
 
 def _collect(chunks, parsed, labels):
@@ -322,7 +327,7 @@ def _common_inputs(fn):
                      type=click.Choice(sorted(COV_CHOICES)), show_default=True,
                      help="Covariance estimator; the shrinkage intensity is the "
                           "closed-form estimate on standardized residuals, clamped to [0,1]."),
-        click.option("--output", required=True, type=Path, help="Output CSV path."),
+        click.option("--output", required=True, type=_OUTPUT_PATH, help="Output CSV path."),
     ]):
         fn = option(fn)
     return fn
@@ -367,9 +372,9 @@ def combine(constraints, panel, residuals, cov, output, scheme):
 @click.option("--formulation", default="zc-be", show_default=True,
               type=click.Choice(_dashed(FORMULATIONS)),
               help="Equivalent closed forms of the occ solution.")
-@click.option("--emit-weights", type=Path, default=None,
+@click.option("--emit-weights", type=_OUTPUT_PATH, default=None,
               help="Also write the combination weight matrix as CSV.")
-@click.option("--emit-cov", type=Path, default=None,
+@click.option("--emit-cov", type=_OUTPUT_PATH, default=None,
               help="Also write the reconciled error covariance as CSV.")
 def reconcile(constraints, panel, residuals, cov, output, method, formulation,
               emit_weights, emit_cov):
@@ -410,7 +415,7 @@ def reconcile(constraints, panel, residuals, cov, output, method, formulation,
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes, each given chunks of replications; results are "
                    "identical to a serial run.")
-@click.option("--output", required=True, type=Path)
+@click.option("--output", required=True, type=_OUTPUT_PATH)
 def simulate(setting, p, n_train, test_len, reps, seed, balanced, error_corr, methods,
              jobs, output):
     """Run the Monte-Carlo experiment and write the relative-accuracy table."""
@@ -505,8 +510,8 @@ def _read_eval_csv(path: Path, what: str, label_cols: tuple[str, ...], horizons,
               help="Also write the pairwise equal-predictive-accuracy matrix "
                    "(Bartlett kernel with h-1 lags, two-sided normal p-values, "
                    "no small-sample correction).")
-@click.option("--output", required=True, type=Path)
-@click.option("--dm-output", type=Path, default=None)
+@click.option("--output", required=True, type=_OUTPUT_PATH)
+@click.option("--dm-output", type=_OUTPUT_PATH, default=None)
 def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
     """Score methods against actuals with relative accuracy indices."""
     if dm_output is not None and not dm:

@@ -194,9 +194,11 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
         raise DataError(f"constraint file not found: {path}")
     if path.suffix.lower() == ".json":
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read constraint file {path}: {exc}") from None
         if not isinstance(payload, dict):
             raise DataError(f"constraint JSON in {path} must be an object")
 
@@ -226,10 +228,12 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
         raise DataError("constraint JSON must provide either 'A' or 'C'")
 
     try:
-        with csv_fields_unlimited(), path.open(newline="") as fh:
+        with csv_fields_unlimited(), path.open(newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except csv.Error as exc:  # a NUL byte, up to Python 3.10
         raise DataError(f"constraint CSV {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
+        raise DataError(f"cannot read constraint file {path}: {exc}") from None
     if len(rows) < 2:
         raise DataError("constraint CSV needs a header row and at least one constraint")
     names = [c.strip() for c in rows[0]]

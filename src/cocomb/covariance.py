@@ -169,6 +169,9 @@ class _Moments:
         lam = float(var_corr.sum()) / denom
         return float(min(1.0, max(0.0, lam)))
 
+    # products that overflow leave W non-finite, which the constructor refuses:
+    # numpy's RuntimeWarning would only repeat that, outside the error's JSON line
+    @np.errstate(over="ignore", invalid="ignore")
     def dense(self, shrunk: bool, rows=slice(None), lam: float | None = None) -> CovarianceEstimate:
         """The ``sample`` or (``lam``, by default estimated) ``shrunk`` estimate of ``rows``."""
         w = self.mse[rows][:, rows]

@@ -48,6 +48,17 @@ def random_spd(rng, m, lo=0.5, hi=3.0):
     return 0.5 * (w + w.T)
 
 
+def overflowing_residuals():
+    """(system, panel, 8 x 20 residuals) whose entries are finite but whose
+    squares overflow: every row near 1e150, and expert alpha's ``c`` row
+    (row 3) near 6.7e161, so its products with itself and the rest pass
+    1.8e308. Two experts each forecast all four series of ``total = a + b + c``."""
+    system = from_aggregation(np.ones((1, 3)), ["total", "a", "b", "c"])
+    r = np.random.default_rng(3).standard_normal((8, 20)) * 1e150
+    r[3] *= 6.7e11
+    return system, from_availability(np.ones((4, 2), dtype=bool), system, ["alpha", "beta"]), r
+
+
 def evaluation_csvs(tmp_path, rng):
     """Actuals and forecast CSVs for ``evaluate``, rows shuffled, Q_h unequal.
 

@@ -4,6 +4,7 @@ schema error naming the defect, no output; an unusable ``--horizons``,
 
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -12,8 +13,8 @@ import pytest
 
 import cocomb.cli
 import oracles
-from cocomb.cli import main
-from conftest import evaluation_csvs
+from cocomb.cli import COV_CHOICES, main
+from conftest import evaluation_csvs, overflowing_residuals
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -538,3 +539,110 @@ def test_simulate_without_methods_exits_2(tmp_path, capsys, monkeypatch, methods
     assert code == 2
     assert "--methods" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def overflow_inputs(tmp_path):
+    """(constraint JSON, panel CSV, residual CSV) of ``overflowing_residuals``."""
+    sys_, panel, resid = overflowing_residuals()
+    constraints, panel_csv, resid_csv = (tmp_path / name for name in (
+        "constraints.json", "panel.csv", "residuals.csv"))
+    constraints.write_text(json.dumps({"A": sys_.A.tolist(), "upper": list(sys_.labels[:1]),
+                                       "bottom": list(sys_.labels[1:])}))
+    cells = [(panel.labels[i], panel.experts[j])
+             for i, j in zip(panel.var_idx.tolist(), panel.exp_idx.tolist())]
+    panel_csv.write_text("series,expert,value\n" + "".join(f"{s},{e},10.0\n" for s, e in cells))
+    resid_csv.write_text("t,series,expert,value\n" + "".join(
+        f"{t},{s},{e},{v!r}\n" for (s, e), row in zip(cells, resid.tolist())
+        for t, v in enumerate(row)))
+    return constraints, panel_csv, resid_csv
+
+
+OVERFLOW_METHODS = {
+    "occ-zc-be": ["--method", "occ", "--formulation", "zc-be"],
+    "occ-struct-be": ["--method", "occ", "--formulation", "struct-be"],
+    "scr-ew": ["--method", "scr-ew"],
+    "scr-cov": ["--method", "scr-cov"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", sorted(OVERFLOW_METHODS))
+@pytest.mark.parametrize("cov", sorted(COV_CHOICES))
+def test_residuals_whose_products_overflow_exit_3_without_output(tmp_path, capsys, cov, method):
+    # finite residuals whose squares overflow: every pattern refuses the
+    # non-finite W before any solve, and stderr holds the error's JSON line alone
+    constraints, panel, residuals = overflow_inputs(tmp_path)
+    out = tmp_path / "out"
+    code = main(["reconcile", "--constraints", str(constraints), "--panel", str(panel),
+                 "--residuals", str(residuals), "--cov", cov, *OVERFLOW_METHODS[method],
+                 "--output", str(out / "coherent.csv"),
+                 "--emit-weights", str(out / "weights.csv"), "--emit-cov", str(out / "cov.csv")])
+    assert code == 3
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        {"code": "schema", "message": "covariance contains non-finite entries"}]
+    assert not out.exists()
+
+
+# (the input whose ``edited_inputs_argv`` to run, the file to spoil): a label
+# of that file gets a Latin-1 byte (0xe9), so the file is not UTF-8
+NOT_UTF8 = {
+    "panel": ("panel", "panel.csv"),
+    "residuals": ("residuals", "residuals.csv"),
+    "constraints-csv": ("constraints", "constraints.csv"),
+    "constraints-json": ("panel", "constraints.json"),
+    "actuals": ("actuals", "actuals.csv"),
+    "forecasts": ("forecasts", "forecasts.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_input_outside_utf8_exits_3_naming_the_file(tmp_path, rng, capsys, case):
+    which, name = NOT_UTF8[case]
+    argv, out = edited_inputs_argv(tmp_path, rng, which, lambda lines: lines)
+    path = tmp_path / name
+    if name == "constraints.json":  # the argv names the sample's: point it at a copy
+        shutil.copy(SAMPLE / name, path)
+        argv[argv.index("--constraints") + 1] = str(path)
+    path.write_bytes(path.read_bytes().replace(b"east", b"\xe9ast"))
+    code, line = error_of(argv, capsys)
+    assert code == 3
+    err = json.loads(line)
+    assert err["code"] == "schema"
+    assert str(path) in err["message"] and "'utf-8' codec can't decode" in err["message"]
+    assert not out.exists()
+
+
+# (option, the command's input whose argv holds it)
+INPUT_OPTIONS = {"--constraints": "panel", "--panel": "panel", "--residuals": "residuals",
+                 "--actuals": "actuals", "--forecasts": "forecasts"}
+
+
+@pytest.mark.parametrize("option", sorted(INPUT_OPTIONS))
+def test_directory_as_input_exits_3_naming_it(tmp_path, rng, capsys, option):
+    argv, out = edited_inputs_argv(tmp_path, rng, INPUT_OPTIONS[option], lambda lines: lines)
+    argv[argv.index(option) + 1] = str(folder := tmp_path / "folder")
+    folder.mkdir()
+    code, line = error_of(argv, capsys)
+    assert code == 3
+    err = json.loads(line)
+    assert err["code"] == "schema" and "cannot read " in err["message"]
+    assert str(folder) in err["message"]
+    assert not out.exists()
+
+
+# (option, the command's input whose argv it joins)
+OUTPUT_OPTIONS = {"--output": "panel", "--emit-weights": "panel", "--emit-cov": "panel",
+                  "--dm-output": "actuals"}
+
+
+@pytest.mark.parametrize("option", sorted(OUTPUT_OPTIONS))
+def test_directory_as_output_exits_2(tmp_path, rng, capsys, option):
+    argv, out = edited_inputs_argv(tmp_path, rng, OUTPUT_OPTIONS[option], lambda lines: lines)
+    (folder := tmp_path / "folder").mkdir()
+    if option == "--output":
+        argv[argv.index(option) + 1] = str(folder)
+    else:
+        argv += [*(["--dm"] if option == "--dm-output" else []), option, str(folder)]
+    assert main(argv) == 2
+    assert f"Invalid value for '{option}'" in capsys.readouterr().err
+    assert not out.exists() and not any(folder.iterdir())

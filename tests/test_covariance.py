@@ -30,7 +30,7 @@ from cocomb._linalg import _lapack
 from cocomb.coherent import FORMULATIONS
 from cocomb.covariance import ESTIMATORS, _Moments
 from cocomb.panel import residuals_from_arrays
-from conftest import random_panel, random_system
+from conftest import overflowing_residuals, random_panel, random_system
 from oracles import kkt_residual, loop_mse
 
 
@@ -300,6 +300,19 @@ def test_user_covariance_must_be_finite_and_square():
         CovarianceEstimate(np.diag([1.0, np.nan, 1.0]), "sample")
     with pytest.raises(DataError, match="square"):
         as_covariance(np.ones((2, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pattern", sorted(ESTIMATORS))
+def test_residuals_whose_products_overflow_give_no_estimate(pattern):
+    # the package's own estimates pass the constructor's finiteness check too,
+    # from the library estimator and from the simulation's one moment pass,
+    # and numpy's overflow warning (an error here) stays quiet
+    _, panel, resid = overflowing_residuals()
+    for read in (lambda: ESTIMATORS[pattern](resid, panel),
+                 lambda: _Moments(resid).estimate(pattern, panel)):
+        with pytest.raises(DataError, match="covariance contains non-finite entries"):
+            read()
 
 
 def dgp_residuals(setting, balanced, seed, n_train):
