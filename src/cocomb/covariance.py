@@ -71,7 +71,7 @@ class CovarianceEstimate:
         self.singular, self.m = self._factor is None, w.shape[0]
 
     @classmethod
-    def _of_parts(cls, parts: tuple, pattern: str, lam: tuple[float, ...] | None = None):
+    def _of_parts(cls, parts: tuple, pattern: str, lam: tuple[float, ...] | None):
         """The block estimate of ``parts``, its diagonal blocks as ``(rows, dense estimate)``."""
         est = cls.__new__(cls)
         est.pattern, est.lam, est._W, est._parts = pattern, lam, None, parts
