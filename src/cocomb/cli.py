@@ -1,11 +1,12 @@
 """Command-line front end: combine, reconcile, simulate and evaluate.
 
-Every run writes its outputs atomically (rows streamed into a temp file, then
-renamed) and drops a ``<output>.manifest.json`` recording the command, every
-option as parsed (read from the click context) and the library version, so
-reruns from the same inputs are byte-identical. ``_write_table`` writes every
-table: labels quoted once by ``csv.writer`` and ``%``-escaped, one ``%.17g`` slot
-per value (17 digits round-trip), and one ``template % values`` per row.
+Every run writes all its outputs or none (rows streamed into temp files, all
+renamed once the command has returned), among them ``<output>.manifest.json``
+recording the command, every option as parsed (read from the click context)
+and the library version, so reruns from the same inputs are byte-identical.
+``_write_table`` writes every table: labels quoted once by ``csv.writer`` and
+``%``-escaped, one ``%.17g`` slot per value (17 digits round-trip), and one
+``template % values`` per row.
 
 Every label-keyed CSV (panel, residual, actuals, forecasts) goes through one
 reader, ``_read_columns``: it parses ``_CHUNK_ROWS`` rows at a time and turns
@@ -31,9 +32,10 @@ computes each loss array once, and runs one batched DM test per loss and
 horizon row over every unordered method pair and series: swapping the pair
 negates the statistic and keeps the p-value.
 
-Exit codes: 0 success, 2 bad arguments, 3 data/schema error, 4 numerical
-failure (non-SPD covariance, rank deficiency). Errors, and warnings of a
-successful run (``"code": "warning"``), go to stderr as JSON lines.
+Exit codes: 0 success, 2 bad arguments or an output path the OS refuses, 3
+data/schema error, 4 numerical failure (non-SPD covariance, rank deficiency).
+Errors, and warnings of a successful run (``"code": "warning"``), go to stderr
+as JSON lines.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ import numpy as np
 from . import __version__
 from .coherent import FORMULATIONS, fit
 from .combiners import SINGLE_TASK_SCHEMES, combine_multi_task, single_task_weights
-from .constraints import csv_fields_unlimited, read_constraint_file
+from .constraints import open_input, read_constraint_file
 from .covariance import ESTIMATORS
-from .exceptions import DataError, NumericalError
+from .exceptions import CocombError, DataError, NumericalError
 from .metrics import LOSSES, accuracy, dm_test
 from .panel import code_labels, fill_cells, panel_from_pairs
 from .simulation import SIMULATION_METHODS, SimulationConfig, run_experiment
@@ -82,18 +84,33 @@ def _dashed(names) -> list[str]:
     return [name.replace("_", "-") for name in names]
 
 
+class _OutputRefused(CocombError):  # an output path the OS refuses: exit 2
+    code = "output"
+
+
+# (temp file, target) of each output of the command ``main`` runs; None outside it
+_staged: list[tuple[str, Path]] | None = None
+
+
 @contextmanager
 def _atomic_file(path: Path):
-    """Text file handle on a temp file next to ``path``, renamed onto it on success."""
+    """Text file handle on a temp file next to ``path``, renamed onto it on success,
+    or, while ``main`` runs a command, staged for ``main`` to rename."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:  # a regular file where a directory must be, say
+        raise _OutputRefused(f"cannot write {path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.umask(umask := os.umask(0))  # mkstemp made it 0600; honour the umask
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        if _staged is None:
+            os.replace(tmp, path)
+        else:
+            _staged.append((tmp, path))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -155,29 +172,22 @@ def _read_columns(path: Path, what: str, ints, labels, bad, defaults=None):
     row, an empty cell that takes a default, a number ``int`` or ``float``
     refuses, an int beyond int64), the whole file is read again from the top
     by ``_csv_chunks``, ``csv.DictReader`` row by row: the reference reader,
-    and the only one that names a defect. Both read with the csv module's
-    field limit lifted, so a long field is judged on its merits on either.
+    and the only one that names a defect. Both read the handle of
+    ``open_input``, so a long field is judged on its merits on either.
     """
     path, defaults = Path(path), defaults or {}
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}")
     required = {*ints, *labels, "value"} - defaults.keys()
     parsed = [(name, int, np.int64) for name in ints] + [("value", float, np.float64)]
-    try:
-        with csv_fields_unlimited(), path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None or not required.issubset(header):
-                raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
-            try:
-                return _collect(_numpy_chunks(fh, header, parsed, labels, defaults,
-                                              _plain_ascii(path)), parsed, labels)
-            except (ValueError, OverflowError, Warning):  # DictReader reads it or names why
-                return _collect(_csv_chunks(fh, path, what, parsed, labels, bad, defaults),
-                                parsed, labels)
-    except csv.Error as exc:  # a NUL byte, up to Python 3.10
-        raise DataError(f"{what} CSV {path}: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
-        raise DataError(f"cannot read {what} CSV {path}: {exc}") from None
+    with open_input(path, what) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or not required.issubset(header):
+            raise DataError(f"{what} CSV {path} must have columns {sorted(required)}")
+        try:
+            return _collect(_numpy_chunks(fh, header, parsed, labels, defaults,
+                                          _plain_ascii(path)), parsed, labels)
+        except (ValueError, OverflowError, Warning):  # DictReader reads it or names why
+            return _collect(_csv_chunks(fh, path, what, parsed, labels, bad, defaults),
+                            parsed, labels)
 
 
 def _collect(chunks, parsed, labels):
@@ -375,7 +385,9 @@ def combine(constraints, panel, residuals, cov, output, scheme):
 @click.option("--emit-weights", type=_OUTPUT_PATH, default=None,
               help="Also write the combination weight matrix as CSV.")
 @click.option("--emit-cov", type=_OUTPUT_PATH, default=None,
-              help="Also write the reconciled error covariance as CSV.")
+              help="Also write the reconciled error covariance W_tilde = Psi' W Psi as "
+                   "CSV; model-based, it is the error covariance only if the --cov "
+                   "pattern holds.")
 def reconcile(constraints, panel, residuals, cov, output, method, formulation,
               emit_weights, emit_cov):
     """Produce coherent forecasts from the panel."""
@@ -564,8 +576,15 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
 
 def main(argv=None) -> int:
     """Entry point with structured error reporting and stable exit codes."""
+    global _staged
+    _staged = []
     try:
         cli.main(args=argv, standalone_mode=False)
+        for _, path in _staged:  # every output is renamed into place, or none
+            if path.is_dir():
+                raise _OutputRefused(f"cannot write {path}: it is a directory")
+        for tmp, path in _staged:
+            os.replace(tmp, path)
         return 0
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
@@ -578,12 +597,14 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except DataError as exc:
+    except (_OutputRefused, DataError, NumericalError) as exc:
         click.echo(json.dumps({"code": exc.code, "message": str(exc)}), err=True)
-        return 3
-    except NumericalError as exc:
-        click.echo(json.dumps({"code": exc.code, "message": str(exc)}), err=True)
-        return 4
+        return {"output": 2, "schema": 3, "numeric": 4}[exc.code]
+    finally:
+        for tmp, _ in _staged:  # a failed run's: a successful run renamed them
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        _staged = None
 
 
 def script() -> None:

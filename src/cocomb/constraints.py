@@ -166,16 +166,28 @@ def is_coherent(sys: ConstraintSystem, y: np.ndarray, tol: float) -> bool:
 
 
 @contextmanager
-def csv_fields_unlimited():
-    """Lift ``csv.field_size_limit()`` (131072 characters by default) inside the block.
+def open_input(path, what: str, kind: str = "CSV"):
+    """Text handle on the input file ``path``: UTF-8, a leading byte-order mark skipped.
 
-    numpy's tokenizer, which reads the label-keyed CSVs first, has no such
-    limit; lifted, a long field is judged on its merits on every path. The
-    old limit is restored on exit.
+    A missing file raises ``DataError``, and so does a ``csv.Error``,
+    ``OSError`` or ``UnicodeDecodeError`` raised in the block, each naming
+    ``what`` and ``path`` (``kind`` is the file's noun in "cannot read panel
+    CSV ..."). The csv module's field limit, 131072 characters by default, is
+    lifted in the block and restored on exit: numpy's tokenizer, which reads
+    the label-keyed CSVs first, has no such limit, so a long field is judged
+    on its merits on every path.
     """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
     old = csv.field_size_limit(2**31 - 1)  # a C long on every platform; sys.maxsize is not
     try:
-        yield
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except csv.Error as exc:  # a NUL byte, up to Python 3.10
+        raise DataError(f"{what} CSV {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
+        raise DataError(f"cannot read {what} {kind} {path}: {exc}") from None
     finally:
         csv.field_size_limit(old)
 
@@ -190,15 +202,12 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
     constraint (general C form).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"constraint file not found: {path}")
     if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON in {path}: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read constraint file {path}: {exc}") from None
+        with open_input(path, "constraint", "file") as fh:
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise DataError(f"constraint JSON in {path} must be an object")
 
@@ -227,13 +236,8 @@ def read_constraint_file(path) -> tuple[ConstraintSystem, tuple[int, ...]]:
             return from_general_constraints(matrix("C"), names("vars"))
         raise DataError("constraint JSON must provide either 'A' or 'C'")
 
-    try:
-        with csv_fields_unlimited(), path.open(newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except csv.Error as exc:  # a NUL byte, up to Python 3.10
-        raise DataError(f"constraint CSV {path}: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not UTF-8
-        raise DataError(f"cannot read constraint file {path}: {exc}") from None
+    with open_input(path, "constraint", "file") as fh:
+        rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
         raise DataError("constraint CSV needs a header row and at least one constraint")
     names = [c.strip() for c in rows[0]]

@@ -646,3 +646,69 @@ def test_directory_as_output_exits_2(tmp_path, rng, capsys, option):
     assert main(argv) == 2
     assert f"Invalid value for '{option}'" in capsys.readouterr().err
     assert not out.exists() and not any(folder.iterdir())
+
+
+# (input given a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes one, the
+# command's input whose argv holds it, the file's name, and an edit of its lines)
+BOM_INPUTS = {
+    "panel": ("panel", "panel.csv", lambda lines: lines),
+    # an empty horizon takes its default: numpy refuses it, so csv.DictReader
+    # reads the file again from the top, past the mark once more
+    "panel-row-reader": ("panel", "panel.csv",
+                         lambda lines: [lines[0], lines[1].replace(",1,", ",,"), *lines[2:]]),
+    "residuals": ("residuals", "residuals.csv", lambda lines: lines),
+    "constraints-csv": ("constraints", "constraints.csv", lambda lines: lines),
+    "constraints-json": ("panel", "constraints.json", lambda lines: lines),
+    "actuals": ("actuals", "actuals.csv", lambda lines: lines),
+    "forecasts": ("forecasts", "forecasts.csv", lambda lines: lines),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_INPUTS))
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, rng, capsys, case):
+    which, name, edit = BOM_INPUTS[case]
+    argv, out = edited_inputs_argv(tmp_path, rng, which, edit)
+    path = tmp_path / name
+    if name == "constraints.json":  # the argv names the sample's: point it at a copy
+        shutil.copy(SAMPLE / name, path)
+        argv[argv.index("--constraints") + 1] = str(path)
+    written = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + path.read_bytes())
+        assert main(argv) == 0, capsys.readouterr().err
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert len(written[0]) == 2  # the output and its manifest
+
+
+def output_refused(argv, capsys, path):
+    """Run ``argv``: exit 2 with one JSON line on stderr naming ``path``, no traceback."""
+    code, err = main(argv), capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    message = json.loads(err)
+    assert message["code"] == "output" and str(path) in message["message"]
+
+
+def test_output_below_a_regular_file_exits_2(tmp_path, rng, capsys):
+    argv, out = edited_inputs_argv(tmp_path, rng, "panel", lambda lines: lines)
+    (afile := tmp_path / "afile").write_bytes(b"kept")
+    argv[argv.index("--output") + 1] = str(target := afile / "coherent.csv")
+    output_refused(argv, capsys, target)
+    assert afile.read_bytes() == b"kept" and not out.exists()
+
+
+def test_manifest_path_holding_a_directory_exits_2_writing_nothing(tmp_path, rng, capsys):
+    argv, out = edited_inputs_argv(tmp_path, rng, "panel", lambda lines: lines)
+    argv += ["--emit-weights", str(out / "weights.csv"), "--emit-cov", str(out / "cov.csv")]
+    (manifest := out / "coherent.csv.manifest.json").mkdir(parents=True)
+    output_refused(argv, capsys, manifest)
+    assert list(out.iterdir()) == [manifest] and not any(manifest.iterdir())
+
+
+def test_default_dm_path_holding_a_directory_exits_2_writing_nothing(tmp_path, rng, capsys):
+    argv, out = edited_inputs_argv(tmp_path, rng, "actuals", lambda lines: lines)
+    (dm_path := out / "accuracy.csv.dm.csv").mkdir(parents=True)
+    output_refused(argv + ["--dm"], capsys, dm_path)
+    assert list(out.iterdir()) == [dm_path] and not any(dm_path.iterdir())
