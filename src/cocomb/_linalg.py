@@ -59,39 +59,37 @@ def _lapack():
 def cho_factor_spd(a: np.ndarray, what: str = "matrix"):
     """Cholesky-factor a symmetric positive definite matrix by LAPACK ``dpotrf``.
 
-    Returns the ``(factor, lower)`` pair of ``scipy.linalg.cho_factor(a,
-    lower=True, check_finite=False)``, the same array with ``a``'s upper
-    triangle left in place; ``a`` itself is not modified. Raises
-    NumericalError, naming ``what``, so callers can map the failure to a
-    structured exit code.
+    Returns the lower factor, the array of ``scipy.linalg.cho_factor(a,
+    lower=True, check_finite=False)[0]``, with ``a``'s upper triangle left in
+    place; ``a`` itself is not modified. Raises NumericalError, naming
+    ``what``, so callers can map the failure to a structured exit code.
     """
     c, info = _lapack().dpotrf(a, lower=1, clean=0)
     if info != 0:
         raise NumericalError(f"{what} is not symmetric positive definite")
-    return c, True
+    return c
 
 
-def cho_solve(factor, b: np.ndarray) -> np.ndarray:
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` from ``cho_factor_spd(a)``, by LAPACK ``dpotrs`` directly.
 
     ``scipy.linalg.cho_solve`` calls the same routine behind ~20 us of
     argument checks, which dominate the small solves of the block patterns.
     """
-    x, info = _lapack().dpotrs(factor[0], b, lower=factor[1])
+    x, info = _lapack().dpotrs(factor, b, lower=1)
     if info != 0:
         raise NumericalError(f"Cholesky solve failed (LAPACK dpotrs info {info})")
     return x
 
 
-def cho_inverse(factor) -> np.ndarray:
+def cho_inverse(factor: np.ndarray) -> np.ndarray:
     """``a^-1``, exactly symmetric, from ``cho_factor_spd(a)`` by LAPACK ``dpotri``:
     ⅔n³ flops, against 2n³ for a solve against the identity."""
-    inv, info = _lapack().dpotri(factor[0], lower=factor[1])
+    inv, info = _lapack().dpotri(factor, lower=1)
     if info != 0:
         raise NumericalError(f"Cholesky inverse failed (LAPACK dpotri info {info})")
-    tri = inv if factor[1] else inv.T  # dpotri filled tri's lower triangle: mirror it in place
-    for j in range(inv.shape[0] - 1):
-        tri[j, j + 1:] = tri[j + 1:, j]
+    for j in range(inv.shape[0] - 1):  # dpotri filled the lower triangle: mirror it in place
+        inv[j, j + 1:] = inv[j + 1:, j]
     return inv.T  # equal to inv, and C-ordered: dpotri returns Fortran order
 
 

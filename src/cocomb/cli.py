@@ -1,9 +1,13 @@
 """Command-line front end: combine, reconcile, simulate and evaluate.
 
-Every run writes all its outputs or none (rows streamed into temp files, all
-renamed once the command has returned), among them ``<output>.manifest.json``
-recording the command, every option as parsed (read from the click context)
-and the library version, so reruns from the same inputs are byte-identical.
+Every run writes all its outputs or none, in UTF-8 whatever the locale, among
+them ``<output>.manifest.json`` recording the command, every option as parsed
+(read from the click context) and the library version, so reruns from the
+same inputs are byte-identical. ``_atomic_file`` streams each output into a
+temp file in the nearest existing directory above its path; once the command
+has returned, ``main`` alone refuses a path that is a directory or that two
+outputs name (one inside the other too), makes the directories and renames
+every file into place. So a refused run creates no directory.
 ``_write_table`` writes every table: labels quoted once by ``csv.writer`` and
 ``%``-escaped, one ``%.17g`` slot per value (17 digits round-trip), and one
 ``template % values`` per row.
@@ -88,33 +92,19 @@ class _OutputRefused(CocombError):  # an output path the OS refuses: exit 2
     code = "output"
 
 
-# (temp file, target) of each output of the command ``main`` runs; None outside it
-_staged: list[tuple[str, Path]] | None = None
-
-
 @contextmanager
 def _atomic_file(path: Path):
-    """Text file handle on a temp file next to ``path``, renamed onto it on success,
-    or, while ``main`` runs a command, staged for ``main`` to rename."""
+    """UTF-8 handle on a temp file in the nearest existing directory above ``path``,
+    staged as ``(tmp, path)`` in the command's ``obj`` for ``main`` to rename."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    except OSError as exc:  # a regular file where a directory must be, say
-        raise _OutputRefused(f"cannot write {path}: {exc}") from None
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            yield fh
-        os.umask(umask := os.umask(0))  # mkstemp made it 0600; honour the umask
-        os.chmod(tmp, 0o666 & ~umask)
-        if _staged is None:
-            os.replace(tmp, path)
-        else:
-            _staged.append((tmp, path))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    try:  # an existing regular file above path is refused here
+        fd, tmp = tempfile.mkstemp(dir=next(p for p in path.parents if p.exists()),
+                                   prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise _OutputRefused(f"cannot write {path}: {exc.strerror or exc}") from None
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        click.get_current_context().obj.append((tmp, path))
+        yield fh
 
 
 def _fields(*fields) -> str:
@@ -546,7 +536,7 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
         )
     for w in caught:
         click.echo(json.dumps({"code": "warning", "message": str(w.message)}), err=True)
-    if dm:  # DM rows first: a failing test must leave no output behind
+    if dm:
         dm_output = dm_output or Path(str(output) + ".dm.csv")
         n_m, dm_rows = len(methods), []
         a, b = np.triu_indices(n_m, 1)  # the unordered pairs; none, and nothing is tested
@@ -576,15 +566,26 @@ def evaluate(actuals, forecasts, benchmark, horizons, dm, output, dm_output):
 
 def main(argv=None) -> int:
     """Entry point with structured error reporting and stable exit codes."""
-    global _staged
-    _staged = []
+    staged: list[tuple[str, Path]] = []
     try:
-        cli.main(args=argv, standalone_mode=False)
-        for _, path in _staged:  # every output is renamed into place, or none
+        cli.main(args=argv, standalone_mode=False, obj=staged)
+        # each target as os.replace sees it: a name in a real directory
+        real = [Path(os.path.realpath(path.parent), path.name) for _, path in staged]
+        for i, (_, path) in enumerate(staged):
             if path.is_dir():
                 raise _OutputRefused(f"cannot write {path}: it is a directory")
-        for tmp, path in _staged:
-            os.replace(tmp, path)
+            for (_, other), at in zip(staged, real[:i]):  # the same file, or one inside the other
+                if at == real[i] or at in real[i].parents or real[i] in at.parents:
+                    raise _OutputRefused(f"cannot write {path}: it collides with {other}")
+        os.umask(umask := os.umask(0))  # mkstemp made each 0600; honour the umask
+        try:
+            for tmp, path in staged:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                os.chmod(tmp, 0o666 & ~umask)
+            for tmp, path in staged:
+                os.replace(tmp, path)
+        except OSError as exc:
+            raise _OutputRefused(f"cannot write {path}: {exc.strerror or exc}") from None
         return 0
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
@@ -601,10 +602,9 @@ def main(argv=None) -> int:
         click.echo(json.dumps({"code": exc.code, "message": str(exc)}), err=True)
         return {"output": 2, "schema": 3, "numeric": 4}[exc.code]
     finally:
-        for tmp, _ in _staged:  # a failed run's: a successful run renamed them
+        for tmp, _ in staged:  # a failed run's: a successful run renamed them
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        _staged = None
 
 
 def script() -> None:

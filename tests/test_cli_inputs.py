@@ -712,3 +712,42 @@ def test_default_dm_path_holding_a_directory_exits_2_writing_nothing(tmp_path, r
     (dm_path := out / "accuracy.csv.dm.csv").mkdir(parents=True)
     output_refused(argv + ["--dm"], capsys, dm_path)
     assert list(out.iterdir()) == [dm_path] and not any(dm_path.iterdir())
+
+
+# two outputs of one run naming one file (or, last, one file below the other):
+# (input edited, the extra argv as a function of the output directory; its
+# last item is the second spelling, the path refused)
+SHARED_OUTPUTS = {
+    "output-emit-weights": ("panel", lambda out: ["--emit-weights", str(out / "coherent.csv")]),
+    "output-emit-cov": ("panel", lambda out: ["--emit-cov", str(out / "coherent.csv")]),
+    "output-dm-output": ("actuals", lambda out: ["--dm", "--dm-output", str(out / "accuracy.csv")]),
+    "emit-weights-manifest": (
+        "panel", lambda out: ["--emit-weights", str(out / "coherent.csv.manifest.json")]),
+    "dotdot": ("panel", lambda out: ["--emit-cov", str(out / ".." / "out" / "coherent.csv")]),
+    "symlink": ("panel", lambda out: ["--emit-weights", str(out.parent / "link" / "coherent.csv")]),
+    "below-output": ("panel", lambda out: ["--emit-weights", str(out / "coherent.csv" / "w.csv")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_OUTPUTS))
+def test_two_outputs_naming_one_file_exit_2_writing_nothing(tmp_path, rng, capsys, case):
+    which, extra = SHARED_OUTPUTS[case]
+    argv, out = edited_inputs_argv(tmp_path, rng, which, lambda lines: lines)
+    if case == "symlink":
+        out.mkdir()
+        (tmp_path / "link").symlink_to(out, target_is_directory=True)
+    output_refused(argv + extra(out), capsys, extra(out)[-1])
+    assert not any(out.iterdir()) if case == "symlink" else not out.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_refused_output_creates_no_directory(tmp_path, rng, capsys):
+    argv, _ = edited_inputs_argv(tmp_path, rng, "panel", lambda lines: lines)
+    (afile := tmp_path / "afile").write_bytes(b"kept")
+    argv[argv.index("--output") + 1] = str(tmp_path / "new" / "sub" / "c.csv")
+    output_refused(argv + ["--emit-weights", str(afile / "w.csv")], capsys, afile / "w.csv")
+    assert not (tmp_path / "new").exists() and not list(tmp_path.rglob("*.tmp"))
+    assert afile.read_bytes() == b"kept"
+    assert main(argv) == 0  # the same output alone makes its directories
+    assert sorted(p.name for p in (tmp_path / "new" / "sub").iterdir()) == [
+        "c.csv", "c.csv.manifest.json"]

@@ -10,8 +10,10 @@ values hold nan, +-inf, -0.0, the smallest subnormal and 1e+-300.
 import csv
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
+import click
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ import cocomb.cli
 import oracles
 from cocomb import from_aggregation, from_availability
 from cocomb.cli import main
-from conftest import evaluation_csvs
+from conftest import evaluation_csvs, fresh_python
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
 LABELS = ("total, all", 'say "hi"', " padded ", "100%", "%%", "%s", "né €", "", "a\nb", "x")
 EXPERTS = ("a,b", "50%", ' "q" ', "%d", "ü")
@@ -51,10 +55,14 @@ def assert_same_bytes(got, expected):
 
 @pytest.mark.parametrize("horizons", HORIZONS, ids=["one", "three"])
 def test_forecast_table_matches_row_writer(tmp_path, horizons):
+    """The temp file the writer stages for ``main`` holds the oracle's bytes."""
     y = special(np.random.default_rng(1), (len(LABELS), len(horizons)))
-    cocomb.cli._write_forecasts(tmp_path / "y.csv", horizons, y, LABELS)
+    with click.Context(cocomb.cli.cli, obj=(staged := [])):
+        cocomb.cli._write_forecasts(tmp_path / "y.csv", horizons, y, LABELS)
+    [(tmp, target)] = staged
+    assert target == tmp_path / "y.csv"
     oracles.write_forecasts(tmp_path / "ref.csv", horizons, y, LABELS)
-    assert_same_bytes(tmp_path / "y.csv", tmp_path / "ref.csv")
+    assert_same_bytes(Path(tmp), tmp_path / "ref.csv")
 
 
 @pytest.mark.parametrize("horizons", HORIZONS, ids=["one", "three"])
@@ -192,9 +200,9 @@ class WriteFailed(Exception):
     pass
 
 
-def failing_rows():
-    yield "a,%.17g\n", (1.0,)
-    raise WriteFailed
+class FailingValue:
+    def __float__(self):  # what a %.17g slot calls
+        raise WriteFailed
 
 
 def failing_replace(*_):
@@ -205,20 +213,49 @@ def failing_replace(*_):
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_a_failed_write_leaves_no_temp_file_and_the_old_bytes(tmp_path, monkeypatch, failure,
                                                               existing):
-    """A row that raises mid-write, or a refused rename, propagates its error;
-    the temp file is removed and a target already there keeps its bytes."""
+    """Through ``main``, a row that raises mid-write propagates its error and a
+    refused rename exits 2; the temp files are removed and a target already
+    there keeps its bytes."""
     target = tmp_path / "table.csv"
     if existing:
         target.write_bytes(b"old,bytes\r\n")
-    rows = [("a,%.17g\n", (1.0,))]
+    last = FailingValue() if failure == "rows" else 1.0
+    rows = [{"method": "ew", "avg_rel_mae": 1.0, "avg_rel_mse": 1.0},
+            {"method": "occ", "avg_rel_mae": 1.0, "avg_rel_mse": last}]
+    monkeypatch.setattr(cocomb.cli, "run_experiment",
+                        lambda *args, **kwargs: SimpleNamespace(summary_rows=lambda: rows))
+    argv = ["simulate", "--setting", "1", "--output", str(target)]
     if failure == "rows":
-        rows, error = failing_rows(), WriteFailed
+        with pytest.raises(WriteFailed):
+            main(argv)
     else:
         monkeypatch.setattr(cocomb.cli.os, "replace", failing_replace)
-        error = OSError
-    with pytest.raises(error):
-        cocomb.cli._write_table(target, ["name", "value"], rows)
+        assert main(argv) == 2
     assert list(tmp_path.glob("*.tmp")) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == (["table.csv"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old,bytes\r\n"
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    """``reconcile`` on the sample with ``total`` renamed ``totél`` in all three
+    inputs writes the same bytes under the C locale, UTF-8 mode off, as under UTF-8."""
+    (inputs := tmp_path / "in").mkdir()
+    for name in ("constraints.json", "panel.csv", "residuals.csv"):
+        text = (SAMPLE / name).read_text(encoding="utf-8")
+        (inputs / name).write_text(text.replace("total", "totél"), encoding="utf-8")
+    argv = ["reconcile", "--constraints", "../in/constraints.json", "--panel", "../in/panel.csv",
+            "--residuals", "../in/residuals.csv", "--output", "c.csv",
+            "--emit-weights", "w.csv", "--emit-cov", "wt.csv"]
+    written = []
+    for utf8 in ("1", "0"):
+        monkeypatch.setenv("LC_ALL", "C" if utf8 == "0" else "C.UTF-8")
+        monkeypatch.setenv("PYTHONUTF8", utf8)
+        monkeypatch.setenv("PYTHONCOERCECLOCALE", "0")
+        (out := tmp_path / f"utf8-{utf8}").mkdir()
+        fresh_python("import sys; from cocomb.cli import main; sys.exit(main(sys.argv[1:]))",
+                     *argv, cwd=out)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["c.csv", "c.csv.manifest.json", "w.csv", "wt.csv"]
+    assert "totél".encode() in written[0]["c.csv"]
