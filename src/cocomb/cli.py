@@ -7,7 +7,10 @@ same inputs are byte-identical. ``_atomic_file`` streams each output into a
 temp file in the nearest existing directory above its path; once the command
 has returned, ``main`` alone refuses a path that is a directory or that two
 outputs name (one inside the other too), makes the directories and renames
-every file into place. So a refused run creates no directory.
+every file into place. So a refused run creates no directory. Each existing
+target is first set aside beside its temp file: if a rename fails, the files
+renamed in are removed and the set-aside ones put back, and on success the
+set-aside ones are deleted.
 ``_write_table`` writes every table: labels quoted once by ``csv.writer`` and
 ``%``-escaped, one ``%.17g`` slot per value (17 digits round-trip), and one
 ``template % values`` per row.
@@ -582,9 +585,16 @@ def main(argv=None) -> int:
             for tmp, path in staged:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 os.chmod(tmp, 0o666 & ~umask)
+                if os.path.lexists(path):  # set aside beside its temp file, a unique name
+                    os.replace(path, tmp + ".old")
             for tmp, path in staged:
                 os.replace(tmp, path)
-        except OSError as exc:
+        except OSError as exc:  # remove what was renamed into place, put back what was set aside
+            for tmp, target in staged:
+                if not os.path.exists(tmp):
+                    os.unlink(target)
+                if os.path.lexists(tmp + ".old"):
+                    os.replace(tmp + ".old", target)
             raise _OutputRefused(f"cannot write {path}: {exc.strerror or exc}") from None
         return 0
     except SystemExit as exc:  # --help / --version paths
@@ -602,9 +612,10 @@ def main(argv=None) -> int:
         click.echo(json.dumps({"code": exc.code, "message": str(exc)}), err=True)
         return {"output": 2, "schema": 3, "numeric": 4}[exc.code]
     finally:
-        for tmp, _ in staged:  # a failed run's: a successful run renamed them
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for tmp, _ in staged:  # a failed run's temp files, a successful run's set-aside targets
+            for leftover in (tmp, tmp + ".old"):
+                if os.path.lexists(leftover):
+                    os.unlink(leftover)
 
 
 def script() -> None:

@@ -18,6 +18,13 @@ The kernels return weights and covariances only. Every public entry (``occ``,
 ``mint_reconcile``, ``scr``, ``src``) sets ``y_tilde = Psi' y_hat`` once, on
 the by-expert ``Psi``, the same apply that ``cocomb reconcile`` runs per
 horizon. No kernel factors ``W`` or one of its blocks: the estimate did.
+``_zc`` returns its n x n ``W_tilde`` and ``M`` unformed, as functions of the
+n x n_u pieces ``W_c C'``, ``G`` and ``G W_c``: most callers read only
+``y_tilde`` and ``Psi``, so a zero-constrained result holds ``Psi``, ``W_c``
+and those pieces until ``W_tilde`` or ``M`` is read (``CoherentResult``).
+It drops the blocks' inverses ``W_g^-1`` as soon as ``Psi`` is formed. The
+structural kernel and ``src`` form ``W_tilde`` at once: their ``Psi`` or sum
+needs it.
 
 The four ``FORMULATIONS`` run each kernel by expert (``*_be``) or by variable
 (``*_bv``: ``J = P K`` and ``P W P'``). Both are one computation: a block's
@@ -39,6 +46,7 @@ covariance policy: ``src`` reconciles expert j with part j of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +70,13 @@ class CoherentResult:
     by-variable weights are ``Psi[panel.bv_order]``. ``W_tilde`` is the
     reconciled error covariance. ``M`` and ``W_c`` (projector and
     combined-forecast covariance) are filled by the zero-constrained kernel,
-    hence also by ``mint_reconcile``.
+    hence also by ``mint_reconcile`` and ``scr``.
+
+    ``W_tilde`` and ``M`` may be stored unformed, as a function of no argument
+    (``_zc`` stores them so): the first read calls it and keeps the array, so
+    every read returns that one object, with the bits an eager build gives.
+    ``dataclasses.replace`` reads, hence forms, both. Two threads making the
+    first read at once may each form the array: both get the same bits.
     """
 
     y_tilde: np.ndarray
@@ -71,6 +85,26 @@ class CoherentResult:
     formulation: str
     W_c: np.ndarray | None = None
     M: np.ndarray | None = None
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if name in ("W_tilde", "M") and callable(value):
+            object.__setattr__(self, name, value := value())
+        return value
+
+
+def _minus(left, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``left - u @ v`` in the product's buffer, for ``_zc``'s n x n outputs.
+
+    ``left`` is ``W_c``, or None for the identity: ``0 - x`` off the diagonal,
+    then ``+ 1`` on it, gives the bits of ``np.eye(n) - x`` with no n x n
+    temporary (``0 - x`` is ``-x`` but for zeros, and ``-x + 1`` is ``1 - x``).
+    """
+    out = u @ v
+    np.subtract(0.0 if left is None else left, out, out=out)
+    if left is None:
+        out.flat[:: len(out) + 1] += 1.0
+    return out
 
 
 def _zc(blocks, var: np.ndarray, c: np.ndarray):
@@ -81,19 +115,21 @@ def _zc(blocks, var: np.ndarray, c: np.ndarray):
     ``Psi = Omega M' = Omega - (Omega C')(G W_c)``. ``M`` is applied to
     ``Omega`` after pooling, block by block in place: folding it into the
     pooled weights first loses coherence when ``W`` is ill-conditioned.
+    ``W_tilde = W_c - (W_c C')(G W_c)`` and ``M`` are returned unformed
+    (``CoherentResult``), holding only ``W_c`` and the n x n_u pieces.
     """
     precision, apply = gls_pool(blocks, var, c.shape[1])
     w_c = pooled_covariance(precision)
     del precision  # freed before the m x n weights are built: it would add to the peak
-    psi, n = apply(w_c), w_c.shape[0]
+    psi, apply = apply(w_c), None  # drops every block's W_g^-1 once Psi is formed
     if c.shape[0] == 0:
-        return psi, w_c.copy(), w_c, np.eye(n)
+        return psi, w_c.copy, w_c, partial(np.eye, len(w_c))
     f = cho_factor_spd(symmetrize(c @ w_c @ c.T), "constraint-space covariance")
     g = cho_solve(f, c)
     wc_ct, g_wc, psi_ct = w_c @ c.T, g @ w_c, psi @ c.T
     for rows, _ in blocks:
         psi[rows] -= psi_ct[rows] @ g_wc
-    return psi, w_c - wc_ct @ g_wc, w_c, np.eye(n) - wc_ct @ g
+    return psi, partial(_minus, w_c, wc_ct, g_wc), w_c, partial(_minus, None, wc_ct, g)
 
 
 def _struct(blocks, var: np.ndarray, s: np.ndarray):
@@ -169,10 +205,10 @@ def scr(
         panel, scheme, cov_combine
     )
     g = ws.matrix(panel)
-    rec = mint_reconcile(g.T @ panel.y_hat, sys, cov_reconcile)
-    psi = g @ rec.Psi
-    return CoherentResult(psi.T @ panel.y_hat, psi, rec.W_tilde, f"scr_{ws.scheme}",
-                          rec.W_c, rec.M)
+    rec = vars(mint_reconcile(g.T @ panel.y_hat, sys, cov_reconcile))  # W_tilde, M unformed
+    psi = g @ rec["Psi"]
+    return CoherentResult(psi.T @ panel.y_hat, psi, rec["W_tilde"], f"scr_{ws.scheme}",
+                          rec["W_c"], rec["M"])
 
 
 def src(panel: ForecastPanel, sys: ConstraintSystem, cov_per_expert) -> CoherentResult:

@@ -3,7 +3,9 @@ schema error naming the defect, no output; an unusable ``--horizons``,
 ``--jobs`` or ``--methods`` exits 2."""
 
 import csv
+import errno
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -751,3 +753,35 @@ def test_refused_output_creates_no_directory(tmp_path, rng, capsys):
     assert main(argv) == 0  # the same output alone makes its directories
     assert sorted(p.name for p in (tmp_path / "new" / "sub").iterdir()) == [
         "c.csv", "c.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_rename_leaves_every_target_as_it_was(tmp_path, rng, capsys, monkeypatch, existing):
+    """The second temp file renamed into place fails with ENOSPC: the run exits 2,
+    removes the outputs renamed before it and puts back the files they replaced,
+    leaving no temp or set-aside file. Reruns keep no set-aside file either."""
+    argv, out = edited_inputs_argv(tmp_path, rng, "panel", lambda lines: lines)
+    argv[argv.index("--output") + 1] = str(coherent := out / "c.csv")
+    argv += ["--emit-weights", str(weights := out / "w.csv")]
+    out.mkdir()
+    if existing:
+        coherent.write_bytes(b"old forecasts\n")
+    real_replace, renamed = os.replace, []
+
+    def replace(src, dst):
+        if str(src).endswith(".tmp"):  # a staged output, renamed into place
+            renamed.append(dst)
+            if len(renamed) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    output_refused(argv, capsys, weights)  # renamed second, after c.csv
+    assert renamed[:2] == [coherent, weights]
+    assert sorted(p.name for p in out.iterdir()) == (["c.csv"] if existing else [])
+    if existing:
+        assert coherent.read_bytes() == b"old forecasts\n"
+    monkeypatch.undo()
+    for _ in range(2):
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["c.csv", "c.csv.manifest.json", "w.csv"]

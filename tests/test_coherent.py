@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from cocomb import (
     src,
 )
 from cocomb import coherent
+from cocomb._linalg import cho_factor_spd, cho_solve, symmetrize
 from cocomb.coherent import FORMULATIONS, fit
 from cocomb.covariance import ESTIMATORS, PATTERNS
 from cocomb.panel import residuals_from_arrays
@@ -696,3 +700,78 @@ def test_w_tilde_is_psi_t_w_psi_on_the_simulation_dgp(setting, balanced, n_train
             closed_form = res.Psi.T @ w @ res.Psi
             err = np.abs(res.W_tilde - closed_form).max() / np.abs(closed_form).max()
             assert err <= 1e-13, (pattern, res.formulation, err)
+
+
+# every entry whose result comes from the zero-constrained kernel, as a function
+# of (system, panel, its m x T residuals, the block_by_expert estimate, rng)
+ZC_FITS = {
+    "occ_zc_be": lambda sys, panel, resid, est, rng: occ(panel, sys, est, "zc_be"),
+    "occ_zc_bv": lambda sys, panel, resid, est, rng: occ(panel, sys, est, "zc_bv"),
+    "mint": lambda sys, panel, resid, est, rng: mint_reconcile(
+        rng.standard_normal(sys.n), sys, random_spd(rng, sys.n)),
+    **{m: (lambda sys, panel, resid, est, rng, m=m: fit(m, panel, sys, resid, est))
+       for m in ("scr_ew", "scr_var", "scr_cov")},
+}
+
+
+def _zc_fit(name, sys, rng, balanced):
+    avail = random_availability(rng, sys.n, 4, balanced)
+    panel = from_availability(avail, sys, values=rng.standard_normal(int(avail.sum())))
+    resid = rng.standard_normal((panel.m, 60))
+    return ZC_FITS[name](sys, panel, resid, block_by_expert(resid, panel, shrink_blocks=True), rng)
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+@pytest.mark.parametrize("name", sorted(ZC_FITS))
+def test_w_tilde_and_m_form_on_first_read_with_their_bits(rng, name, balanced):
+    """``W_tilde`` and ``M`` are stored unformed; the first read forms
+    ``W_c - (W_c C')(G W_c)`` and ``I - (W_c C') G`` bit for bit, and keeps them.
+    ``dataclasses.replace`` reads, hence forms, both and hands them on."""
+    sys = dgp_system()
+    res = _zc_fit(name, sys, rng, balanced)
+    assert callable(vars(res)["W_tilde"]) and callable(vars(res)["M"])
+    moved = replace(res, y_tilde=res.y_tilde + 1.0)
+    w_tilde, m_proj = res.W_tilde, res.M
+    assert res.W_tilde is w_tilde and res.M is m_proj
+    assert moved.W_tilde is w_tilde and moved.M is m_proj and moved.Psi is res.Psi
+    c, w_c = sys.C, res.W_c
+    g = cho_solve(cho_factor_spd(symmetrize(c @ w_c @ c.T)), c)
+    wc_ct = w_c @ c.T
+    np.testing.assert_array_equal(w_tilde, w_c - wc_ct @ (g @ w_c))
+    np.testing.assert_array_equal(m_proj, np.eye(sys.n) - wc_ct @ g)
+
+
+@pytest.mark.parametrize("name", sorted(ZC_FITS))
+def test_unconstrained_w_tilde_and_m_are_a_copy_of_w_c_and_the_identity(rng, name):
+    sys = from_aggregation(np.zeros((0, 3)), ["a", "b", "c"])
+    res = _zc_fit(name, sys, rng, balanced=False)
+    assert res.W_tilde is not res.W_c and res.W_tilde is res.W_tilde
+    np.testing.assert_array_equal(res.W_tilde, res.W_c)
+    np.testing.assert_array_equal(res.M, np.eye(3))
+
+
+def test_zero_constrained_result_holds_no_n_by_n_but_psi_and_w_c(rng):
+    """Until ``W_tilde`` or ``M`` is read, an ``occ`` ``zc_be`` result at n = 201
+    (p = 3, each variable covered twice) holds ``Psi``, ``W_c``, ``y_tilde`` and
+    O(n n_u) bytes: no n x n array but ``W_c``."""
+    groups, leaves = 8, 24
+    a = np.zeros((1 + groups, groups * leaves))
+    a[0] = 1.0
+    for k in range(groups):
+        a[1 + k, k * leaves:(k + 1) * leaves] = 1.0
+    sys = from_aggregation(a, [f"v{i}" for i in range(a.shape[0] + a.shape[1])])
+    n, n_u = sys.n, a.shape[0]
+    avail = np.zeros((n, 3), dtype=bool)
+    avail[np.arange(n), np.arange(n) % 3] = avail[np.arange(n), (np.arange(n) + 1) % 3] = True
+    panel = from_availability(avail, sys, values=rng.standard_normal(int(avail.sum())))
+    est = block_by_expert(rng.standard_normal((panel.m, 200)), panel, shrink_blocks=True)
+    occ(panel, sys, est, "zc_be")  # loads LAPACK outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = occ(panel, sys, est, "zc_be")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    outputs = res.Psi.nbytes + res.W_c.nbytes + res.y_tilde.nbytes
+    assert held <= outputs + 4 * n * n_u * 8 + 64 * 1024, (held, outputs)
