@@ -11,6 +11,7 @@ formatted on its own by ``format(x, ".17g")``.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,52 @@ def loop_mse(residuals):
                 acc += residuals[a, t] * residuals[b, t]
             w[a, b] = acc / T
     return w
+
+
+def shrink_estim(residuals):
+    """The shrinkage intensity of R's ``shrink.estim`` (packages ``hts`` and
+    ``FoReco``), one pair of rows at a time.
+
+    With ``x`` the T x m residuals, ``xs`` its columns scaled by their root
+    mean square: ``v = (crossprod(xs^2) - crossprod(xs)^2 / T) / (T (T - 1))``
+    off the diagonal, ``lambda = sum(v) / sum(cor^2)`` over the off-diagonal
+    correlations of the MSE, clamped to [0, 1]. ``xs`` enters only through
+    squares, so each pair's sums are scaled by the product of the two mean
+    squares and no root is taken: rows of ``Fraction``s give the exact value.
+    """
+    rows = [list(row) for row in residuals]
+    T = len(rows[0])
+    mean_sq = [sum(a * a for a in row) / T for row in rows]
+    v_sum = corr_sq_sum = 0
+    for i, x_i in enumerate(rows):
+        for j, x_j in enumerate(rows):
+            if i == j:
+                continue
+            scale = mean_sq[i] * mean_sq[j]  # xs_i xs_j = x_i x_j / scale^(1/2)
+            cross = sum(a * b for a, b in zip(x_i, x_j))
+            cross_sq = sum(a * a * b * b for a, b in zip(x_i, x_j))
+            v_sum += (cross_sq - cross * cross / T) / scale / (T * (T - 1))
+            corr_sq_sum += (cross / T) ** 2 / scale
+    return min(1, max(0, v_sum / corr_sq_sum))
+
+
+def simplex_support_min(sigma):
+    """Minimizer of ``w' sigma w`` over the unit simplex, by brute force over
+    every support: on each nonempty set of coordinates, the sum-to-one
+    minimizer ``sigma_S^-1 1 / (1' sigma_S^-1 1)``, kept if non-negative."""
+    k = sigma.shape[0]
+    best, best_w = np.inf, None
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            idx = list(support)
+            raw = np.linalg.solve(sigma[np.ix_(idx, idx)], np.ones(size))
+            if (raw / raw.sum() < 0).any():
+                continue
+            w = np.zeros(k)
+            w[idx] = raw / raw.sum()
+            if float(w @ sigma @ w) < best:
+                best, best_w = float(w @ sigma @ w), w
+    return best_w
 
 
 def orthogonal_projector(C):

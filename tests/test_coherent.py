@@ -702,6 +702,22 @@ def test_w_tilde_is_psi_t_w_psi_on_the_simulation_dgp(setting, balanced, n_train
             assert err <= 1e-13, (pattern, res.formulation, err)
 
 
+@pytest.mark.parametrize("setting", range(1, 7))
+def test_src_w_tilde_is_psi_t_w_psi_under_its_block_estimate(setting):
+    """``src`` reports ``Psi' W_bd Psi``, ``W_bd`` the ``bd_expert_shrunk`` estimate
+    whose expert blocks it reconciles with, to 1e-12 relative."""
+    sys = dgp_system()
+    for rep in range(3):
+        cfg = SimulationConfig(setting=setting, n_train=50, test_len=1, replications=3, seed=5)
+        data = generate_replication(cfg, rep)
+        panel = from_availability(data.availability, sys)
+        resid = residuals_from_arrays(panel, data.actuals[:50], data.forecasts[:, :50])
+        res = fit("src", panel, sys, resid, None)
+        closed_form = res.Psi.T @ ESTIMATORS["bd_expert_shrunk"](resid, panel).W @ res.Psi
+        err = np.abs(res.W_tilde - closed_form).max() / np.abs(closed_form).max()
+        assert err <= 1e-12, (rep, err)
+
+
 # every entry whose result comes from the zero-constrained kernel, as a function
 # of (system, panel, its m x T residuals, the block_by_expert estimate, rng)
 ZC_FITS = {

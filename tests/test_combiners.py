@@ -15,7 +15,13 @@ from cocomb import (
     single_task_weights,
 )
 from conftest import random_panel, random_spd, random_system
-from oracles import dense_pool, dense_precision, gls_normal_equations, simplex_grid_min
+from oracles import (
+    dense_pool,
+    dense_precision,
+    gls_normal_equations,
+    simplex_grid_min,
+    simplex_support_min,
+)
 
 
 def panel_with_cov(rng, sys, balanced=None, p_max=6):
@@ -107,6 +113,31 @@ def test_simplex_weights_match_grid_oracle(rng):
         ours = float(gamma @ sigma @ gamma)
         grid = simplex_grid_min(sigma, step=0.02)
         assert ours <= grid + 1e-9
+
+
+def test_ow_var_and_ow_cov_on_non_diagonal_covariances(rng):
+    # on a diagonal covariance the two rules coincide; here ow_var is the
+    # normalized 1/diag and ow_cov the simplex minimum found over every support.
+    # In the first block the all-free weights of experts 0 and 1 are negative,
+    # and expert 0 re-enters the optimum
+    reentry = np.array([[16.0, 5.0, 10.0, -6.0], [5.0, 21.0, 13.0, -3.0],
+                        [10.0, 13.0, 20.0, -18.0], [-6.0, -3.0, -18.0, 32.0]])
+    free = np.linalg.solve(reentry, np.ones(4))
+    assert (free[:2] < 0).all() and simplex_support_min(reentry)[0] > 0
+    sys = from_aggregation(np.zeros((0, 3)), ["a", "b", "c"])
+    panel = from_availability(np.ones((3, 4), dtype=bool), sys, values=np.arange(12.0))
+    rows = panel.variable_rows(0)
+    for _ in range(20):
+        w = scaled_gram(rng, panel.m)
+        w[rows], w[:, rows] = 0.0, 0.0
+        w[np.ix_(rows, rows)] = reentry
+        cov = as_covariance(w)
+        by_var, by_cov = (single_task_weights(panel, s, cov).weights for s in ("ow_var", "ow_cov"))
+        for i in range(panel.n):
+            sigma = w[np.ix_(panel.variable_rows(i), panel.variable_rows(i))]
+            inv_var = 1.0 / sigma.diagonal()
+            np.testing.assert_allclose(by_var[i], inv_var / inv_var.sum(), rtol=1e-14)
+            np.testing.assert_allclose(by_cov[i], simplex_support_min(sigma), rtol=0, atol=1e-12)
 
 
 def test_multi_task_identity_covariance_is_per_variable_mean(rng):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from cocomb.coherent import FORMULATIONS
 from cocomb.covariance import ESTIMATORS, _Moments
 from cocomb.panel import residuals_from_arrays
 from conftest import overflowing_residuals, random_panel, random_system
-from oracles import kkt_residual, loop_mse
+from oracles import kkt_residual, loop_mse, shrink_estim
 
 
 def small_panel():
@@ -110,6 +111,61 @@ def test_shrink_intensity_range_and_correlation_sensitivity(rng):
     z = rng.standard_normal((1, 2000))
     near_collinear = np.vstack([z, z + 0.05 * rng.standard_normal((5, 2000))])
     assert shrink_intensity(near_collinear) < 0.05
+
+
+def correlated_residuals(rng, m, T):
+    """m x T residuals sharing one factor, each row on its own scale: their
+    shrinkage intensity lies inside (0, 1), away from either clamp."""
+    r = rng.standard_normal((m, T)) + rng.uniform(0.2, 1.0, (m, 1)) * rng.standard_normal(T)
+    return r * rng.uniform(0.1, 10.0, (m, 1))
+
+
+@pytest.mark.parametrize("m, T", [(3, 5), (7, 20), (20, 60), (50, 200), (12, 40)])
+def test_shrink_intensity_is_shrink_estim(rng, m, T):
+    r = correlated_residuals(rng, m, T)
+    if m == 12:
+        r[4, 7] *= 1e3  # one spiked observation
+    want = shrink_estim(r)
+    assert 0 < want < 1
+    assert abs(shrink_intensity(r) - want) <= 1e-13 * want
+
+
+def test_shrink_intensity_of_a_3_by_4_case_is_exact():
+    # the intensity is rational in the residuals, so the oracle in Fractions is exact
+    r = [[3, 1, 0, -2], [-2, -4, -4, -4], [-3, 3, 1, 4]]
+    want = shrink_estim([[Fraction(v) for v in row] for row in r])
+    assert want == Fraction(1921, 2121)
+    assert abs(shrink_intensity(np.array(r, dtype=float)) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("pattern", ["bd_expert_shrunk", "bd_variable_shrunk"])
+def test_block_intensities_are_shrink_estim_of_their_rows(rng, pattern):
+    # two experts, so every by-variable block has two rows; each block's
+    # intensity, from the estimator and read off one pass, is its rows' own
+    sys = from_aggregation(np.kron(np.eye(2), np.ones((1, 2))), [f"v{k}" for k in range(6)])
+    panel = from_availability(np.ones((6, 2), dtype=bool), sys)
+    r = correlated_residuals(rng, panel.m, 30)
+    wants = [shrink_estim(r[rows]) for rows, _ in ESTIMATORS[pattern](r, panel).parts]
+    assert min(wants) < 1
+    for est in (ESTIMATORS[pattern](r, panel), _Moments(r).estimate(pattern, panel)):
+        assert len(est.lam) == len(wants)
+        for lam, want in zip(est.lam, wants):
+            assert abs(lam - want) <= 1e-13 * want, pattern
+
+
+def test_sub_block_intensities_are_shrink_estim_of_their_rows(rng):
+    r = correlated_residuals(rng, 15, 40)
+    moments = _Moments(r)
+    for size in (2, 3, 7, 15):
+        rows = rng.permutation(15)[:size]
+        want = shrink_estim(r[rows])
+        assert abs(moments.intensity(rows) - want) <= 1e-13 * want, size
+
+
+@pytest.mark.parametrize("lam", [-1e-12, 1.0 + 1e-12])
+def test_shrink_refuses_an_intensity_outside_0_1(rng, lam):
+    with pytest.raises(DataError, match="must lie in"):
+        shrink(rng.standard_normal((4, 30)), lam=lam)
 
 
 def test_shrink_zero_variance_coordinate_raises(rng):
