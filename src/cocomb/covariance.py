@@ -20,7 +20,8 @@ or ``shrink`` of each block's rows, listed with their rows by
 estimator reads its estimates off ``_Moments``, one pass over a residual
 matrix: a library block estimator takes one pass per block (no m x m
 product), while the simulation takes one pass over all rows per replication
-and reads each pattern's blocks off it as sub-blocks. Every dense estimate,
+and reads each pattern's blocks off it as sub-blocks. A shrinkage intensity reads
+both its sums off the MSE and the squared standardized rows. Every dense estimate,
 read off a pass or supplied by a user (``as_covariance``), goes through
 ``CovarianceEstimate``'s copy and its square and finite checks. Solvers
 use ``W`` only through ``blocks(m)``: each part's rows with its Cholesky
@@ -123,13 +124,12 @@ def _check_residuals(residuals: np.ndarray) -> np.ndarray:
 class _Moments:
     """One pass over m x T residuals (as ``_check_residuals`` returns them).
 
-    Holds the row variances, and computes on first use the sample MSE and the
-    squared correlations of the standardized rows with their sampling
-    variances (diagonals zeroed). Each row is standardized on its own, so the
-    moments of any set of rows are sub-blocks of these, and ``dense`` and
-    ``estimate`` read estimates off them: one pass over all rows serves every
-    pattern. Read over all its rows, a pass gives ``sample_mse``, ``shrink``
-    and ``diagonal_mse`` of its residuals; a sub-block read rounds differently
+    Holds the row variances, and computes the sample MSE on first use. The
+    moments of any set of rows are sub-blocks of these, and a set's shrinkage
+    intensity reads only those sub-blocks and its rows (``intensity``), so
+    ``dense`` and ``estimate`` read every estimate off one pass over all rows.
+    Read over all its rows, a pass gives ``sample_mse``, ``shrink`` and
+    ``diagonal_mse`` of its residuals; a sub-block read rounds differently
     from a pass over those rows alone, within 1e-14 relative.
     """
 
@@ -141,33 +141,29 @@ class _Moments:
         w = self.r @ self.r.T / self.T
         return 0.5 * (w + w.T)
 
-    @cached_property
-    def corr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The squared correlations and the sampling variance of each correlation,
-        from the products ``z_i z_j`` (``zz @ zz.T``: numpy's syrk), diagonals
-        zeroed: an off-diagonal sum taken as a total minus the trace would round
-        away from 0 where every correlation is 0. A zero-variance row stays
-        zero; a shrunk read of it raises before reading these."""
-        z = self.r / np.sqrt(np.where(self.var > 0, self.var, 1.0))[:, None]
-        corr_sq, zz = (z @ z.T / self.T) ** 2, z * z
-        var_corr = (zz @ zz.T / self.T - corr_sq) / (self.T - 1)
-        for a in (corr_sq, var_corr):
-            np.fill_diagonal(a, 0.0)
-        return corr_sq, var_corr
-
     def intensity(self, rows=slice(None)) -> float:
-        """The shrinkage intensity of ``rows`` (an index array, or all rows), clamped to [0, 1]."""
+        """The shrinkage intensity of ``rows`` (an index array, or all rows), clamped to [0, 1].
+
+        With ``d = var^-1/2`` and ``q_i = (d_i r_i)^2``, the squared correlations
+        ``c_ij^2 = (mse_ij d_i d_j)^2`` have sampling variances summing to
+        ``[(|sum_i q_i|^2 - sum_i |q_i|^2) / T - sum_(i != j) c_ij^2] / (T - 1)``."""
         v = self.var[rows]
-        if v.size == 1:
-            return 1.0
         if (v <= 0).any():
             raise NumericalError("zero-variance residual coordinate; cannot shrink")
-        corr_sq, var_corr = (a[rows][:, rows] for a in self.corr)
+        if not np.isfinite(v).all():  # overflowed: refused as the estimate it would shrink is
+            raise DataError("covariance contains non-finite entries")
+        d = 1.0 / np.sqrt(v)
+        corr_sq = self.mse[rows][:, rows] * d[:, None]  # scaled before squaring, in one buffer
+        corr_sq *= d
+        corr_sq **= 2
+        np.fill_diagonal(corr_sq, 0.0)  # zeroed, not subtracted: uncorrelated rows sum to exactly 0
         denom = float(corr_sq.sum())
         if denom == 0.0:
             return 1.0
-        lam = float(var_corr.sum()) / denom
-        return float(min(1.0, max(0.0, lam)))
+        q = (self.r[rows] * d[:, None]) ** 2
+        total = q.sum(axis=0)
+        var_corr = ((total @ total - np.einsum("it,it->", q, q)) / self.T - denom) / (self.T - 1)
+        return float(min(1.0, max(0.0, var_corr / denom)))
 
     # products that overflow leave W non-finite, which the constructor refuses:
     # numpy's RuntimeWarning would only repeat that, outside the error's JSON line
@@ -202,9 +198,10 @@ def sample_mse(residuals: np.ndarray) -> CovarianceEstimate:
 def shrink_intensity(residuals: np.ndarray) -> float:
     """Shrinkage intensity toward the diagonal target, clamped to [0, 1].
 
-    Closed form: the summed sampling variances of the off-diagonal sample
-    correlations divided by their summed squares, computed on standardized
-    residuals under the uncentered MSE convention.
+    Closed form (Schaefer & Strimmer; R's ``shrink.estim``): the summed
+    sampling variances of the off-diagonal sample correlations divided by
+    their summed squares, under the uncentered MSE convention: O(m^2 + mT)
+    beyond the MSE. Residuals whose squares overflow raise ``DataError``.
     """
     return _Moments(_check_residuals(residuals)).intensity()
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -162,17 +163,52 @@ def test_sub_block_intensities_are_shrink_estim_of_their_rows(rng):
         assert abs(moments.intensity(rows) - want) <= 1e-13 * want, size
 
 
+@pytest.mark.filterwarnings("error")
+def test_uncorrelated_rows_and_a_lone_row_shrink_fully():
+    # every correlation is exactly 0 (rows of disjoint support): nothing to
+    # divide by, so the intensity is 1, as it is for a single row
+    r = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 1.0]])
+    assert shrink_intensity(r) == 1.0
+    assert shrink_intensity(r[:1]) == 1.0 and shrink(r[:1]).lam == 1.0
+
+
+def test_rows_of_one_sign_pattern_are_not_shrunk(rng):
+    # each row a multiple of one +-1 pattern: every z_i z_j is constant over t,
+    # so no correlation varies; rounding can leave the summed variance below 0
+    for _ in range(20):
+        T, m = int(rng.integers(3, 12)), int(rng.integers(2, 5))
+        r = rng.uniform(0.1, 10.0, (m, 1)) * rng.choice([-1.0, 1.0], T)
+        assert 0.0 <= shrink_intensity(r) <= 1e-15
+
+
 @pytest.mark.parametrize("lam", [-1e-12, 1.0 + 1e-12])
 def test_shrink_refuses_an_intensity_outside_0_1(rng, lam):
     with pytest.raises(DataError, match="must lie in"):
         shrink(rng.standard_normal((4, 30)), lam=lam)
 
 
+def test_shrink_holds_no_m_by_m_matrix_beyond_the_mse_and_its_estimate(rng):
+    # in units of one m x m matrix: the intensity reads the MSE and one
+    # buffer of squared correlations; shrink adds its estimate's temporaries
+    m = 800
+    r = rng.standard_normal((m, 60))
+    for read, bound in ((shrink, 4.5), (shrink_intensity, 2.15)):
+        read(r)  # loads LAPACK outside the trace
+        tracemalloc.start()
+        try:
+            read(r)
+            peak = tracemalloc.get_traced_memory()[1] / (m * m * 8)
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (read.__name__, peak)
+
+
 def test_shrink_zero_variance_coordinate_raises(rng):
     resid = rng.standard_normal((3, 20))
     resid[1] = 0.0
-    with pytest.raises(NumericalError):
-        shrink(resid)
+    for read in (shrink, shrink_intensity):
+        with pytest.raises(NumericalError):
+            read(resid)
 
 
 def test_shrink_recovers_positive_definiteness(rng):
@@ -366,7 +402,8 @@ def test_residuals_whose_products_overflow_give_no_estimate(pattern):
     # and numpy's overflow warning (an error here) stays quiet
     _, panel, resid = overflowing_residuals()
     for read in (lambda: ESTIMATORS[pattern](resid, panel),
-                 lambda: _Moments(resid).estimate(pattern, panel)):
+                 lambda: _Moments(resid).estimate(pattern, panel),
+                 lambda: shrink_intensity(resid)):
         with pytest.raises(DataError, match="covariance contains non-finite entries"):
             read()
 
