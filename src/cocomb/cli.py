@@ -9,8 +9,8 @@ has returned, ``main`` alone refuses a path that is a directory or that two
 outputs name (one inside the other too), makes the directories and renames
 every file into place. So a refused run creates no directory. Each existing
 target is first set aside beside its temp file: if a rename fails, the files
-renamed in are removed and the set-aside ones put back, and on success the
-set-aside ones are deleted.
+renamed in are removed, the set-aside ones put back and the directories made
+for the outputs removed; on success the set-aside ones are deleted.
 ``_write_table`` writes every table: labels quoted once by ``csv.writer`` and
 ``%``-escaped, one ``%.17g`` slot per value (17 digits round-trip), and one
 ``template % values`` per row.
@@ -55,7 +55,7 @@ import os
 import sys
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import click
@@ -581,8 +581,10 @@ def main(argv=None) -> int:
                 if at == real[i] or at in real[i].parents or real[i] in at.parents:
                     raise _OutputRefused(f"cannot write {path}: it collides with {other}")
         os.umask(umask := os.umask(0))  # mkstemp made each 0600; honour the umask
+        made: list[Path] = []  # the directories made for the outputs, parents first
         try:
             for tmp, path in staged:
+                made += reversed([d for d in (path.parent, *path.parent.parents) if not d.exists()])
                 path.parent.mkdir(parents=True, exist_ok=True)
                 os.chmod(tmp, 0o666 & ~umask)
                 if os.path.lexists(path):  # set aside beside its temp file, a unique name
@@ -595,6 +597,9 @@ def main(argv=None) -> int:
                     os.unlink(target)
                 if os.path.lexists(tmp + ".old"):
                     os.replace(tmp + ".old", target)
+            for directory in reversed(made):  # deepest first; one holding other files stays
+                with suppress(OSError):
+                    directory.rmdir()
             raise _OutputRefused(f"cannot write {path}: {exc.strerror or exc}") from None
         return 0
     except SystemExit as exc:  # --help / --version paths

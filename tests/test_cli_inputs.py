@@ -755,6 +755,22 @@ def test_refused_output_creates_no_directory(tmp_path, rng, capsys):
         "c.csv", "c.csv.manifest.json"]
 
 
+def fail_second_staged_rename(monkeypatch):
+    """Make the second temp file renamed into place fail with ENOSPC; returns
+    the list of targets renamed to, that one included."""
+    real_replace, renamed = os.replace, []
+
+    def replace(src, dst):
+        if str(src).endswith(".tmp"):  # a staged output, renamed into place
+            renamed.append(dst)
+            if len(renamed) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return renamed
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_failed_rename_leaves_every_target_as_it_was(tmp_path, rng, capsys, monkeypatch, existing):
     """The second temp file renamed into place fails with ENOSPC: the run exits 2,
@@ -766,16 +782,7 @@ def test_failed_rename_leaves_every_target_as_it_was(tmp_path, rng, capsys, monk
     out.mkdir()
     if existing:
         coherent.write_bytes(b"old forecasts\n")
-    real_replace, renamed = os.replace, []
-
-    def replace(src, dst):
-        if str(src).endswith(".tmp"):  # a staged output, renamed into place
-            renamed.append(dst)
-            if len(renamed) == 2:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace)
+    renamed = fail_second_staged_rename(monkeypatch)
     output_refused(argv, capsys, weights)  # renamed second, after c.csv
     assert renamed[:2] == [coherent, weights]
     assert sorted(p.name for p in out.iterdir()) == (["c.csv"] if existing else [])
@@ -785,3 +792,21 @@ def test_failed_rename_leaves_every_target_as_it_was(tmp_path, rng, capsys, monk
     for _ in range(2):
         assert main(argv) == 0
         assert sorted(p.name for p in out.iterdir()) == ["c.csv", "c.csv.manifest.json", "w.csv"]
+
+
+@pytest.mark.parametrize("existing", [(), ("new",)], ids=["none", "new"])
+def test_failed_rename_removes_the_directories_the_run_made(tmp_path, rng, capsys, monkeypatch,
+                                                            existing):
+    """The weights go to ``new/sub/``, which the run makes before renaming; the
+    second rename fails: the run exits 2 and removes what it made, deepest
+    first, and keeps every directory that was there before."""
+    argv, out = edited_inputs_argv(tmp_path, rng, "panel", lambda lines: lines)
+    argv[argv.index("--output") + 1] = str(coherent := out / "c.csv")
+    argv += ["--emit-weights", str(weights := out / "new" / "sub" / "w.csv")]
+    out.mkdir()
+    for name in existing:
+        (out / name).mkdir()
+    renamed = fail_second_staged_rename(monkeypatch)
+    output_refused(argv, capsys, weights)
+    assert renamed[:2] == [coherent, weights]
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == list(existing)
