@@ -3,15 +3,17 @@
 The optimal coherent combination (``occ``) solves the constrained GLS problem
 of fitting the target vector to all stacked base forecasts subject to the zero
 constraints. It has one closed form per model representation, each a kernel
-on ``W``'s diagonal blocks (``CovarianceEstimate.blocks``) and the variable
-``var`` of each stacked row, which stands for the selector ``K = I_n[var]``.
-Both pool through ``combiners.gls_pool`` (the precision ``K' W^-1 K`` and the
-apply ``r -> W^-1 K r``) and invert with ``_linalg.pooled_covariance``:
+on the covariance estimate and the variable ``var`` of each stacked row,
+which stands for the selector ``K = I_n[var]``:
 
 * ``_zc``     zero-constrained: pool into the multi-task combined forecast
-              (``W_c``, weights ``Omega = W^-1 K W_c``), then project it onto
-              ``C y = 0`` with the oblique projector ``M``, ``Psi = Omega M'``;
-* ``_struct`` structural: pool onto the bottom variables (``W_b``), expand
+              (``W_c``, weights ``Omega = W^-1 K W_c``) by ``combiners.pool``,
+              then project it onto ``C y = 0`` with the oblique projector
+              ``M``, ``Psi = Omega M'``;
+* ``_struct`` structural: pool onto the bottom variables through
+              ``combiners.gls_pool`` (the precision ``K' W^-1 K`` and the
+              apply ``r -> W^-1 K r``) and invert with
+              ``_linalg.pooled_covariance`` (``W_b``), expand
               ``W_tilde = S W_b S'`` and apply: ``Psi = W^-1 K W_tilde``.
 
 The kernels return weights and covariances only. Every public entry (``occ``,
@@ -22,7 +24,7 @@ horizon. No kernel factors ``W`` or one of its blocks: the estimate did.
 n x n_u pieces ``W_c C'``, ``G`` and ``G W_c``: most callers read only
 ``y_tilde`` and ``Psi``, so a zero-constrained result holds ``Psi``, ``W_c``
 and those pieces until ``W_tilde`` or ``M`` is read (``CoherentResult``).
-It drops the blocks' inverses ``W_g^-1`` as soon as ``Psi`` is formed. The
+``pool`` drops the blocks' inverses ``W_g^-1`` once ``Omega`` is formed. The
 structural kernel and ``src`` form ``W_tilde`` at once: their ``Psi`` or sum
 needs it.
 
@@ -33,8 +35,10 @@ they are, so the by-variable weights are the by-expert ones with rows
 permuted, and ``occ`` runs each kernel once on ``var_idx``. The tests check
 the routes against the dense pooling and the bordered (KKT) solve in
 ``tests/oracles.py``. ``mint_reconcile`` is the zero-constrained kernel with
-``K = I_n`` (the single-expert case); ``scr`` and ``src`` are the sequential
-combine-then-reconcile and reconcile-then-average baselines.
+``K = I_n`` (the single-expert case), where the pooling inverts nothing:
+``W_c = W`` and ``Omega = I``. So is ``occ`` ``zc_*`` on any panel with one
+forecast per variable (``K`` a permutation). ``scr`` and ``src`` are the
+sequential combine-then-reconcile and reconcile-then-average baselines.
 
 ``fit`` dispatches a method name (``occ``, ``mint``, ``src``, ``scr_*``) for
 ``cocomb reconcile`` and the simulation alike, and holds the baselines'
@@ -51,7 +55,7 @@ from functools import partial
 import numpy as np
 
 from ._linalg import cho_factor_spd, cho_solve, pooled_covariance, symmetrize
-from .combiners import WeightScheme, gls_pool, single_task_weights
+from .combiners import WeightScheme, gls_pool, pool, single_task_weights
 from .constraints import ConstraintSystem
 from .covariance import ESTIMATORS, CovarianceEstimate, as_covariance, shrink
 from .exceptions import DataError
@@ -107,8 +111,8 @@ def _minus(left, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zc(blocks, var: np.ndarray, c: np.ndarray):
-    """Zero-constrained kernel: GLS pooling, then the coherent projector.
+def _zc(cov: CovarianceEstimate, var: np.ndarray, c: np.ndarray):
+    """Zero-constrained kernel: GLS pooling (``combiners.pool``), then the coherent projector.
 
     Returns ``(Psi, W_tilde, W_c, M)`` with the oblique projector
     ``M = I - W_c C' G``, ``G = (C W_c C')^-1 C``, ``W_tilde = M W_c`` and
@@ -118,27 +122,24 @@ def _zc(blocks, var: np.ndarray, c: np.ndarray):
     ``W_tilde = W_c - (W_c C')(G W_c)`` and ``M`` are returned unformed
     (``CoherentResult``), holding only ``W_c`` and the n x n_u pieces.
     """
-    precision, apply = gls_pool(blocks, var, c.shape[1])
-    w_c = pooled_covariance(precision)
-    del precision  # freed before the m x n weights are built: it would add to the peak
-    psi, apply = apply(w_c), None  # drops every block's W_g^-1 once Psi is formed
+    w_c, psi = pool(cov, var, c.shape[1])
     if c.shape[0] == 0:
         return psi, w_c.copy, w_c, partial(np.eye, len(w_c))
     f = cho_factor_spd(symmetrize(c @ w_c @ c.T), "constraint-space covariance")
     g = cho_solve(f, c)
     wc_ct, g_wc, psi_ct = w_c @ c.T, g @ w_c, psi @ c.T
-    for rows, _ in blocks:
+    for rows, _ in cov.parts:
         psi[rows] -= psi_ct[rows] @ g_wc
     return psi, partial(_minus, w_c, wc_ct, g_wc), w_c, partial(_minus, None, wc_ct, g)
 
 
-def _struct(blocks, var: np.ndarray, s: np.ndarray):
+def _struct(cov: CovarianceEstimate, var: np.ndarray, s: np.ndarray):
     """Structural kernel: GLS pooling onto the bottom variables, then ``S`` expansion.
 
     Returns ``(Psi, W_tilde, None, None)`` with ``W_b = (S' K' W^-1 K S)^-1``,
     ``W_tilde = S W_b S'`` and ``Psi = W^-1 K S W_b S' = W^-1 K W_tilde``.
     """
-    precision, apply = gls_pool(blocks, var, s.shape[0])
+    precision, apply = gls_pool(cov.blocks(var.size), var, s.shape[0])
     w_tilde = s @ pooled_covariance(s.T @ precision @ s) @ s.T
     return apply(w_tilde), w_tilde, None, None
 
@@ -161,7 +162,7 @@ def occ(
     if panel.labels != sys.labels:
         raise DataError("panel and constraint system must share the variable set")
     kernel, target = (_zc, sys.C) if formulation.startswith("zc") else (_struct, sys.S)
-    psi, w_tilde, w_c, m_proj = kernel(cov.blocks(panel.m), panel.var_idx, target)
+    psi, w_tilde, w_c, m_proj = kernel(cov, panel.var_idx, target)
     return CoherentResult(psi.T @ panel.y_hat, psi, w_tilde, formulation, w_c, m_proj)
 
 
@@ -175,7 +176,9 @@ def mint_reconcile(
     Projects one n-vector of base forecasts onto the coherent subspace with
     the oblique projector ``M = I - W C'(C W C')^-1 C``. Runs the kernel of
     ``occ`` ``zc_be`` with ``K = I_n``, so it matches ``occ`` on a one-expert
-    panel bit for bit.
+    panel bit for bit. Its pooling inverts nothing: ``W_c`` is ``W`` as its
+    Cholesky factor reads it (the lower triangle mirrored), and the one
+    factorization is that of ``C W C'``.
     """
     y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
     if y_hat.shape != (sys.n,):
@@ -183,7 +186,7 @@ def mint_reconcile(
     if not np.all(np.isfinite(y_hat)):
         raise DataError("base forecasts contain non-finite values")
     cov = cov_n if isinstance(cov_n, CovarianceEstimate) else as_covariance(cov_n)
-    psi, w_tilde, w_c, m_proj = _zc(cov.blocks(sys.n), np.arange(sys.n), sys.C)
+    psi, w_tilde, w_c, m_proj = _zc(cov, np.arange(sys.n), sys.C)
     return CoherentResult(psi.T @ y_hat, psi, w_tilde, "mint", w_c, m_proj)
 
 
@@ -199,16 +202,18 @@ def scr(
     Combines per variable under ``scheme`` (ew / ow_var / ow_cov, the latter
     two weighted from ``cov_combine``), then reconciles the combined vector
     with ``cov_reconcile`` (an n x n covariance, typically the shrunk MSE of
-    the combined in-sample residuals).
+    the combined in-sample residuals). The weights ``G Psi`` scale the rows
+    of ``mint``'s ``Psi``: ``G`` has one weight per row.
     """
     ws = scheme if isinstance(scheme, WeightScheme) else single_task_weights(
         panel, scheme, cov_combine
     )
-    g = ws.matrix(panel)
-    rec = vars(mint_reconcile(g.T @ panel.y_hat, sys, cov_reconcile))  # W_tilde, M unformed
-    psi = g @ rec["Psi"]
+    w = np.concatenate(ws.weights)[np.argsort(panel.bv_order)]  # each row's one weight in G
+    rec = vars(mint_reconcile(np.bincount(panel.var_idx, w * panel.y_hat), sys, cov_reconcile))
+    psi = w[:, None] * rec["Psi"][panel.var_idx]  # G Psi
+    psi += 0.0  # a zero weight gives G Psi's +0.0, not -0.0
     return CoherentResult(psi.T @ panel.y_hat, psi, rec["W_tilde"], f"scr_{ws.scheme}",
-                          rec["W_c"], rec["M"])
+                          rec["W_c"], rec["M"])  # vars() left W_tilde and M unformed
 
 
 def src(panel: ForecastPanel, sys: ConstraintSystem, cov_per_expert) -> CoherentResult:

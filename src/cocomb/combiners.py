@@ -12,11 +12,14 @@ A scheme's weights are the m x n matrix ``G`` (``WeightScheme.matrix``), and
 
 The multi-task combination pools all m forecasts at once through the stacked
 regression of the base forecasts on the target vector, yielding the combined
-vector, its weight matrix and its error covariance. ``gls_pool``, the one GLS
-pooling step (both ``occ`` kernels use it too), takes ``W`` as its diagonal
-blocks with their Cholesky factors (``CovarianceEstimate.blocks``) and the
-design as the panel's row index ``var_idx``, never as a matrix, and sums the
-blocks' pieces into the n x n pooled precision.
+vector, its weight matrix and its error covariance. ``pool``, the one GLS
+pooling step (the zero-constrained ``occ`` kernel, hence ``mint``, ``scr`` and
+``src``, uses it too), takes ``W`` as the estimate and the design as the
+panel's row index ``var_idx``, never as a matrix. With one forecast per
+variable it relabels ``W`` and inverts nothing. Otherwise ``gls_pool`` (which
+the structural kernel also calls) reads ``W``'s diagonal blocks with their
+Cholesky factors (``CovarianceEstimate.blocks``) and sums the blocks' pieces
+into the n x n pooled precision, which ``pool`` inverts.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ def gls_pool(blocks, var: np.ndarray, n: int):
     ``blocks`` are ``W``'s diagonal blocks as ``(rows, Cholesky factor)`` pairs
     (``CovarianceEstimate.blocks``); ``var`` is the variable of each stacked
     row, so ``K = I_n[var]``, which is never built. Returns the n x n precision
-    ``K' W^-1 K`` and ``apply(r) = W^-1 K r``: ``_linalg.pooled_covariance``
-    inverts the precision into ``W_c``, and the weights are ``Omega = apply(W_c)``.
+    ``K' W^-1 K`` and ``apply(r) = W^-1 K r``: ``pool`` inverts the precision
+    into ``W_c`` by ``_linalg.pooled_covariance``, and the weights are
+    ``Omega = apply(W_c)``.
 
     Block g with rows ``R_g`` touches only the variables ``cols_g`` of
     ``var[R_g]``. With its 0/1 selector ``K_g = K[R_g][:, cols_g]`` and
@@ -142,10 +146,10 @@ def gls_pool(blocks, var: np.ndarray, n: int):
     variable (``P``) changes no ``K_g`` or ``B_g``.
 
     A block whose rows are distinct variables (each ``bd_expert*`` block, one
-    per expert j on its n_j variables; ``mint``'s ``arange(n)``) has a
-    permutation ``K_g``: ``cols_g = var[R_g]`` and ``B_g = W_g^-1``, by
-    ``_linalg.cho_inverse``. A block that repeats a variable (a dense pattern,
-    one block, with p>1) solves ``B_g`` against its 0/1 ``K_g``.
+    per expert j on its n_j variables) has a permutation ``K_g``:
+    ``cols_g = var[R_g]`` and ``B_g = W_g^-1``, by ``_linalg.cho_inverse``. A
+    block that repeats a variable (a dense pattern, one block, with p>1)
+    solves ``B_g`` against its 0/1 ``K_g``.
     Errors uncorrelated across variables (``bd_variable*``) give one block
     ``Sigma_i`` per variable i, whose p_i rows of ``K`` all equal ``e_i'``, so
     ``K_g = 1`` (a p_i-vector) and ``cols_g = (i,)``. The precision is then
@@ -183,6 +187,29 @@ def gls_pool(blocks, var: np.ndarray, n: int):
     return precision, apply
 
 
+def pool(cov: CovarianceEstimate, var: np.ndarray, n: int):
+    """``(W_c, Omega)``: the GLS pooling of stacked forecasts onto their variables.
+
+    ``var`` is the variable of each stacked row, as in ``gls_pool``; ``cov``'s
+    ``blocks`` refuses a mis-sized or ``singular`` estimate before any work.
+    With one forecast per variable (``var.size == n``), ``var`` and ``K`` are
+    permutations, so ``W_c = K' W K`` is ``W`` relabeled and
+    ``Omega = W^-1 K W_c = K``: nothing is inverted. ``W`` is read as its
+    Cholesky factorization read it, the lower triangle mirrored, so an
+    asymmetric ``as_covariance`` input pools as its symmetric twin. Otherwise
+    ``gls_pool`` sums the precision ``K' W^-1 K``, ``_linalg.pooled_covariance``
+    inverts it into ``W_c`` and ``Omega = W^-1 K W_c``; each block's ``W_g^-1``
+    is dropped once ``Omega`` is formed.
+    """
+    blocks = cov.blocks(var.size)
+    if var.size == n:
+        o = np.argsort(var)[:, None]  # K' W K picks W[o_i, o_j]
+        return np.where(np.tri(n, dtype=bool), cov.W, cov.W.T)[o, o.T], np.eye(n)[var]
+    precision, apply = gls_pool(blocks, var, n)
+    w_c, precision = pooled_covariance(precision), None  # freed before the m x n Omega is built
+    return w_c, apply(w_c)
+
+
 @dataclass(frozen=True, eq=False)
 class MultiTaskResult:
     """Multi-task combined forecast with its weights and error covariance."""
@@ -196,10 +223,8 @@ def combine_multi_task(panel: ForecastPanel, cov: CovarianceEstimate) -> MultiTa
     """Minimum-MSE linear pooling of all m base forecasts.
 
     Solves the stacked GLS problem: ``W_c = (K' W^-1 K)^-1``,
-    ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``gls_pool``).
+    ``Omega = W^-1 K W_c`` and ``y_c = Omega' y_hat`` (see ``pool``).
     Requires an SPD, untagged covariance of size m.
     """
-    precision, apply = gls_pool(cov.blocks(panel.m), panel.var_idx, panel.n)
-    w_c = pooled_covariance(precision)
-    omega = apply(w_c)
+    w_c, omega = pool(cov, panel.var_idx, panel.n)
     return MultiTaskResult(y_c=omega.T @ panel.y_hat, Omega=omega, W_c=w_c)

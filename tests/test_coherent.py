@@ -10,6 +10,7 @@ from cocomb import (
     DataError,
     NumericalError,
     CovarianceEstimate,
+    WeightScheme,
     as_covariance,
     block_by_expert,
     block_by_variable,
@@ -23,7 +24,7 @@ from cocomb import (
     shrink,
     src,
 )
-from cocomb import coherent
+from cocomb import coherent, combiners
 from cocomb._linalg import cho_factor_spd, cho_solve, symmetrize
 from cocomb.coherent import FORMULATIONS, fit
 from cocomb.covariance import ESTIMATORS, PATTERNS
@@ -615,6 +616,78 @@ def test_routes_err_within_c_cond_eps_of_the_exact_solve(family, decades, seed):
                       w_n, np.arange(sys.n), sys.S, y_n)
 
 
+def _same_bytes(a, b):
+    """Bit-for-bit equality, the sign of a zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cond", [1e9, 1e12])
+def test_mint_and_scr_keep_their_digits_at_a_large_cond_w(cond, rng):
+    """``mint``, and ``scr`` reconciling with the same ``W``, within 1e-11 of
+    ``exact_occ`` relative to its largest entry, on a 16-variable hierarchy
+    (1 + 3 + 12) with a random orthogonal ``W`` of condition ``cond``.
+
+    Pooling one forecast per variable by inverting ``W`` and inverting back
+    lost digits in proportion to cond(W): up to 6e-9 at 1e9 and 8e-6 at 1e12.
+    """
+    a = np.vstack([np.ones((1, 12)), np.kron(np.eye(3), np.ones((1, 4)))])
+    sys = from_aggregation(a, ["total", "r0", "r1", "r2"] + [f"l{k}" for k in range(12)])
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        w = symmetrize((q * np.logspace(0.0, np.log10(cond), 16)) @ q.T)
+        y = np.round(rng.standard_normal((2, 16)) * 2.0**20) / 2.0**20  # so ew's mean is exact
+        panel = from_availability(np.ones((16, 2), dtype=bool), sys, values=y.ravel())
+        for what, got, y_c in (("mint", mint_reconcile(y[0], sys, w).y_tilde, y[0]),
+                               ("scr_ew", scr(panel, sys, "ew", None, w).y_tilde, y.mean(axis=0))):
+            want = exact_occ(w, np.arange(16), sys.S, y_c)
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), what
+
+
+def test_an_asymmetric_covariance_pools_as_its_lower_triangle(rng):
+    """``as_covariance`` accepts an asymmetric ``W``, and a route with one forecast
+    per variable reads it as its Cholesky factor does, the lower triangle mirrored:
+    ``mint``, a one-expert ``occ`` ``zc_be`` and ``combine_multi_task`` (and both on
+    experts covering the variables in no sorted order), and ``scr``'s reconciliation
+    give the bytes of that symmetric twin."""
+    sys = hierarchy()
+    one_expert = from_availability(np.ones((7, 1), dtype=bool), sys,
+                                   values=rng.standard_normal(7))
+    relabeled = from_availability(np.eye(2, dtype=bool)[[1, 0, 1, 0, 0, 1, 1]], sys,
+                                  values=rng.standard_normal(7))
+    two_experts = from_availability(np.ones((7, 2), dtype=bool), sys,
+                                    values=rng.standard_normal(14))
+    twin = random_spd(rng, 7)
+    w = twin.copy()
+    w[np.triu_indices(7, 1)] += rng.standard_normal(21)
+
+    def outputs(w):
+        fits = [mint_reconcile(one_expert.y_hat, sys, w), scr(two_experts, sys, "ew", None, w)]
+        fits += [occ(pan, sys, as_covariance(w), "zc_be") for pan in (one_expert, relabeled)]
+        out = [a for res in fits for a in (res.y_tilde, res.Psi, res.W_tilde, res.W_c, res.M)]
+        for pan in (one_expert, relabeled):
+            multi = combine_multi_task(pan, as_covariance(w))
+            out += [multi.y_c, multi.Omega, multi.W_c]
+        return out
+
+    for got, want in zip(outputs(w), outputs(twin), strict=True):
+        assert _same_bytes(got, want)
+
+
+def test_scr_with_a_zero_weight_gives_the_bytes_of_g_psi(rng):
+    """``scr``'s weights are ``G Psi`` with ``G = ws.matrix(panel)`` and ``Psi``
+    ``mint``'s, to the byte: a zero ``ow_cov`` weight gives the product's +0.0."""
+    sys = hierarchy()
+    panel = from_availability(np.ones((7, 2), dtype=bool), sys, values=rng.standard_normal(14))
+    ws = WeightScheme("ow_cov", tuple(np.array([1.0, 0.0] if i % 2 else [0.0, 1.0])
+                                      if i < 4 else np.array([0.3, 0.7]) for i in range(7)))
+    w = random_spd(rng, 7)
+    res = scr(panel, sys, ws, None, w)
+    psi = ws.matrix(panel) @ mint_reconcile(np.zeros(7), sys, w).Psi
+    assert _same_bytes(res.Psi, psi)
+    assert _same_bytes(res.y_tilde, psi.T @ panel.y_hat)
+
+
 # zc routes: C M = C - (C W_c C')(C W_c C')^-1 C leaves a residual of about
 # eps * cond(C W_c C'), which a sole far-noisier expert drives to 1e9 and beyond
 _ZC_COHERENCE_GAP = pytest.mark.xfail(
@@ -642,32 +715,44 @@ def test_structural_routes_pool_through_the_exact_k_s(balanced, seed):
     """Every formulation pools the panel's own ``var_idx`` into the dense ``K' W^-1 K``.
 
     The zero-constrained routes invert that precision, the structural ones
-    ``S' K' W^-1 K S``, the dense ``(K S)' W^-1 (K S)``.
+    ``S' K' W^-1 K S``, the dense ``(K S)' W^-1 (K S)``. With one forecast per
+    variable (m = n, here from experts in no sorted order) ``K`` is a
+    permutation: the zero-constrained routes pool and invert nothing, and their
+    ``W_c`` is ``K' W K`` bit for bit.
     """
     rng = np.random.default_rng(seed)
     sys = random_system(rng)
     panel = random_panel(rng, sys, balanced=balanced)
     w = random_spd(rng, panel.m)
-    pooled, inverted = [], []
+    k = min(panel.p, sys.n)
+    relabeled = from_availability(np.eye(k, dtype=bool)[rng.permutation(np.arange(sys.n) % k)],
+                                  sys, values=rng.standard_normal(sys.n))
     gls_pool, pooled_covariance = coherent.gls_pool, coherent.pooled_covariance
+    for pan, w in ((panel, w), (relabeled, random_spd(rng, sys.n))):
+        pooled, inverted, results = [], [], {}
 
-    def pool(blocks, var, n):
-        precision, apply = gls_pool(blocks, var, n)
-        pooled.append((var, n, precision))
-        return precision, apply
+        def pool(blocks, var, n):
+            precision, apply = gls_pool(blocks, var, n)
+            pooled.append((var, n, precision))
+            return precision, apply
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coherent, "gls_pool", pool)
-        patch.setattr(coherent, "pooled_covariance",
-                      lambda a: inverted.append(a) or pooled_covariance(a))
-        for formulation in FORMULATIONS:
-            occ(panel, sys, as_covariance(w), formulation)
-    assert len(pooled) == len(inverted) == len(FORMULATIONS)
-    for formulation, (var, n, precision), a in zip(FORMULATIONS, pooled, inverted):
-        assert var is panel.var_idx and n == sys.n, formulation
-        _assert_close(precision, dense_precision(w, panel.K))
-        k = panel.K @ sys.S if formulation.startswith("struct") else panel.K
-        _assert_close(a, dense_precision(w, k))
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (coherent, combiners):  # the structural kernel and the zc routes' pool
+                patch.setattr(module, "gls_pool", pool)
+                patch.setattr(module, "pooled_covariance",
+                              lambda a: inverted.append(a) or pooled_covariance(a))
+            for formulation in FORMULATIONS:
+                results[formulation] = occ(pan, sys, as_covariance(w), formulation)
+        routes = [f for f in FORMULATIONS if pan.m > pan.n or f.startswith("struct")]
+        assert len(pooled) == len(inverted) == len(routes)
+        for formulation, (var, n, precision), a in zip(routes, pooled, inverted):
+            assert var is pan.var_idx and n == sys.n, formulation
+            _assert_close(precision, dense_precision(w, pan.K))
+            k_f = pan.K @ sys.S if formulation.startswith("struct") else pan.K
+            _assert_close(a, dense_precision(w, k_f))
+        if pan.m == pan.n:
+            for formulation in ("zc_be", "zc_bv"):
+                np.testing.assert_array_equal(results[formulation].W_c, pan.K.T @ w @ pan.K)
 
 
 # patterns whose W is well conditioned on the simulation DGP (cond(W) <= ~1e3);

@@ -89,6 +89,7 @@ def scaled_gram(rng, k):
 def test_simplex_weights_satisfy_kkt(rng):
     draws = [correlated_spd(rng, int(rng.integers(2, 7))) for _ in range(100)]
     draws += [scaled_gram(rng, int(rng.integers(5, 7))) for _ in range(100)]
+    draws.append(np.array([[2.5]]))  # one expert: its weight is 1 with no solve
     reentered = 0
     for sigma in draws:
         gamma = simplex_weights(sigma)

@@ -293,7 +293,9 @@ def test_shared_expert_blocks_are_factored_once(monkeypatch):
     cache = {}
     for m in ("occ_be", "src", "base_star_shr", "base_shr"):
         _method_weights(m, panel, sys, resid, cache)
-    assert len(factored) == 14  # 4 expert blocks; 2 pooled solves for occ_be and each expert
+    # 4 expert blocks; occ_be's pooled precision and constraint-space covariance;
+    # each expert's constraint-space covariance (its mint relabels W: no pooled precision)
+    assert len(factored) == 10
     assert not any(np.array_equal(a, b) for k, a in enumerate(factored) for b in factored[:k])
 
 
