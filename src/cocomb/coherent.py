@@ -202,18 +202,16 @@ def scr(
     Combines per variable under ``scheme`` (ew / ow_var / ow_cov, the latter
     two weighted from ``cov_combine``), then reconciles the combined vector
     with ``cov_reconcile`` (an n x n covariance, typically the shrunk MSE of
-    the combined in-sample residuals). The weights ``G Psi`` scale the rows
-    of ``mint``'s ``Psi``: ``G`` has one weight per row.
+    the combined in-sample residuals).
     """
     ws = scheme if isinstance(scheme, WeightScheme) else single_task_weights(
         panel, scheme, cov_combine
     )
-    w = np.concatenate(ws.weights)[np.argsort(panel.bv_order)]  # each row's one weight in G
-    rec = vars(mint_reconcile(np.bincount(panel.var_idx, w * panel.y_hat), sys, cov_reconcile))
-    psi = w[:, None] * rec["Psi"][panel.var_idx]  # G Psi
-    psi += 0.0  # a zero weight gives G Psi's +0.0, not -0.0
+    g = ws.matrix(panel)
+    rec = vars(mint_reconcile(g.T @ panel.y_hat, sys, cov_reconcile))  # W_tilde, M unformed
+    psi = g @ rec["Psi"]
     return CoherentResult(psi.T @ panel.y_hat, psi, rec["W_tilde"], f"scr_{ws.scheme}",
-                          rec["W_c"], rec["M"])  # vars() left W_tilde and M unformed
+                          rec["W_c"], rec["M"])
 
 
 def src(panel: ForecastPanel, sys: ConstraintSystem, cov_per_expert) -> CoherentResult:

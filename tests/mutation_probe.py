@@ -1,7 +1,7 @@
 """Mutation probe: which small edits of a module does the test suite let through?
 
-Usage: ``python tests/mutation_probe.py [--jobs N] MODULE ...``, each MODULE a
-file under ``src/cocomb`` (``coherent.py``). Pytest does not collect this file.
+Usage: ``python tests/mutation_probe.py MODULE ...``, each MODULE a file under
+``src/cocomb`` (``coherent.py``). Pytest does not collect this file.
 
 Each mutant changes one site of the module: a binary ``+ - * /`` swapped
 (``+``/``-``, ``*``/``/``), a comparison turned (``<`` to ``<=`` and ``>``,
@@ -16,7 +16,9 @@ The exit code is 1 when a survivor is not on that list.
 
 Before the mutants, the unmutated copy must pass both runs. Mutants are
 written with ``ast.unparse``, so they carry no comments; that changes no
-behaviour. Every ``--jobs`` worker runs one pytest process at a time.
+behaviour. One worker per CPU this process may run on judges one mutant at a
+time, each in its own copy. No ``.pyc`` is written: two mutants of one size
+rewritten within one second would otherwise share a stale one.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ def mutants(path: Path):
 
 def _passes(copy: Path, args: list[str]) -> bool:
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -152,15 +155,15 @@ def _survives(copy: Path) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     work = Path(tempfile.mkdtemp(prefix="mutation-probe-"))
     try:
         copies = []
-        for j in range(args.jobs):
+        for j in range(len(os.sched_getaffinity(0))):
             copies.append(work / str(j))
             for sub in ("src", "tests", "sample_data"):
-                shutil.copytree(ROOT / sub, copies[-1] / sub)
+                shutil.copytree(ROOT / sub, copies[-1] / sub,
+                                ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(ROOT / "pyproject.toml", copies[-1])  # pytest's settings
         if not _survives(copies[0]):
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
@@ -184,7 +187,7 @@ def main(argv=None) -> int:
                 free.put(copy)
 
         killed, unexplained = 0, 0
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(len(copies)) as pool:
             for (name, line, text, change, _), survived in pool.map(judge, todo):
                 reason = EQUIVALENT.get((name, text, change))
                 killed += not survived

@@ -10,7 +10,6 @@ from cocomb import (
     DataError,
     NumericalError,
     CovarianceEstimate,
-    WeightScheme,
     as_covariance,
     block_by_expert,
     block_by_variable,
@@ -672,20 +671,6 @@ def test_an_asymmetric_covariance_pools_as_its_lower_triangle(rng):
 
     for got, want in zip(outputs(w), outputs(twin), strict=True):
         assert _same_bytes(got, want)
-
-
-def test_scr_with_a_zero_weight_gives_the_bytes_of_g_psi(rng):
-    """``scr``'s weights are ``G Psi`` with ``G = ws.matrix(panel)`` and ``Psi``
-    ``mint``'s, to the byte: a zero ``ow_cov`` weight gives the product's +0.0."""
-    sys = hierarchy()
-    panel = from_availability(np.ones((7, 2), dtype=bool), sys, values=rng.standard_normal(14))
-    ws = WeightScheme("ow_cov", tuple(np.array([1.0, 0.0] if i % 2 else [0.0, 1.0])
-                                      if i < 4 else np.array([0.3, 0.7]) for i in range(7)))
-    w = random_spd(rng, 7)
-    res = scr(panel, sys, ws, None, w)
-    psi = ws.matrix(panel) @ mint_reconcile(np.zeros(7), sys, w).Psi
-    assert _same_bytes(res.Psi, psi)
-    assert _same_bytes(res.y_tilde, psi.T @ panel.y_hat)
 
 
 # zc routes: C M = C - (C W_c C')(C W_c C')^-1 C leaves a residual of about
