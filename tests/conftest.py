@@ -95,6 +95,17 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture(scope="session")
+def contract(tmp_path_factory):
+    """The directory ``contract_outputs.write_contract`` fills: the output-contract matrix,
+    written once per session."""
+    from contract_outputs import write_contract
+
+    out = tmp_path_factory.mktemp("contract") / "out"
+    write_contract(out)
+    return out
+
+
 def fresh_python(code, *args, cwd=None):
     """Stdout of ``python -c code *args`` in a new interpreter importing this checkout's cocomb."""
     src = str(Path(cocomb.__file__).resolve().parent.parent)

@@ -1,6 +1,7 @@
 """Write the output-contract matrix of ``cocomb`` into a directory, with a ``SHA256SUMS`` file.
 
-Usage: ``python tests/contract_outputs.py OUTDIR``
+Usage: ``python tests/contract_outputs.py OUTDIR``, or
+``python tests/contract_outputs.py --reference`` to rewrite the reference.
 
 Runs ``cocomb.cli.main`` in process, from ``OUTDIR``, on inputs it first
 copies or writes into ``OUTDIR/inputs``, so every path a manifest records is
@@ -23,19 +24,24 @@ unbalanced sample). ``SHA256SUMS`` lists every other file in ``sha256sum``'s
 format. To show which outputs a change moves, run the script at both commits
 and compare with ``diff -r``. Bytes depend on the BLAS build and its thread
 count: the script pins ``OPENBLAS_NUM_THREADS=1`` unless the caller set it.
-Pytest does not collect this file.
+Pytest does not collect this file; ``test_contract.py`` runs the matrix and
+compares it with ``REFERENCE``, the outputs (``inputs/`` and ``SHA256SUMS``
+left out) as ``--reference`` packed them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import gzip
 import hashlib
 import io
 import os
 import random
 import shutil
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads its BLAS
@@ -46,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from cocomb.cli import main  # noqa: E402
+
+REFERENCE = ROOT / "tests" / "contract_reference.tar.gz"
 
 COVS = ("sample", "shrink", "bd-expert", "bd-expert-shrink", "bd-variable",
         "bd-variable-shrink", "diag")
@@ -153,7 +161,32 @@ def write_contract(out: Path) -> None:
     (out / "SHA256SUMS").write_text("".join(sums))
 
 
+def outputs(out: Path) -> list[str]:
+    """The outputs of a matrix written to ``out``: every file but the inputs and the sums."""
+    return sorted(name for p in out.rglob("*") if p.is_file()
+                  and (name := p.relative_to(out).as_posix()) != "SHA256SUMS"
+                  and not name.startswith("inputs/"))
+
+
+def write_reference() -> None:
+    """Run the matrix and pack its outputs into ``REFERENCE``, byte for byte reproducibly."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        write_contract(out)
+        with open(REFERENCE, "wb") as fh, \
+                gzip.GzipFile("", "wb", compresslevel=9, fileobj=fh, mtime=0) as gz, \
+                tarfile.open(fileobj=gz, mode="w", format=tarfile.PAX_FORMAT) as tar:
+            for name in outputs(out):
+                data = (out / name).read_bytes()
+                info = tarfile.TarInfo(name)
+                info.size, info.mode = len(data), 0o644
+                tar.addfile(info, io.BytesIO(data))
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    write_contract(Path(sys.argv[1]))
+    if sys.argv[1] == "--reference":
+        write_reference()
+    else:
+        write_contract(Path(sys.argv[1]))
