@@ -8,8 +8,8 @@ Each mutant changes one site of the module: a binary ``+ - * /`` swapped
 ``==`` to ``!=``, ``is`` to ``is not``, and so on), a numeric constant ``c``
 made ``c + 1``, a ``~`` or ``not`` dropped, or ``argmin`` swapped with
 ``argmax``. A mutant runs in a private copy of ``src`` and ``tests``: first
-the numeric test files (``FAST``) with ``-x``, then, if they pass, the whole
-suite. It is killed when either run fails or times out. A survivor is
+its module's own test files (``FAST``) with ``-x``, then, if they pass, the
+whole suite. It is killed when either run fails or times out. A survivor is
 reported unless ``EQUIVALENT`` lists it with the reason it cannot be told
 apart by any test (an equivalent mutant, or one on a tolerance boundary).
 The exit code is 1 when a survivor is not on that list.
@@ -18,7 +18,9 @@ Before the mutants, the unmutated copy must pass both runs. Mutants are
 written with ``ast.unparse``, so they carry no comments; that changes no
 behaviour. One worker per CPU this process may run on judges one mutant at a
 time, each in its own copy. No ``.pyc`` is written: two mutants of one size
-rewritten within one second would otherwise share a stale one.
+rewritten within one second would otherwise share a stale one. SIGTERM ends
+the probe as Ctrl-C does: the pytest runs in flight are killed and the copies
+removed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import ast
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -35,15 +38,42 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAST = ("tests/test_coherent.py", "tests/test_combiners.py", "tests/test_linalg.py",
-        "tests/test_acceptance.py", "tests/test_covariance.py")
+_NUMERIC = ("tests/test_coherent.py", "tests/test_combiners.py", "tests/test_linalg.py",
+            "tests/test_acceptance.py", "tests/test_covariance.py")
+_CLI = tuple(f"tests/test_cli{part}.py" for part in
+             ("", "_evaluate", "_fit_once", "_inputs", "_readers", "_writers"))
+
+
+def _own_first(own: str) -> tuple[str, ...]:
+    return (own, *(f for f in _NUMERIC if f != own))
+
+
+# each module's own test files first; a module not listed goes straight to the whole suite
+FAST = {
+    "_linalg.py": _own_first("tests/test_linalg.py"),
+    "coherent.py": _own_first("tests/test_coherent.py"),
+    "combiners.py": _own_first("tests/test_combiners.py"),
+    "covariance.py": _own_first("tests/test_covariance.py"),
+    "metrics.py": ("tests/test_metrics.py", "tests/test_cli_evaluate.py"),
+    "cli.py": _CLI,
+    "constraints.py": ("tests/test_constraints.py",),
+    "panel.py": ("tests/test_panel.py",),
+    "simulation.py": ("tests/test_simulation.py",),
+}
 TIMEOUT_S = 600
+_RUNNING: set = set()  # the pytest processes in flight, killed when the probe ends
 
 # (module, the mutated line as written, "before -> after" of the mutated node): why no
 # test can fail on it. Keyed by text, not line number, so an edit elsewhere keeps it.
 EQUIVALENT = {
     ("covariance.py", "d = 1.0 / np.sqrt(v)", "1.0 -> 2.0"):
         "the intensity is invariant to one common scale of d, and doubling is exact",
+    ("covariance.py", "self.singular, self.m = self._factor is None, w.shape[0]", "0 -> 1"):
+        "w is square: the constructor refused any other",
+    ("covariance.py", 'return CovarianceEstimate(w, "sample", singular=w.shape[0] > self.T)',
+     "0 -> 1"): "w is a square sub-block of the MSE",
+    ("_linalg.py", "for j in range(inv.shape[0] - 1):  # dpotri filled the lower triangle: "
+     "mirror it in place", "0 -> 1"): "dpotri's inverse is square",
     ("combiners.py", "violated = np.flatnonzero(~free & (grad < mu - tol))",
      "grad < mu - tol -> grad <= mu - tol"):
         "differs only for a gradient exactly at mu - tol",
@@ -141,31 +171,45 @@ def _passes(copy: Path, args: list[str]) -> bool:
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "OPENBLAS_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1"}
-    try:
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return False
-    return done.returncode == 0
+    with subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL) as proc:
+        _RUNNING.add(proc)
+        try:
+            return proc.wait(timeout=TIMEOUT_S) == 0
+        except subprocess.TimeoutExpired:
+            return False
+        finally:  # ended by a timeout or SIGTERM; a no-op on a process that exited
+            proc.kill()
+            _RUNNING.discard(proc)
 
 
-def _survives(copy: Path) -> bool:
-    return _passes(copy, ["-x", *FAST]) and _passes(copy, ["--continue-on-collection-errors"])
+def _survives(copy: Path, name: str) -> bool:
+    fast = FAST.get(name)
+    return ((fast is None or _passes(copy, ["-x", *fast]))
+            and _passes(copy, ["--continue-on-collection-errors"]))
+
+
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+")
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _terminated)
     work = Path(tempfile.mkdtemp(prefix="mutation-probe-"))
+    workers = len(os.sched_getaffinity(0))
+    pool = ThreadPoolExecutor(workers)
     try:
         copies = []
-        for j in range(len(os.sched_getaffinity(0))):
+        for j in range(workers):
             copies.append(work / str(j))
             for sub in ("src", "tests", "sample_data"):
                 shutil.copytree(ROOT / sub, copies[-1] / sub,
                                 ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(ROOT / "pyproject.toml", copies[-1])  # pytest's settings
-        if not _survives(copies[0]):
+        if not _survives(copies[0], None):
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
             return 2
         todo = sorted((name, *m) for name in args.modules
@@ -181,24 +225,26 @@ def main(argv=None) -> int:
             original = target.read_text()
             try:
                 target.write_text(source)
-                return item, _survives(copy)
+                return item, _survives(copy, name)
             finally:
                 target.write_text(original)
                 free.put(copy)
 
         killed, unexplained = 0, 0
-        with ThreadPoolExecutor(len(copies)) as pool:
-            for (name, line, text, change, _), survived in pool.map(judge, todo):
-                reason = EQUIVALENT.get((name, text, change))
-                killed += not survived
-                unexplained += survived and reason is None
-                verdict = ("killed" if not survived
-                           else f"survived, allowed: {reason}" if reason else "SURVIVED")
-                print(f"{name}:{line}: {change}: {verdict}", flush=True)
+        for (name, line, text, change, _), survived in pool.map(judge, todo):
+            reason = EQUIVALENT.get((name, text, change))
+            killed += not survived
+            unexplained += survived and reason is None
+            verdict = ("killed" if not survived
+                       else f"survived, allowed: {reason}" if reason else "SURVIVED")
+            print(f"{name}:{line}: {change}: {verdict}", flush=True)
         print(f"{len(todo)} mutants: {killed} killed, {len(todo) - killed} survived, "
               f"{unexplained} not on the allowlist")
         return 1 if unexplained else 0
     finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in list(_RUNNING):
+            proc.kill()
         shutil.rmtree(work, ignore_errors=True)
 
 

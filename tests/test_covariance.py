@@ -211,6 +211,14 @@ def test_shrink_zero_variance_coordinate_raises(rng):
             read(resid)
 
 
+def test_shrink_at_a_given_intensity_refuses_a_zero_variance_coordinate(rng):
+    # no intensity is estimated, so the zero diagonal alone must refuse the row
+    resid = rng.standard_normal((3, 20))
+    resid[1] = 0.0
+    with pytest.raises(NumericalError, match="zero-variance"):
+        shrink(resid, lam=0.5)
+
+
 def test_shrink_recovers_positive_definiteness(rng):
     resid = rng.standard_normal((30, 10))  # m > T: sample estimate is singular
     assert sample_mse(resid).singular

@@ -69,6 +69,26 @@ def test_zero_benchmark_cells_are_excluded_with_warning(rng):
     assert np.isfinite(table.avg_rel_mae_h["other"][1])
 
 
+def test_the_zero_benchmark_warning_names_the_caller(rng):
+    series, actuals, forecasts = make_case(rng)
+    forecasts["ew"] = {h: actuals[h].copy() for h in actuals}
+    with pytest.warns(UserWarning, match="zero-benchmark") as record:
+        accuracy(actuals, forecasts, benchmark="ew", series=series)
+    assert record[0].filename == __file__
+
+
+def test_accuracy_scores_a_single_origin_and_refuses_none(rng):
+    series, actuals, forecasts = make_case(rng, q=1)
+    table = accuracy(actuals, forecasts, benchmark="ew", series=series)
+    for h in table.horizons:
+        err = actuals[h][0] - forecasts["other"][h][0]
+        np.testing.assert_array_equal(table.mae["other"][h], np.abs(err))
+        np.testing.assert_array_equal(table.mse["other"][h], err**2)
+    series, actuals, forecasts = make_case(rng, q=0)
+    with pytest.raises(DataError, match="must be Q_h x 2"):
+        accuracy(actuals, forecasts, benchmark="ew", series=series)
+
+
 def test_scale_invariance_of_relative_indices(rng):
     series, actuals, forecasts = make_case(rng)
     table = accuracy(actuals, forecasts, benchmark="ew", series=series)
@@ -111,6 +131,11 @@ def test_dm_identical_losses_degenerate():
     loss = np.abs(np.sin(np.arange(30.0)))
     stat, p = dm_test(loss, loss, h=1)
     assert stat == 0.0 and p == 1.0
+
+
+def test_dm_defaults_to_one_step_ahead(rng):
+    a, b = np.abs(rng.standard_normal((2, 40)))
+    assert dm_test(a, b) == dm_test(a, b, h=1)
 
 
 def test_dm_antisymmetry(rng):
