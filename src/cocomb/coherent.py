@@ -176,8 +176,9 @@ def mint_reconcile(
     Projects one n-vector of base forecasts onto the coherent subspace with
     the oblique projector ``M = I - W C'(C W C')^-1 C``. Runs the kernel of
     ``occ`` ``zc_be`` with ``K = I_n``, so it matches ``occ`` on a one-expert
-    panel bit for bit. Its pooling inverts nothing: ``W_c`` is ``W`` as its
-    Cholesky factor reads it (the lower triangle mirrored), and the one
+    panel bit for bit. Its pooling inverts nothing: ``W_c`` is the estimate's
+    ``W`` (an asymmetric ``cov_n`` is mirrored from its lower triangle, as its
+    Cholesky factor reads it, when it becomes an estimate), and the one
     factorization is that of ``C W C'``.
     """
     y_hat = np.asarray(y_hat, dtype=float).reshape(-1)

@@ -7,8 +7,10 @@ Single-task schemes weight the experts of one variable at a time:
 * ``ow_cov``  minimum-variance weights on the unit simplex (non-negative,
   summing to one), using the full per-variable error covariance.
 
-A scheme's weights are the m x n matrix ``G`` (``WeightScheme.matrix``), and
-``WeightScheme.apply`` is ``G' y_hat``, the one apply every method shares.
+``ow_var`` and ``ow_cov`` read each variable's block ``W[rows][:, rows]`` off
+the estimate's parts (``CovarianceEstimate.principal``), never the dense
+``W``. A scheme's weights are the m x n matrix ``G`` (``WeightScheme.matrix``),
+and ``WeightScheme.apply`` is ``G' y_hat``, the one apply every method shares.
 
 The multi-task combination pools all m forecasts at once through the stacked
 regression of the base forecasts on the target vector, yielding the combined
@@ -16,7 +18,8 @@ vector, its weight matrix and its error covariance. ``pool``, the one GLS
 pooling step (the zero-constrained ``occ`` kernel, hence ``mint``, ``scr`` and
 ``src``, uses it too), takes ``W`` as the estimate and the design as the
 panel's row index ``var_idx``, never as a matrix. With one forecast per
-variable it relabels ``W`` and inverts nothing. Otherwise ``gls_pool`` (which
+variable it reads ``W`` relabeled off the estimate's parts and inverts
+nothing. Otherwise ``gls_pool`` (which
 the structural kernel also calls) reads ``W``'s diagonal blocks with their
 Cholesky factors (``CovarianceEstimate.blocks``) and sums the blocks' pieces
 into the n x n pooled precision, which ``pool`` inverts.
@@ -93,8 +96,9 @@ def single_task_weights(
 ) -> WeightScheme:
     """Per-variable combination weights under the requested scheme.
 
-    ``ow_var`` and ``ow_cov`` read the per-variable error covariance blocks out
-    of ``cov`` (by-expert ordering); ``ew`` needs no covariance.
+    ``ow_var`` and ``ow_cov`` read each variable's error covariance block off
+    ``cov``'s parts (``principal`` of its by-expert rows); ``ew`` needs no
+    covariance.
     """
     if scheme not in SINGLE_TASK_SCHEMES:
         raise DataError(f"unknown single-task scheme {scheme!r}")
@@ -108,7 +112,7 @@ def single_task_weights(
             weights.append(np.full(p_i, 1.0 / p_i))
             continue
         if scheme == "ow_var":
-            variances = cov.W.diagonal()[rows]
+            variances = cov.principal(rows).diagonal()
             if (variances <= 0).any():
                 raise NumericalError(
                     f"zero error variance for variable {panel.labels[i]!r}"
@@ -116,7 +120,7 @@ def single_task_weights(
             w = 1.0 / variances
             weights.append(w / w.sum())
         else:
-            weights.append(simplex_weights(cov.W[rows[:, None], rows]))
+            weights.append(simplex_weights(cov.principal(rows)))
     return WeightScheme(scheme, tuple(weights))
 
 
@@ -193,18 +197,18 @@ def pool(cov: CovarianceEstimate, var: np.ndarray, n: int):
     ``var`` is the variable of each stacked row, as in ``gls_pool``; ``cov``'s
     ``blocks`` refuses a mis-sized or ``singular`` estimate before any work.
     With one forecast per variable (``var.size == n``), ``var`` and ``K`` are
-    permutations, so ``W_c = K' W K`` is ``W`` relabeled and
-    ``Omega = W^-1 K W_c = K``: nothing is inverted. ``W`` is read as its
-    Cholesky factorization read it, the lower triangle mirrored, so an
-    asymmetric ``as_covariance`` input pools as its symmetric twin. Otherwise
+    permutations, so ``W_c = K' W K`` is ``W`` relabeled,
+    ``cov.principal(argsort(var))``, and ``Omega = W^-1 K W_c = K``: nothing
+    is inverted. (An asymmetric ``as_covariance`` input was mirrored from its
+    lower triangle when it became an estimate, so it pools as the symmetric
+    twin its Cholesky factor reads.) Otherwise
     ``gls_pool`` sums the precision ``K' W^-1 K``, ``_linalg.pooled_covariance``
     inverts it into ``W_c`` and ``Omega = W^-1 K W_c``; each block's ``W_g^-1``
     is dropped once ``Omega`` is formed.
     """
     blocks = cov.blocks(var.size)
     if var.size == n:
-        o = np.argsort(var)[:, None]  # K' W K picks W[o_i, o_j]
-        return np.where(np.tri(n, dtype=bool), cov.W, cov.W.T)[o, o.T], np.eye(n)[var]
+        return cov.principal(np.argsort(var)), np.eye(n)[var]
     precision, apply = gls_pool(blocks, var, n)
     w_c, precision = pooled_covariance(precision), None  # freed before the m x n Omega is built
     return w_c, apply(w_c)

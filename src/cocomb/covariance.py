@@ -23,9 +23,12 @@ product), while the simulation takes one pass over all rows per replication
 and reads each pattern's blocks off it as sub-blocks. A shrinkage intensity reads
 both its sums off the MSE and the squared standardized rows. Every dense estimate,
 read off a pass or supplied by a user (``as_covariance``), goes through
-``CovarianceEstimate``'s copy and its square and finite checks. Solvers
-use ``W`` only through ``blocks(m)``: each part's rows with its Cholesky
-factor, taken once, when the part is estimated. A part that fails to factor,
+``CovarianceEstimate``'s square and finite checks and its mirror of the lower
+triangle. The estimate alone knows how it is stored: production code reads
+``W`` by its parts, never the dense matrix. Solvers use ``blocks(m)``, each
+part's rows with its Cholesky factor, taken once, when the part is estimated;
+the combiners use ``principal(rows)``, ``W[rows][:, rows]`` read off the parts
+that ``rows`` touch. A part that fails to factor,
 or a sample MSE wider than T (left unfactored), is ``singular``, and so is an
 estimate holding it; ``blocks`` refuses tagged or mis-sized estimates instead
 of regularizing behind the caller's back.
@@ -48,21 +51,26 @@ class CovarianceEstimate:
     ``lam`` is None (no shrinkage), a float (global), or a tuple of per-block
     intensities. ``singular`` marks estimates that cannot back a GLS solve.
     The constructor is the only way to a dense estimate, the package's own
-    included: it copies ``W``, checks that it is square and finite, marks it
-    read-only and factors it (unless tagged ``singular``). A block estimate
-    holds no matrix of its own: ``_of_parts`` assembles it from its diagonal
-    blocks, ``(rows, dense estimate)`` pairs, and ``W`` on first access.
+    included: it checks that ``W`` is square and finite, keeps a read-only copy
+    with the lower triangle mirrored over the upper (the triangle ``dpotrf``
+    reads: an asymmetric input becomes that symmetric twin) and factors it
+    (unless tagged ``singular``). A block estimate holds no matrix of its own:
+    ``_of_parts`` builds it from its diagonal blocks, ``(rows, dense
+    estimate)`` pairs, and records each row's part and its place there.
+    Production reads parts (``blocks``, ``principal``); ``W`` is assembled on
+    first access, for callers outside the package.
     """
 
     def __init__(self, W, pattern: str, lam: float | tuple[float, ...] | None = None,
                  singular: bool = False):
         if pattern not in PATTERNS:
             raise DataError(f"unknown covariance pattern {pattern!r}")
-        w = np.array(W, dtype=float)
+        w = np.asarray(W, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DataError("covariance must be square")
         if not np.isfinite(w).all():
             raise DataError("covariance contains non-finite entries")
+        w = np.where(np.tri(len(w), dtype=bool), w, w.T)  # as dpotrf reads it
         w.setflags(write=False)
         try:
             self._factor = None if singular else cho_factor_spd(w)
@@ -77,6 +85,9 @@ class CovarianceEstimate:
         est = cls.__new__(cls)
         est.pattern, est.lam, est._W, est._parts = pattern, lam, None, parts
         est.singular, est.m = any(p.singular for _, p in parts), sum(p.m for _, p in parts)
+        est._at = np.empty((2, est.m), dtype=np.intp)  # each row's part, and its place there
+        for g, (rows, part) in enumerate(parts):
+            est._at[0, rows], est._at[1, rows] = g, np.arange(part.m)
         return est
 
     @property
@@ -87,14 +98,24 @@ class CovarianceEstimate:
 
     @property
     def W(self) -> np.ndarray:
-        """The dense m x m matrix (read-only)."""
+        """The dense m x m matrix (read-only), assembled on first access; production
+        reads parts (``principal``, ``blocks``)."""
         if self._W is None:
-            w = np.zeros((self.m, self.m))
-            for rows, part in self._parts:
-                w[np.ix_(rows, rows)] = part.W
-            w.setflags(write=False)
-            self._W = w
+            self._W = self.principal(np.arange(self.m))
+            self._W.setflags(write=False)
         return self._W
+
+    def principal(self, rows: np.ndarray) -> np.ndarray:
+        """``W[rows][:, rows]`` for an index array of distinct ``rows``, read off the
+        parts: each part the rows touch fills its sub-block, zeros lie between parts."""
+        if self._parts is None:
+            return self._W[rows[:, None], rows]
+        part, place = self._at[:, rows]
+        out = np.zeros((rows.size, rows.size))
+        for g in np.flatnonzero(np.bincount(part)):
+            at = np.flatnonzero(part == g)
+            out[at[:, None], at] = self._parts[g][1]._W[place[at, None], place[at]]
+        return out
 
     def blocks(self, m: int) -> tuple:
         """The diagonal blocks of ``W`` as ``(rows, Cholesky factor)`` pairs.
@@ -264,7 +285,11 @@ def block_by_variable(
 
 
 def as_covariance(w: np.ndarray, pattern: str = "sample") -> CovarianceEstimate:
-    """Wrap a user-supplied SPD matrix; raises if it cannot back a solve."""
+    """Wrap a user-supplied SPD matrix; raises if it cannot back a solve.
+
+    Only the lower triangle is read: an asymmetric ``w`` gives the estimate of
+    its lower triangle mirrored, as its Cholesky factorization reads it.
+    """
     est = CovarianceEstimate(w, pattern)
     if est.singular:
         raise NumericalError("supplied covariance is not positive definite")
