@@ -18,13 +18,12 @@ A block estimate is the sum of its blocks' dense estimates, ``sample_mse``
 or ``shrink`` of each block's rows, listed with their rows by
 ``CovarianceEstimate.parts`` (a dense estimate is its own one part). Every
 estimator reads its estimates off ``_Moments``, one pass over a residual
-matrix: a library block estimator takes one pass per block (no m x m
-product), while the simulation takes one pass over all rows per replication
-and reads each pattern's blocks off it as sub-blocks. A shrinkage intensity reads
-both its sums off the MSE and the squared standardized rows. Every dense estimate,
-read off a pass or supplied by a user (``as_covariance``), goes through
-``CovarianceEstimate``'s square and finite checks and its mirror of the lower
-triangle. The estimate alone knows how it is stored: production code reads
+matrix: a block estimator takes one pass per block (no m x m product). The
+simulation estimates through ``ESTIMATORS`` too, as ``cocomb reconcile``
+does. A shrinkage intensity reads both its sums off the MSE and the squared
+standardized rows. Every dense estimate, read off a pass or supplied by a user
+(``as_covariance``), goes through ``CovarianceEstimate``'s square and finite
+checks and its mirror of the lower triangle. The estimate alone knows how it is stored: production code reads
 ``W`` by its parts, never the dense matrix. Solvers use ``blocks(m)``, each
 part's rows with its Cholesky factor, taken once, when the part is estimated;
 the combiners use ``principal(rows)``, ``W[rows][:, rows]`` read off the parts
@@ -143,15 +142,11 @@ def _check_residuals(residuals: np.ndarray) -> np.ndarray:
 
 
 class _Moments:
-    """One pass over m x T residuals (as ``_check_residuals`` returns them).
+    """One pass over all rows of m x T residuals (as ``_check_residuals`` returns them).
 
-    Holds the row variances, and computes the sample MSE on first use. The
-    moments of any set of rows are sub-blocks of these, and a set's shrinkage
-    intensity reads only those sub-blocks and its rows (``intensity``), so
-    ``dense`` and ``estimate`` read every estimate off one pass over all rows.
-    Read over all its rows, a pass gives ``sample_mse``, ``shrink`` and
-    ``diagonal_mse`` of its residuals; a sub-block read rounds differently
-    from a pass over those rows alone, within 1e-14 relative.
+    Holds the row variances, and computes the sample MSE on first use. A pass
+    gives ``sample_mse``, ``shrink`` and ``diagonal_mse`` of its residuals; a
+    block estimator takes one pass per block, over that block's rows alone.
     """
 
     def __init__(self, r: np.ndarray):
@@ -162,26 +157,25 @@ class _Moments:
         w = self.r @ self.r.T / self.T
         return 0.5 * (w + w.T)
 
-    def intensity(self, rows=slice(None)) -> float:
-        """The shrinkage intensity of ``rows`` (an index array, or all rows), clamped to [0, 1].
+    def intensity(self) -> float:
+        """The shrinkage intensity, clamped to [0, 1].
 
         With ``d = var^-1/2`` and ``q_i = (d_i r_i)^2``, the squared correlations
         ``c_ij^2 = (mse_ij d_i d_j)^2`` have sampling variances summing to
         ``[(|sum_i q_i|^2 - sum_i |q_i|^2) / T - sum_(i != j) c_ij^2] / (T - 1)``."""
-        v = self.var[rows]
-        if (v <= 0).any():
+        if (self.var <= 0).any():
             raise NumericalError("zero-variance residual coordinate; cannot shrink")
-        if not np.isfinite(v).all():  # overflowed: refused as the estimate it would shrink is
+        if not np.isfinite(self.var).all():  # overflowed: refused as the estimate it would shrink is
             raise DataError("covariance contains non-finite entries")
-        d = 1.0 / np.sqrt(v)
-        corr_sq = self.mse[rows][:, rows] * d[:, None]  # scaled before squaring, in one buffer
+        d = 1.0 / np.sqrt(self.var)
+        corr_sq = self.mse * d[:, None]  # scaled before squaring, in one buffer
         corr_sq *= d
         corr_sq **= 2
         np.fill_diagonal(corr_sq, 0.0)  # zeroed, not subtracted: uncorrelated rows sum to exactly 0
         denom = float(corr_sq.sum())
         if denom == 0.0:
             return 1.0
-        q = (self.r[rows] * d[:, None]) ** 2
+        q = (self.r * d[:, None]) ** 2
         total = q.sum(axis=0)
         var_corr = ((total @ total - np.einsum("it,it->", q, q)) / self.T - denom) / (self.T - 1)
         return float(min(1.0, max(0.0, var_corr / denom)))
@@ -189,26 +183,17 @@ class _Moments:
     # products that overflow leave W non-finite, which the constructor refuses:
     # numpy's RuntimeWarning would only repeat that, outside the error's JSON line
     @np.errstate(over="ignore", invalid="ignore")
-    def dense(self, shrunk: bool, rows=slice(None), lam: float | None = None) -> CovarianceEstimate:
-        """The ``sample`` or (``lam``, by default estimated) ``shrunk`` estimate of ``rows``."""
-        w = self.mse[rows][:, rows]
+    def dense(self, shrunk: bool, lam: float | None = None) -> CovarianceEstimate:
+        """The ``sample`` or (``lam``, by default estimated) ``shrunk`` estimate."""
+        w = self.mse
         if not shrunk:
             return CovarianceEstimate(w, "sample", singular=w.shape[0] > self.T)
         if (w.diagonal() <= 0).any():
             raise NumericalError("zero-variance residual coordinate; cannot shrink")
-        lam = self.intensity(rows) if lam is None else lam
+        lam = self.intensity() if lam is None else lam
         if not 0.0 <= lam <= 1.0:
             raise DataError("shrinkage intensity must lie in [0, 1]")
         return CovarianceEstimate(lam * np.diag(np.diag(w)) + (1.0 - lam) * w, "shrunk", lam=lam)
-
-    def estimate(self, pattern: str, panel: ForecastPanel | None = None) -> CovarianceEstimate:
-        """``ESTIMATORS[pattern]`` of these residuals, every block read off this pass."""
-        if pattern == "diagonal":
-            return CovarianceEstimate(np.diag(self.var), "diagonal")
-        if pattern in ("sample", "shrunk"):
-            return self.dense(pattern == "shrunk")
-        kind = pattern.removesuffix("_shrunk")
-        return _block_diagonal(self.dense, panel, kind, kind != pattern)
 
 
 def sample_mse(residuals: np.ndarray) -> CovarianceEstimate:
@@ -238,27 +223,22 @@ def shrink(residuals: np.ndarray, lam: float | None = None) -> CovarianceEstimat
 
 def diagonal_mse(residuals: np.ndarray) -> CovarianceEstimate:
     """Diagonal of the sample MSE matrix."""
-    return _Moments(_check_residuals(residuals)).estimate("diagonal")
-
-
-def _block_diagonal(dense, panel: ForecastPanel, kind: str, shrink_blocks: bool):
-    """The sum of one dense estimate ``dense(shrink_blocks, rows)`` per block of
-    ``kind``, each expert's or each variable's rows: ``shrink`` (with its own
-    intensity) when ``shrink_blocks`` is set, ``sample_mse`` otherwise."""
-    groups = (np.split(np.arange(panel.m), np.cumsum(panel.n_j)[:-1]) if kind == "bd_expert"
-              else (panel.variable_rows(i) for i in range(panel.n)))
-    parts = tuple((rows, dense(shrink_blocks, rows)) for rows in groups)
-    return CovarianceEstimate._of_parts(parts, f"{kind}_shrunk" if shrink_blocks else kind,
-                                        tuple(p.lam for _, p in parts) if shrink_blocks else None)
+    return CovarianceEstimate(np.diag(_Moments(_check_residuals(residuals)).var), "diagonal")
 
 
 def _blocks_one_pass_each(residuals, panel: ForecastPanel, kind: str, shrink_blocks: bool):
-    """A block pattern with one pass per block, over that block's rows alone:
-    no m x m product, and each block as ``sample_mse`` or ``shrink`` gives it."""
+    """The sum of one dense estimate per block of ``kind``, each expert's or each
+    variable's rows, with one pass per block over that block's rows alone (no
+    m x m product): ``shrink`` (with its own intensity) when ``shrink_blocks``
+    is set, ``sample_mse`` otherwise."""
     r = _check_residuals(residuals)
     if r.shape[0] != panel.m:
         raise DataError(f"residuals must have {panel.m} rows")
-    return _block_diagonal(lambda s, rows: _Moments(r[rows]).dense(s), panel, kind, shrink_blocks)
+    groups = (np.split(np.arange(panel.m), np.cumsum(panel.n_j)[:-1]) if kind == "bd_expert"
+              else (panel.variable_rows(i) for i in range(panel.n)))
+    parts = tuple((rows, _Moments(r[rows]).dense(shrink_blocks)) for rows in groups)
+    return CovarianceEstimate._of_parts(parts, f"{kind}_shrunk" if shrink_blocks else kind,
+                                        tuple(p.lam for _, p in parts) if shrink_blocks else None)
 
 
 def block_by_expert(

@@ -22,8 +22,8 @@ nor parallel runs change a bit.
 Each method is a single-task scheme or a ``coherent.fit`` method on one
 covariance pattern (``_METHOD_FITS``), or one expert's raw or reconciled
 forecasts (``base_*``); a replication fits each method's weights once, and
-computes what they share once: one moment pass over its residuals
-(``covariance._Moments``), off which every covariance pattern is read, each
+computes what they share once: each covariance pattern, estimated by
+``covariance.ESTIMATORS`` as ``cocomb reconcile --cov`` estimates it, each
 single-task weight scheme (``scr_var`` reuses ``ow_var``'s weights) and each
 per-expert projector. Its per-series test losses and relative index are
 ``metrics.LOSSES`` and ``metrics.geo_mean``, as ``cocomb evaluate`` scores,
@@ -39,7 +39,7 @@ import numpy as np
 from ._linalg import symmetrize
 from .coherent import _SCR_SCHEMES, _scr_fit, fit, mint_reconcile
 from .constraints import ConstraintSystem, from_aggregation
-from .covariance import _check_residuals, _Moments
+from .covariance import ESTIMATORS
 from .combiners import SINGLE_TASK_SCHEMES, single_task_weights
 from .exceptions import DataError, NumericalError
 from .metrics import LOSSES, geo_mean
@@ -316,10 +316,10 @@ def _method_weights(
 ) -> np.ndarray:
     """The fixed (n x m) map from stacked base forecasts to the method output.
 
-    ``cache`` holds the replication's one moment pass over ``resid``, the
-    covariance estimates read off it by pattern, the single-task weights by
+    ``cache`` holds the replication's covariance estimates by pattern, each
+    ``ESTIMATORS[pattern](resid, panel)``, the single-task weights by
     ``(scheme, pattern)`` and, by ``("mint", j)``, expert j's mint projector
-    under part j of the cached ``bd_expert_shrunk``, so no moment, block,
+    under part j of the cached ``bd_expert_shrunk``, so no estimate, block,
     factor or weight scheme is computed twice. ``base_star`` takes the expert
     of least MSE, ``base_star_shr`` reconciles it, ``base_shr`` reconciles the
     expert of least reconciled MSE.
@@ -331,8 +331,7 @@ def _method_weights(
         return cache[key]
 
     def estimate(pattern):
-        moments = cached("moments", lambda: _Moments(_check_residuals(resid)))
-        return cached(pattern, lambda: moments.estimate(pattern, panel))
+        return cached(pattern, lambda: ESTIMATORS[pattern](resid, panel))
 
     def projector(j):
         return cached(("mint", j), lambda: mint_reconcile(

@@ -44,7 +44,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads its BLAS
+if __name__ == "__main__":  # imported, it would only reach the importer's subprocesses
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads its BLAS
 
 import numpy as np  # noqa: E402
 

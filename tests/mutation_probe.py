@@ -66,12 +66,12 @@ _RUNNING: set = set()  # the pytest processes in flight, killed when the probe e
 # (module, the mutated line as written, "before -> after" of the mutated node): why no
 # test can fail on it. Keyed by text, not line number, so an edit elsewhere keeps it.
 EQUIVALENT = {
-    ("covariance.py", "d = 1.0 / np.sqrt(v)", "1.0 -> 2.0"):
+    ("covariance.py", "d = 1.0 / np.sqrt(self.var)", "1.0 -> 2.0"):
         "the intensity is invariant to one common scale of d, and doubling is exact",
     ("covariance.py", "self.singular, self.m = self._factor is None, w.shape[0]", "0 -> 1"):
         "w is square: the constructor refused any other",
     ("covariance.py", 'return CovarianceEstimate(w, "sample", singular=w.shape[0] > self.T)',
-     "0 -> 1"): "w is a square sub-block of the MSE",
+     "0 -> 1"): "w is the whole MSE, which is square",
     ("_linalg.py", "for j in range(inv.shape[0] - 1):  # dpotri filled the lower triangle: "
      "mirror it in place", "0 -> 1"): "dpotri's inverse is square",
     ("combiners.py", "violated = np.flatnonzero(~free & (grad < mu - tol))",
@@ -99,6 +99,31 @@ EQUIVALENT = {
     ("combiners.py", "w = 1.0 / variances", "1.0 -> 2.0"):
         "the weights are divided by their sum, and doubling is exact",
     ("coherent.py", "y_hat = np.asarray(y_hat, dtype=float).reshape(-1)", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("simulation.py", "_CHUNK = 64  # replications drawn and projected together (module "
+     "docstring)", "64 -> 65"):
+        "chunking changes no bit: each replication has its own stream and solo projection",
+    ("simulation.py", "r0: np.ndarray, tol: float = 1e-9, max_iter: int = 100, pd_floor: "
+     "float = 1e-8", "100 -> 101"):
+        "the cap only ends a projection that has not converged; 2000 draws each of the "
+        "simulation's 4x4 and 7x7 matrices converged within 50 steps",
+    ("simulation.py", "y = symmetrize(r0.reshape(-1, *r0.shape[-2:]))", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("simulation.py", "live, diag = np.arange(len(y)), np.arange(y.shape[-1])", "1 -> 2"):
+        "y is a stack of square matrices",
+    ("simulation.py", "done = np.maximum(np.abs(y_new - y), np.abs(y_new - x)).max(axis=(1, 2))"
+     " <= tol", "np.maximum(np.abs(y_new - y), np.abs(y_new - x)).max(axis=(1, 2)) <= tol -> "
+     "np.maximum(np.abs(y_new - y), np.abs(y_new - x)).max(axis=(1, 2)) < tol"):
+        "differs only for a step exactly at tol",
+    ("simulation.py", "raw[iu] = rng.uniform(-1.0, 1.0, size=len(iu[0]))", "0 -> 1"):
+        "iu's two index arrays have one length",
+    ("simulation.py", "row = rng.random(cfg.p) < rates",
+     "rng.random(cfg.p) < rates -> rng.random(cfg.p) <= rates"):
+        "differs only for a uniform draw exactly at a rate",
+    ("simulation.py", "beta = np.full((p, 2), 1.0 if cfg.setting == 1 else 0.5)", "2 -> 3"):
+        "only beta's first two columns are read",
+    ("simulation.py", "thetas = (nearest_correlation(np.stack(raw_expert)).reshape(-1, cfg.p, n, n)"
+     " if raw_expert", "1 -> 2"):
         "numpy reads any negative size as the one unknown dimension",
 }
 

@@ -329,6 +329,60 @@ def nearest_correlation_scalar(r0, tol=1e-9, max_iter=100, pd_floor=1e-8):
     return symmetrize(x)
 
 
+def replication_loop(cfg, rep):
+    """``(actuals, forecasts)`` of ``simulation.generate_replication(cfg, rep)`` for a
+    balanced ``cfg``, from ``SimulationConfig``'s settings table and the draws in the
+    simulation's order, built series by series and step by step.
+
+    Order: expert parameters (setting 4 ``beta`` ~ U(0, 1), setting 5 ``sigma2`` ~
+    InvGamma(5, 5), setting 6 ``mu`` ~ N(0, 1)), the raw bottom correlation, one raw
+    error correlation per expert (``random_spd``), the factor innovations, the
+    stationary VAR(1) start (setting 3), the bottom noise, then each expert's noise.
+    """
+    assert cfg.balanced
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, rep]))
+    p, T, n_b, n = cfg.p, cfg.n_train + cfg.test_len, 4, 7
+    phi = 0.9 if cfg.setting == 3 else 0.0
+    mu, beta, sigma2 = np.zeros(p), np.full((p, 2), 1.0 if cfg.setting == 1 else 0.5), np.ones(p)
+    if cfg.setting == 4:
+        beta = rng.uniform(0.0, 1.0, (p, 2))
+    elif cfg.setting == 5:
+        sigma2 = 5.0 / rng.standard_gamma(5.0, p)
+    elif cfg.setting == 6:
+        mu = rng.standard_normal(p)
+
+    def correlation(size):
+        raw = np.eye(size)
+        pairs = list(itertools.combinations(range(size), 2))
+        for (i, j), u in zip(pairs, rng.uniform(-1.0, 1.0, len(pairs))):
+            raw[i, j] = raw[j, i] = u
+        return nearest_correlation_scalar(raw)
+
+    bottom_corr = correlation(n_b)
+    thetas = ([correlation(n) for _ in range(p)] if cfg.error_corr == "random_spd"
+              else [np.eye(n)] * p)
+    innovations = rng.standard_normal((T, n_b, 2))
+    factors = innovations.copy()
+    if phi:
+        start = rng.standard_normal((n_b, 2)) * math.sqrt(1.0 / (1.0 - phi * phi))
+        for b in range(n_b):
+            for k in range(2):
+                state = start[b, k]
+                for t in range(T):
+                    state = phi * state + innovations[t, b, k]
+                    factors[t, b, k] = state
+    eta = np.einsum("tc,bc->tb", rng.standard_normal((T, n_b)), np.linalg.cholesky(bottom_corr))
+    S = np.vstack([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], np.eye(n_b)])
+    actuals = np.einsum("tb,ib->ti", factors.sum(axis=2) + eta, S)
+    forecasts = np.empty((p, T, n))
+    for j in range(p):
+        signal = mu[j] + np.einsum("tbk,k->tb", factors, beta[j])
+        chol = np.sqrt(sigma2[j] * S.sum(axis=1))[:, None] * np.linalg.cholesky(thetas[j])
+        noise = np.einsum("tc,ic->ti", rng.standard_normal((T, n)), chol)
+        forecasts[j] = np.einsum("tb,ib->ti", signal, S) + noise
+    return actuals, forecasts
+
+
 def method_weights_chain(method, panel, sys, resid, cache):
     """The simulation's (n x m) method weights, one branch per method.
 

@@ -6,8 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cocomb import (
     CovarianceEstimate,
@@ -30,7 +28,7 @@ from cocomb import (
 )
 from cocomb._linalg import _lapack
 from cocomb.coherent import FORMULATIONS
-from cocomb.covariance import ESTIMATORS, _Moments
+from cocomb.covariance import ESTIMATORS
 from cocomb.panel import residuals_from_arrays
 from conftest import overflowing_residuals, random_panel, random_system
 from oracles import kkt_residual, loop_mse, shrink_estim
@@ -142,25 +140,16 @@ def test_shrink_intensity_of_a_3_by_4_case_is_exact():
 @pytest.mark.parametrize("pattern", ["bd_expert_shrunk", "bd_variable_shrunk"])
 def test_block_intensities_are_shrink_estim_of_their_rows(rng, pattern):
     # two experts, so every by-variable block has two rows; each block's
-    # intensity, from the estimator and read off one pass, is its rows' own
+    # intensity is its rows' own
     sys = from_aggregation(np.kron(np.eye(2), np.ones((1, 2))), [f"v{k}" for k in range(6)])
     panel = from_availability(np.ones((6, 2), dtype=bool), sys)
     r = correlated_residuals(rng, panel.m, 30)
-    wants = [shrink_estim(r[rows]) for rows, _ in ESTIMATORS[pattern](r, panel).parts]
+    est = ESTIMATORS[pattern](r, panel)
+    wants = [shrink_estim(r[rows]) for rows, _ in est.parts]
     assert min(wants) < 1
-    for est in (ESTIMATORS[pattern](r, panel), _Moments(r).estimate(pattern, panel)):
-        assert len(est.lam) == len(wants)
-        for lam, want in zip(est.lam, wants):
-            assert abs(lam - want) <= 1e-13 * want, pattern
-
-
-def test_sub_block_intensities_are_shrink_estim_of_their_rows(rng):
-    r = correlated_residuals(rng, 15, 40)
-    moments = _Moments(r)
-    for size in (2, 3, 7, 15):
-        rows = rng.permutation(15)[:size]
-        want = shrink_estim(r[rows])
-        assert abs(moments.intensity(rows) - want) <= 1e-13 * want, size
+    assert len(est.lam) == len(wants)
+    for lam, want in zip(est.lam, wants):
+        assert abs(lam - want) <= 1e-13 * want, pattern
 
 
 @pytest.mark.filterwarnings("error")
@@ -406,12 +395,9 @@ def test_user_covariance_must_be_finite_and_square():
 @pytest.mark.parametrize("pattern", sorted(ESTIMATORS))
 def test_residuals_whose_products_overflow_give_no_estimate(pattern):
     # the package's own estimates pass the constructor's finiteness check too,
-    # from the library estimator and from the simulation's one moment pass,
     # and numpy's overflow warning (an error here) stays quiet
     _, panel, resid = overflowing_residuals()
-    for read in (lambda: ESTIMATORS[pattern](resid, panel),
-                 lambda: _Moments(resid).estimate(pattern, panel),
-                 lambda: shrink_intensity(resid)):
+    for read in (lambda: ESTIMATORS[pattern](resid, panel), lambda: shrink_intensity(resid)):
         with pytest.raises(DataError, match="covariance contains non-finite entries"):
             read()
 
@@ -425,47 +411,21 @@ def dgp_residuals(setting, balanced, seed, n_train):
     return panel, residuals_from_arrays(panel, data.actuals[:n_train], data.forecasts[:, :n_train])
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(setting=st.integers(1, 6), balanced=st.booleans(), seed=st.integers(0, 2**16),
-       n_train=st.sampled_from([20, 50, 200]))
-def test_one_moment_pass_reads_every_pattern(setting, balanced, seed, n_train):
-    # every block read off one pass over all rows matches the estimator's own
-    # pass over that block's rows, within rounding
-    panel, resid = dgp_residuals(setting, balanced, seed, n_train)
-    moments = _Moments(resid)
-    for pattern, estimator in ESTIMATORS.items():
-        expected, got = estimator(resid, panel), moments.estimate(pattern, panel)
-        assert (got.pattern, got.singular) == (pattern, expected.singular)
-        assert np.abs(got.W - expected.W).max() <= 1e-14 * np.abs(expected.W).max(), pattern
-        if expected.lam is None:
-            assert got.lam is None
-        else:
-            lam, lam_expected = np.atleast_1d(got.lam), np.atleast_1d(expected.lam)
-            assert lam.shape == lam_expected.shape
-            assert np.all(np.abs(lam - lam_expected) <= 1e-14 * lam_expected), pattern
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("balanced", [True, False])
 def test_one_moment_pass_refuses_to_shrink_a_zero_variance_row(balanced):
-    # as the estimators: every shrunk pattern raises, sample and diagonal
-    # patterns are tagged singular; a block without the row still shrinks,
-    # and standardizing the zero row divides by nothing
+    # every shrunk pattern raises, sample and diagonal patterns are tagged
+    # singular; a block without the row still shrinks, and standardizing the
+    # zero row divides by nothing
     panel, resid = dgp_residuals(3, balanced, 5, 50)
     resid = resid.copy()
     resid[2] = 0.0
-    moments = _Moments(resid)
     for pattern, estimator in ESTIMATORS.items():
         if pattern.endswith("shrunk"):
-            for read in (lambda: estimator(resid, panel), lambda: moments.estimate(pattern, panel)):
-                with pytest.raises(NumericalError, match="zero-variance"):
-                    read()
+            with pytest.raises(NumericalError, match="zero-variance"):
+                estimator(resid, panel)
         else:
-            assert moments.estimate(pattern, panel).singular and estimator(resid, panel).singular
-    for read in (lambda: shrink(resid[2:3]), lambda: moments.dense(True, np.array([2]))):
-        with pytest.raises(NumericalError, match="zero-variance"):
-            read()  # a one-row block, which has no correlation to standardize
-    rows = np.arange(3, panel.m)
-    got, expected = moments.dense(True, rows), shrink(resid[rows])
-    assert np.abs(got.W - expected.W).max() <= 1e-14 * np.abs(expected.W).max()
-    assert abs(got.lam - expected.lam) <= 1e-14 * expected.lam
+            assert estimator(resid, panel).singular
+    with pytest.raises(NumericalError, match="zero-variance"):
+        shrink(resid[2:3])  # a one-row block, which has no correlation to standardize
+    assert not shrink(resid[3:]).singular

@@ -25,7 +25,7 @@ from cocomb.simulation import (
     _replication_accuracy,
     _replications,
 )
-from oracles import method_weights_chain, nearest_correlation_scalar
+from oracles import method_weights_chain, nearest_correlation_scalar, replication_loop
 
 
 def test_dgp_system_shape():
@@ -250,31 +250,26 @@ def test_run_experiment_rejects_no_methods(monkeypatch):
 
 
 @pytest.mark.parametrize("balanced", [True, False])
-def test_method_table_matches_branch_chain(balanced):
-    # every method's weights match the per-method branch chain, and equal each
-    # other bit for bit whichever order the methods fill the shared cache in.
-    # The cache reads each block off one moment pass over all rows, which
-    # rounds differently from the chain's pass per block: the worst case over
-    # settings 1-6, balanced and unbalanced, 7 replications each, was 8.9e-15
-    # relative to the largest weight, so the bound is 1e-13.
-    cfg = SimulationConfig(setting=5, p=4, n_train=40, test_len=5, replications=1,
-                           seed=21, balanced=balanced)
+@pytest.mark.parametrize("setting", range(1, 7))
+def test_method_table_matches_branch_chain(setting, balanced):
+    # every method's weights match the per-method branch chain bit for bit,
+    # whichever order the methods fill the shared cache in
     sys = dgp_system()
-    data = generate_replication(cfg, 0)
-    panel = from_availability(data.availability, sys)
-    resid = residuals_from_arrays(panel, data.actuals[:40], data.forecasts[:, :40])
-    methods = [m for m in SIMULATION_METHODS if balanced or m not in _BALANCED_ONLY]
-    assert len(methods) == (14 if balanced else 10)
-    oracle_cache = {}
-    expected = {m: method_weights_chain(m, panel, sys, resid, oracle_cache) for m in methods}
-    first = {}
-    for order in (methods, methods[::-1]):
-        cache = {}
-        for m in order:
-            weights = _method_weights(m, panel, sys, resid, cache)
-            scale = np.abs(expected[m]).max()
-            assert np.abs(weights - expected[m]).max() <= 1e-13 * scale, m
-            assert np.array_equal(first.setdefault(m, weights), weights), m
+    for seed in (0, 3, 21):
+        cfg = SimulationConfig(setting=setting, p=4, n_train=40, test_len=5, replications=1,
+                               seed=seed, balanced=balanced)
+        data = generate_replication(cfg, 0)
+        panel = from_availability(data.availability, sys)
+        resid = residuals_from_arrays(panel, data.actuals[:40], data.forecasts[:, :40])
+        methods = [m for m in SIMULATION_METHODS if balanced or m not in _BALANCED_ONLY]
+        assert len(methods) == (14 if balanced else 10)
+        oracle_cache = {}
+        expected = {m: method_weights_chain(m, panel, sys, resid, oracle_cache) for m in methods}
+        for order in (methods, methods[::-1]):
+            cache = {}
+            for m in order:
+                assert np.array_equal(_method_weights(m, panel, sys, resid, cache), expected[m]), \
+                    (seed, m)
 
 
 def test_shared_expert_blocks_are_factored_once(monkeypatch):
@@ -366,3 +361,63 @@ def test_config_rejects_participation_probabilities_out_of_range(field, value):
     # construction only: a config with a zero entry rate would hang the mask draw
     with pytest.raises(DataError, match=field):
         SimulationConfig(setting=1, p=4, n_train=10, replications=1, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("frequent_stay", 0.0), ("infrequent_stay", 1.0),
+                                          ("frequent_enter", 1.0), ("infrequent_enter", 1.0),
+                                          ("n_train", 2)])
+def test_config_accepts_its_closed_bounds(field, value):
+    # a stay probability may be 0 or 1 and an entry probability 1; two training
+    # points are the fewest a covariance estimate accepts
+    cfg = SimulationConfig(**{"setting": 1, "p": 4, "n_train": 10, "replications": 1,
+                              field: value})
+    assert getattr(cfg, field) == value
+
+
+def test_config_defaults_are_the_simulate_command_defaults():
+    from cocomb.cli import simulate
+
+    cli = {param.name: param.default for param in simulate.params}
+    cfg = SimulationConfig(setting=1)
+    assert (cfg.p, cfg.n_train, cfg.test_len, cfg.replications, cfg.seed, cfg.balanced) == (
+        cli["p"], cli["n_train"], cli["test_len"], cli["reps"], cli["seed"], cli["balanced"])
+    assert cfg.error_corr == cli["error_corr"].replace("-", "_")
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_two_fifths_of_the_experts_participate_frequently(p):
+    # the first max(1, round(0.4 p)) experts are frequent (rate 0.94), the rest
+    # infrequent (0.29)
+    cfg = SimulationConfig(setting=1, p=p, replications=1, balanced=False)
+    rng = np.random.default_rng(3)
+    share = np.mean([_participation_mask(cfg, rng, 7) for _ in range(200)], axis=(0, 1))
+    frequent = max(1, round(0.4 * p))
+    assert (share[:frequent] > 0.8).all() and (share[frequent:] < 0.5).all(), share
+
+
+@pytest.mark.parametrize("error_corr", ["identity", "random_spd"])
+@pytest.mark.parametrize("setting", range(1, 7))
+def test_replication_matches_the_settings_table_drawn_in_order(setting, error_corr):
+    cfg = SimulationConfig(setting=setting, p=3, n_train=30, test_len=5, replications=1,
+                           seed=4, error_corr=error_corr)
+    data = generate_replication(cfg, 2)
+    actuals, forecasts = replication_loop(cfg, 2)
+    for got, want in ((data.actuals, actuals), (data.forecasts, forecasts)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_run_experiment_scores_against_ew_it_was_not_asked_for(monkeypatch):
+    # ew is fitted for the relative index even when not requested, and one
+    # process runs the replications unless asked otherwise
+    cfg = SimulationConfig(setting=2, p=3, n_train=30, test_len=5, replications=3, seed=1)
+    with_ew = run_experiment(cfg, ("ew", "occ_be"))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool, raising=False)
+    alone = run_experiment(cfg, ("occ_be",))
+    assert alone.methods == ("occ_be",)
+    assert alone.avg_rel_mae == {"occ_be": with_ew.avg_rel_mae["occ_be"]}
+    assert alone.avg_rel_mse == {"occ_be": with_ew.avg_rel_mse["occ_be"]}
