@@ -98,17 +98,8 @@ class CoherentResult:
 
 
 def _minus(left, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``left - u @ v`` in the product's buffer, for ``_zc``'s n x n outputs.
-
-    ``left`` is ``W_c``, or None for the identity: ``0 - x`` off the diagonal,
-    then ``+ 1`` on it, gives the bits of ``np.eye(n) - x`` with no n x n
-    temporary (``0 - x`` is ``-x`` but for zeros, and ``-x + 1`` is ``1 - x``).
-    """
-    out = u @ v
-    np.subtract(0.0 if left is None else left, out, out=out)
-    if left is None:
-        out.flat[:: len(out) + 1] += 1.0
-    return out
+    """``left - u @ v``, for ``_zc``'s n x n outputs; ``left`` None is the identity."""
+    return (np.eye(len(u)) if left is None else left) - u @ v
 
 
 def _zc(cov: CovarianceEstimate, var: np.ndarray, c: np.ndarray):

@@ -9,12 +9,13 @@ Each mutant changes one site of the module: a binary ``+ - * /`` swapped
 made ``c + 1``, a ``~`` or ``not`` dropped, or ``argmin`` swapped with
 ``argmax``. A mutant runs in a private copy of ``src`` and ``tests``: first
 its module's own test files (``FAST``) with ``-x``, then, if they pass, the
-whole suite. It is killed when either run fails or times out. A survivor is
+whole suite. It is killed when either run fails or outlasts ``TIMEOUT_FACTOR``
+times the unmutated whole-suite run, which the probe times first. A survivor is
 reported unless ``EQUIVALENT`` lists it with the reason it cannot be told
 apart by any test (an equivalent mutant, or one on a tolerance boundary).
 The exit code is 1 when a survivor is not on that list.
 
-Before the mutants, the unmutated copy must pass both runs. Mutants are
+Before the mutants, the unmutated copy must pass the whole suite. Mutants are
 written with ``ast.unparse``, so they carry no comments; that changes no
 behaviour. One worker per CPU this process may run on judges one mutant at a
 time, each in its own copy. No ``.pyc`` is written: two mutants of one size
@@ -34,6 +35,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -60,7 +62,7 @@ FAST = {
     "panel.py": ("tests/test_panel.py",),
     "simulation.py": ("tests/test_simulation.py",),
 }
-TIMEOUT_S = 600
+TIMEOUT_FACTOR = 4  # a mutant's run may take this many times the unmutated suite's
 _RUNNING: set = set()  # the pytest processes in flight, killed when the probe ends
 
 # (module, the mutated line as written, "before -> after" of the mutated node): why no
@@ -99,6 +101,17 @@ EQUIVALENT = {
     ("combiners.py", "w = 1.0 / variances", "1.0 -> 2.0"):
         "the weights are divided by their sum, and doubling is exact",
     ("coherent.py", "y_hat = np.asarray(y_hat, dtype=float).reshape(-1)", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("panel.py", "y_hat = np.asarray(self.y_hat, dtype=float).reshape(-1).copy()", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("panel.py", "row_of = np.full((panel.n + 1, panel.p + 1), -1)  # code -1: not in the panel",
+     "1 -> 2"): "the spare row and column are read only through index -1, and any "
+                "negative code reads as not in the panel",
+    ("panel.py", "cell = rows * len(keys) + column.reshape(-1)", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("panel.py", "if not (known.all() and finite.all() and counts.max(initial=0) <= 1):",
+     "0 -> 1"): "the bound is 1, so an initial of 0 or 1 gives the same verdict",
+    ("panel.py", "values.reshape(-1)[cell] = value", "1 -> 2"):
         "numpy reads any negative size as the one unknown dimension",
     ("simulation.py", "_CHUNK = 64  # replications drawn and projected together (module "
      "docstring)", "64 -> 65"):
@@ -192,7 +205,7 @@ def mutants(path: Path):
                ast.unparse(tree))
 
 
-def _passes(copy: Path, args: list[str]) -> bool:
+def _passes(copy: Path, args: list[str], timeout: float | None) -> bool:
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "OPENBLAS_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -200,7 +213,7 @@ def _passes(copy: Path, args: list[str]) -> bool:
                           stderr=subprocess.DEVNULL) as proc:
         _RUNNING.add(proc)
         try:
-            return proc.wait(timeout=TIMEOUT_S) == 0
+            return proc.wait(timeout=timeout) == 0
         except subprocess.TimeoutExpired:
             return False
         finally:  # ended by a timeout or SIGTERM; a no-op on a process that exited
@@ -208,10 +221,10 @@ def _passes(copy: Path, args: list[str]) -> bool:
             _RUNNING.discard(proc)
 
 
-def _survives(copy: Path, name: str) -> bool:
+def _survives(copy: Path, name: str, timeout: float | None) -> bool:
     fast = FAST.get(name)
-    return ((fast is None or _passes(copy, ["-x", *fast]))
-            and _passes(copy, ["--continue-on-collection-errors"]))
+    return ((fast is None or _passes(copy, ["-x", *fast], timeout))
+            and _passes(copy, ["--continue-on-collection-errors"], timeout))
 
 
 def _terminated(signum, frame):
@@ -234,9 +247,14 @@ def main(argv=None) -> int:
                 shutil.copytree(ROOT / sub, copies[-1] / sub,
                                 ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(ROOT / "pyproject.toml", copies[-1])  # pytest's settings
-        if not _survives(copies[0], None):
+        start = time.monotonic()
+        if not _survives(copies[0], None, None):
             print("the unmutated suite fails; no mutant can be judged", file=sys.stderr)
             return 2
+        elapsed = time.monotonic() - start
+        timeout = TIMEOUT_FACTOR * elapsed
+        print(f"unmutated suite: {elapsed:.0f} s; a mutant's run times out after "
+              f"{timeout:.0f} s", flush=True)
         todo = sorted((name, *m) for name in args.modules
                       for m in mutants(ROOT / "src" / "cocomb" / name))
         free = queue.SimpleQueue()  # the copies no worker is using
@@ -250,7 +268,7 @@ def main(argv=None) -> int:
             original = target.read_text()
             try:
                 target.write_text(source)
-                return item, _survives(copy, name)
+                return item, _survives(copy, name, timeout)
             finally:
                 target.write_text(original)
                 free.put(copy)

@@ -11,6 +11,7 @@ from cocomb import read_constraint_file
 from cocomb.cli import COV_CHOICES, _read_panel_csv, _read_residual_csv, cli, main
 from cocomb.covariance import PATTERNS
 from conftest import evaluation_csvs, fresh_python
+from contract_outputs import BALANCED
 from oracles import kkt_residual
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
@@ -73,20 +74,35 @@ def test_reconcile_occ_end_to_end(tmp_path):
 
 
 def test_reconcile_is_byte_identical_on_rerun(tmp_path):
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    for out in (out_a, out_b):
-        assert run(
-            "reconcile",
-            "--constraints", SAMPLE / "constraints.json",
-            "--panel", SAMPLE / "panel.csv",
-            "--residuals", SAMPLE / "residuals.csv",
-            "--cov", "shrink",
-            "--method", "occ",
-            "--formulation", "struct-bv",
-            "--output", out,
-        ) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+    """A rerun to the same paths rewrites the forecasts, both emits and the
+    manifest byte for byte: ``occ`` under the default shrink (one dense ``W``),
+    ``bd-expert-shrink`` (expert blocks pooled through their inverses) and
+    ``bd-variable-shrink`` (blocks solved against their selectors), and the
+    ``scr-*`` methods that relabel the shrunk ``W``."""
+    for cov, method, formulation in (
+            ("shrink", "occ", "struct-bv"), ("shrink", "occ", "zc-be"),
+            ("bd-expert-shrink", "occ", "zc-be"), ("bd-variable-shrink", "occ", "zc-be"),
+            ("shrink", "scr-cov", "zc-be"), ("shrink", "scr-ew", "zc-be")):
+        out = tmp_path / f"{cov}-{method}-{formulation}"
+        outs = [out / name for name in ("coherent.csv", "weights.csv", "wtilde.csv",
+                                        "coherent.csv.manifest.json")]
+        written = []
+        for _ in range(2):
+            assert run(
+                "reconcile",
+                "--constraints", SAMPLE / "constraints.json",
+                "--panel", SAMPLE / "panel.csv",
+                "--residuals", SAMPLE / "residuals.csv",
+                "--cov", cov,
+                "--method", method,
+                "--formulation", formulation,
+                "--output", outs[0],
+                "--emit-weights", outs[1],
+                "--emit-cov", outs[2],
+            ) == 0
+            written.append([path.read_bytes() for path in outs])
+        assert written[0] == written[1], (cov, method, formulation)
+        assert sorted(out.iterdir()) == sorted(outs)
 
 
 @pytest.mark.parametrize("cov", sorted(COV_CHOICES))
@@ -352,18 +368,19 @@ def test_simulate_writes_table_and_manifest(tmp_path):
     assert code == 0
     rows = read_rows(out)
     assert {r["method"] for r in rows} == {"ew", "occ_be"}
-    ew_row = next(r for r in rows if r["method"] == "ew")
-    assert float(ew_row["avg_rel_mae"]) == 1.0
-    manifest = json.loads((Path(str(out) + ".manifest.json")).read_text())
+    ew_rows = [r for r in rows if r["method"] == "ew"]
+    assert ew_rows and all(r[k] == "1" for r in ew_rows for k in ("avg_rel_mae", "avg_rel_mse"))
+    manifest_path = Path(str(out) + ".manifest.json")
+    manifest = json.loads(manifest_path.read_text())
     assert manifest["command"] == "simulate"
     assert manifest["options"]["seed"] == 7
 
-    out2 = tmp_path / "sim2.csv"
-    assert run(
+    first = out.read_bytes(), manifest_path.read_bytes()
+    assert run(  # a rerun to the same path rewrites the table and its manifest
         "simulate", "--setting", "1", "--p", "3", "--n-train", "30", "--test-len", "10",
-        "--reps", "3", "--seed", "7", "--methods", "ew,occ-be", "--output", out2,
+        "--reps", "3", "--seed", "7", "--methods", "ew,occ-be", "--output", out,
     ) == 0
-    assert out.read_bytes() == out2.read_bytes()
+    assert (out.read_bytes(), manifest_path.read_bytes()) == first
 
 
 def test_manifest_records_every_parsed_option(tmp_path, rng):
@@ -500,15 +517,17 @@ def command_argv(command, tmp_path, rng):
         (actuals, forecasts), *_ = evaluation_csvs(tmp_path, rng)
         return ["evaluate", "--actuals", actuals, "--forecasts", forecasts, "--benchmark", "ew",
                 "--horizons", "1:3", "--dm", "--output", "out.csv", "--dm-output", "dm.csv"]
-    if command.startswith("simulate"):
+    if command.startswith("simulate"):  # every balanced method, src and base-* included
         return ["simulate", "--setting", "1", "--p", "3", "--n-train", "40", "--test-len", "10",
                 "--reps", "4", "--jobs", command.removeprefix("simulate-jobs-"),
-                "--output", "out.csv"]
+                "--methods", BALANCED, "--output", "out.csv"]
     inputs = ["--constraints", SAMPLE / "constraints.json", "--panel", SAMPLE / "panel.csv"]
     if command == "combine":
         return ["combine", *inputs, "--scheme", "ew", "--output", "out.csv"]
-    if command == "reconcile":
+    if command.startswith("reconcile"):  # "reconcile" under the default --cov, or "reconcile-COV"
+        cov = command.partition("-")[2]
         return ["reconcile", *inputs, "--residuals", SAMPLE / "residuals.csv",
+                *(["--cov", cov] if cov else []),
                 "--output", "out.csv", "--emit-weights", "weights.csv"]
     return [command]
 
@@ -517,6 +536,7 @@ def command_argv(command, tmp_path, rng):
     ("--help", ()), ("--version", ()), ("evaluate", ()), ("combine", ()),
     ("reconcile", LAZY[:2]), ("simulate-jobs-1", LAZY[:2]),
     ("simulate-jobs-2", LAZY[3:]),  # the workers factor, not the parent
+    ("reconcile-bd-expert-shrink", LAZY[:2]),  # expert blocks pooled through their inverses
 ])
 def test_commands_load_scipy_linalg_and_the_pool_only_when_used(
         tmp_path, rng, monkeypatch, command, loads):

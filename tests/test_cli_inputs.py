@@ -606,9 +606,10 @@ def test_input_outside_utf8_exits_3_naming_the_file(tmp_path, rng, capsys, case)
         shutil.copy(SAMPLE / name, path)
         argv[argv.index("--constraints") + 1] = str(path)
     path.write_bytes(path.read_bytes().replace(b"east", b"\xe9ast"))
-    code, line = error_of(argv, capsys)
+    code, text = main(argv), capsys.readouterr().err
     assert code == 3
-    err = json.loads(line)
+    assert len(text.splitlines()) == 1 and "Traceback" not in text
+    err = json.loads(text)
     assert err["code"] == "schema"
     assert str(path) in err["message"] and "'utf-8' codec can't decode" in err["message"]
     assert not out.exists()

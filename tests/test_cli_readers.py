@@ -235,6 +235,9 @@ def test_end_of_input_matches_row_readers(tmp_path, chunk_rows, case):
     outcomes = assert_readers_agree(path, system(), list(range(1, origins + 1)))
     if case not in ("whitespace-only-line", "header-only"):
         assert all(got[0] == "read" for got, _ in outcomes)
+    if case in ("crlf", "bare-cr"):  # reads as the same lines ended by "\n"
+        path.write_text(END_OF_INPUT["whole-number-of-chunks"](lines, size), newline="")
+        assert outcomes == assert_readers_agree(path, system(), list(range(1, origins + 1)))
 
 
 QUOTED_SERIES = ("total, all", 'say "hi"', "two\nlines", "east")  # upper first

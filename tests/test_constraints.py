@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from cocomb import (
     is_coherent,
     read_constraint_file,
 )
+from cocomb.constraints import open_input
 from conftest import random_system
 
 HIER_A = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
@@ -175,3 +177,66 @@ def test_read_constraint_file_csv(tmp_path):
 def test_read_constraint_file_missing(tmp_path):
     with pytest.raises(DataError):
         read_constraint_file(tmp_path / "nope.json")
+
+
+def test_one_by_one_aggregation_builds():
+    sys = from_aggregation([[2.0]], ["u", "b"])
+    np.testing.assert_array_equal(sys.C, [[1.0, -2.0]])
+    np.testing.assert_array_equal(sys.S, [[2.0], [1.0]])
+
+
+def test_wrong_label_count_names_the_count_expected():
+    with pytest.raises(DataError, match=r"^expected 3 labels \(n_u=1, n_b=2\), got 2$"):
+        from_aggregation([[1.0, 1.0]], ["u", "a"])
+
+
+def test_general_constraints_take_a_pivot_exactly_at_the_tolerance():
+    """A pivot of magnitude ``pivot_tol`` is a pivot, in the current column and in
+    a candidate column."""
+    _, perm = from_general_constraints([[0.5, 1.0, 1.0]], ["a", "b", "c"], pivot_tol=0.5)
+    assert perm == (0, 1, 2)
+    _, perm = from_general_constraints([[0.0, 0.5, 1.0]], ["a", "b", "c"], pivot_tol=0.5)
+    assert perm == (1, 0, 2)
+
+
+def test_general_constraints_exchange_with_the_first_column_holding_a_pivot():
+    """Column 0 holds no pivot: it is exchanged with column 1, whose only pivot lies
+    in the middle row; each later step finds its pivot one column on."""
+    c_raw = np.array([[0, 0, 1, 0, 1], [0, 1, 0, 0, 1], [0, 0, 0, 1, 1]], dtype=float)
+    labels = ["a", "b", "c", "d", "e"]
+    sys, perm = from_general_constraints(c_raw, labels)
+    assert perm == (1, 2, 3, 0, 4)
+    assert sys.labels == ("b", "c", "d", "a", "e")
+    np.testing.assert_array_equal(sys.A, [[0.0, -1.0]] * 3)
+
+
+def test_general_constraints_scale_each_pivot_row_to_one():
+    sys, perm = from_general_constraints([[2.0, -2.0, -4.0]], ["t", "x", "y"])
+    assert perm == (0, 1, 2)
+    np.testing.assert_array_equal(sys.A, [[1.0, 2.0]])
+
+
+def test_is_coherent_holds_at_the_tolerance():
+    sys = from_aggregation([[1.0, 1.0]], ["t", "a", "b"])
+    assert is_coherent(sys, np.array([1.5, 1.0, 0.25]), tol=0.25)  # C y = 0.25 exactly
+
+
+def test_open_input_lifts_the_field_limit_to_what_every_platform_accepts(tmp_path):
+    """In the block the csv field limit is 2**31 - 1, the largest value a 32-bit C
+    long holds (a larger one raises OverflowError where a long has 32 bits); it is
+    restored on exit."""
+    (path := tmp_path / "cells.csv").write_text("a\n")
+    limit = csv.field_size_limit()
+    with open_input(path, "panel"):
+        assert csv.field_size_limit() == 2**31 - 1
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("payload", [
+    {"A": [[[1.0, 1.0]]], "upper": ["t"], "bottom": ["a", "b"]},
+    {"C": [[[1.0, -1.0, -1.0]]], "vars": ["t", "a", "b"]},
+], ids=["A", "C"])
+def test_read_constraint_file_refuses_a_three_dimensional_matrix(tmp_path, payload):
+    (path := tmp_path / "constraints.json").write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="must be a numeric rectangular matrix"):
+        read_constraint_file(path)

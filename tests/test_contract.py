@@ -8,7 +8,8 @@ exactly. Each numeric CSV cell must lie within ``TOLERANCE`` of the reference
 cell, relative to the largest |value| of the reference file; every other cell
 must be equal. The reference was written at one BLAS thread; one against two
 threads moved 4 of the matrix's 696 files, by at most 5.6e-19 of their
-largest value.
+largest value. Each ``simulate`` table written over two worker processes must
+equal the serial one byte for byte.
 """
 
 from __future__ import annotations
@@ -63,3 +64,13 @@ def test_the_contract_matrix_matches_its_reference(contract):
         elif (why := _csv_mismatch(got, want)) is not None:
             wrong[name] = why
     assert not wrong, wrong
+
+
+def test_simulate_over_two_workers_writes_the_serial_table(contract):
+    """Each ``simulate`` run of the matrix at ``--jobs 2`` writes its ``--jobs 1`` table
+    byte for byte (balanced setting 2 and unbalanced setting 6)."""
+    pairs = [(path, path.with_name(path.name.replace("-jobs2", "-jobs1")))
+             for path in sorted((contract / "simulate").glob("*-jobs2.csv"))]
+    assert len(pairs) == 2
+    for jobs2, jobs1 in pairs:
+        assert jobs2.read_bytes() == jobs1.read_bytes(), jobs2.name

@@ -262,8 +262,10 @@ def test_fill_cells_orders_columns_by_key_and_checks_each_cell():
     [(4, (7, "y1", "e1", np.nan)), (9, (5, "y1", "e1", 0.0))],
     [(9, (2, "y1", "e1", 0.0)), (12, (2, "y9", "e1", 1.0))],
     [(2, (9, "y1", "e1", 0.0)), (20, (5, "y1", "e1", 0.0))],
+    [(5, (9, "y3", "e9", 1.0))],
 ], ids=["unknown-series", "unknown-expert", "pair-not-in-panel", "nan-then-duplicate",
-        "duplicate-then-unknown", "repeat-of-a-later-record"])
+        "duplicate-then-unknown", "repeat-of-a-later-record",
+        "unknown-expert-on-a-series-every-expert-covers"])
 def test_fill_cells_reports_the_first_defective_record(defects):
     """The columns give the error a record-by-record fill raises first."""
     _, panel = worked_example_panel()
@@ -300,3 +302,44 @@ def test_array_holding_dataclasses_compare_by_identity(make):
     a, b = make(), make()
     assert (a == b) is False
     assert (a == a) is True
+
+
+def test_panel_errors_name_exactly_the_uncovered_variables_and_idle_experts():
+    """p_i = (2, 1, 0) and n_j = (3, 1, 0): only the zero counts are named."""
+    sys = from_aggregation(np.ones((1, 2)), ["t", "a", "b"])
+    with pytest.raises(DataError, match=r"^variables without any forecast: \['b'\]$"):
+        from_availability([[True, True], [True, False], [False, False]], sys)
+    with pytest.raises(DataError, match=r"^experts without any forecast: \['e3'\]$"):
+        from_availability([[True, False, False], [True, True, False], [True, False, False]],
+                          sys, experts=("e1", "e2", "e3"))
+
+
+def test_wrong_value_count_names_both_counts():
+    with pytest.raises(DataError, match=r"^expected 7 stacked values, got 6$"):
+        worked_example_panel(np.ones(6))
+
+
+def test_non_finite_forecasts_name_the_first_five_cells():
+    with pytest.raises(DataError) as err:
+        worked_example_panel([np.nan] * 6 + [1.0])
+    assert str(err.value) == ("non-finite base forecasts for (variable, expert) "
+                              "[('y1', 'e1'), ('y3', 'e1'), ('y2', 'e2'), ('y3', 'e2'), "
+                              "('y1', 'e3')]")
+
+
+def test_residual_panel_takes_two_observations():
+    _, panel = worked_example_panel()
+    fitted = [(t, panel.labels[i], panel.experts[j], 1.0) for t in range(2)
+              for (i, j) in panel.pairs]
+    np.testing.assert_array_equal(residual_panel(panel, np.ones((2, 3)), fitted),
+                                  np.zeros((7, 2)))
+
+
+@pytest.mark.parametrize("times", [range(1, 5), ()], ids=["shifted", "none"])
+def test_residual_panel_names_the_time_indices_it_needs(times):
+    _, panel = worked_example_panel()
+    fitted = [(t, panel.labels[i], panel.experts[j], 0.0) for t in times
+              for (i, j) in panel.pairs]
+    with pytest.raises(DataError, match=r"^fitted values must cover exactly the time "
+                                        r"indices 0\.\.3$"):
+        residual_panel(panel, np.zeros((4, 3)), fitted)
