@@ -22,10 +22,11 @@ first appearance), so no row outlives its chunk as a Python object. Chunks
 come from ``np.loadtxt``'s C tokenizer, whose number columns are typed in a
 plain-ASCII file and otherwise cast by ``int`` and ``float``; a file it
 refuses anywhere is read again from the top by ``csv.DictReader``, which
-alone words every input error. The panel and residual columns go to
-``panel.panel_from_pairs`` and ``panel.fill_cells``, the one place that maps
-labels to by-expert rows. A panel CSV is one zero-valued panel (its
-availability, shared by every horizon) and one m x H forecast matrix ``Y``.
+alone words every input error. Its label columns go as they are to
+``panel``, the one module that maps labels to by-expert rows: a panel CSV's
+to ``panel.panel_from_cells`` and ``panel.fill_cells``, a residual CSV's to
+``fill_cells``. A panel CSV is one zero-valued panel (its availability,
+shared by every horizon) and one m x H forecast matrix ``Y``.
 ``--cov`` names a pattern of ``covariance.ESTIMATORS`` through
 ``COV_CHOICES``, and ``reconcile`` hands its method to ``coherent.fit``,
 which the simulation shares. The weights depend only on the availability and
@@ -39,8 +40,9 @@ computes each loss array once, and runs one batched DM test per loss and
 horizon row over every unordered method pair and series: swapping the pair
 negates the statistic and keeps the p-value.
 
-Exit codes: 0 success, 2 bad arguments or an output path the OS refuses, 3
-data/schema error, 4 numerical failure (non-SPD covariance, rank deficiency).
+Exit codes: 0 success, 1 interrupted, 2 bad arguments or an output path the OS
+refuses, 3 data/schema error, 4 numerical failure (non-SPD covariance, rank
+deficiency).
 Errors, and warnings of a successful run (``"code": "warning"``), go to stderr
 as JSON lines.
 """
@@ -68,7 +70,7 @@ from .constraints import open_input, read_constraint_file
 from .covariance import ESTIMATORS
 from .exceptions import CocombError, DataError, NumericalError
 from .metrics import LOSSES, accuracy, dm_test
-from .panel import code_labels, fill_cells, panel_from_pairs
+from .panel import code_labels, fill_cells, panel_from_cells
 from .simulation import SIMULATION_METHODS, SimulationConfig, run_experiment
 
 # --cov flag -> covariance pattern
@@ -287,12 +289,8 @@ def _read_panel_csv(path: Path, sys_):
     k, series, expert, value = _cell_columns(path, "panel", "horizon", default=1)
     if not value.size:
         raise DataError(f"panel CSV {path} holds no forecasts")
-    (labels, s), (experts, e) = series, expert
-    _, first = np.unique(s * len(experts) + e, return_index=True)
-    pairs = ((labels[s[r]], experts[e[r]]) for r in np.sort(first).tolist())
-    panel = panel_from_pairs(pairs, sys_, "panel CSV")
-    horizons, y_hat = fill_cells(k, series, expert, value, panel, "panel CSV", "horizon")
-    return panel, horizons, y_hat
+    panel = panel_from_cells(series, expert, sys_, "panel CSV")
+    return (panel, *fill_cells(k, series, expert, value, panel, "panel CSV", "horizon"))
 
 
 def _read_residual_csv(path: Path, panel) -> np.ndarray:
@@ -602,8 +600,6 @@ def main(argv=None) -> int:
                     directory.rmdir()
             raise _OutputRefused(f"cannot write {path}: {exc.strerror or exc}") from None
         return 0
-    except SystemExit as exc:  # --help / --version paths
-        return int(exc.code or 0)
     except click.UsageError as exc:
         exc.show()
         return 2

@@ -108,14 +108,17 @@ def from_general_constraints(
     """Canonicalize a general full-row-rank zero-constraints matrix.
 
     Gauss-Jordan row reduction with partial pivoting brings ``C_raw`` to the
-    form ``[I  -A]``. Columns are exchanged only when the current column holds
-    no pivot of magnitude >= ``pivot_tol``; any such exchange reorders the
-    variables and is reported, never applied silently.
+    form ``[I  -A]``. Each row is first scaled by an exact power of two that
+    puts its largest magnitude in [1, 2), so ``pivot_tol`` is relative to each
+    row's largest entry, to within a factor of 2; a zero row stays zero and is
+    refused. Columns are exchanged only when the current column holds no pivot
+    of magnitude >= ``pivot_tol``; any such exchange reorders the variables and
+    is reported, never applied silently.
 
     Returns the induced system together with the applied column permutation
     ``perm`` (``new_labels[k] == labels[perm[k]]``).
     """
-    r = np.atleast_2d(np.asarray(C_raw, dtype=float)).copy()
+    r = np.atleast_2d(np.asarray(C_raw, dtype=float))
     n_u, n = r.shape
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
@@ -124,6 +127,8 @@ def from_general_constraints(
         raise DataError("constraint matrix contains non-finite entries")
     if n_u >= n:
         raise NumericalError("constraints must leave at least one free variable")
+    scale = np.abs(r).max(axis=1, initial=0.0)
+    r = np.ldexp(r, 1 - np.frexp(scale)[1][:, None])
 
     perm = list(range(n))
     for k in range(n_u):

@@ -27,14 +27,15 @@ are views for the tests and for callers who want the paper's notation:
 * ``P``  (m x m): by-expert to by-variable permutation, ``P x = x[bv_order]``;
 * ``J``  (m x n): ``P K``.
 
-Label-keyed records become by-expert rows here and nowhere else:
-``panel_from_pairs`` builds a panel's structure from (series, expert) label
-pairs, experts in first-appearance order, and ``fill_cells`` fills its
-(m x K) cell matrix from the (k, series, expert, value) columns of a record
-table, one matrix column per distinct k in ascending order; a label column
-is a ``(labels, codes)`` pair as ``code_labels`` numbers it. ``build_panel``,
-``residual_panel`` (k = t) and the CLI's panel (k = horizon) and residual
-(k = t) CSV readers all go through these two.
+Label-keyed records become by-expert rows here and nowhere else. A record
+table arrives as columns, a label column being a ``(labels, codes)`` pair as
+``code_labels`` numbers it (labels in first-appearance order):
+``panel_from_cells`` builds a panel's structure from the (series, expert)
+columns, experts in their label order, and ``fill_cells`` fills its (m x K)
+cell matrix from the (k, series, expert, value) columns, one matrix column
+per distinct k in ascending order. ``build_panel`` and the CLI's panel CSV
+reader (k = horizon) go through both; ``residual_panel`` and the CLI's
+residual CSV reader (k = t) fill a given panel.
 """
 
 from __future__ import annotations
@@ -207,24 +208,23 @@ def from_availability(
     return ForecastPanel(sys.labels, tuple(experts), avail, y_hat)
 
 
-def panel_from_pairs(pairs, sys: ConstraintSystem, source: str) -> ForecastPanel:
-    """Zero-valued panel covering the given (series, expert) label pairs.
+def panel_from_cells(series, expert, sys: ConstraintSystem, source: str) -> ForecastPanel:
+    """Zero-valued panel covering the (series, expert) cells of two label columns.
 
-    Experts are numbered in order of first appearance; a pair may repeat (once
-    per horizon or time index). ``source`` names the input in error messages.
+    ``series`` and ``expert`` are ``(labels, codes)`` columns as ``fill_cells``
+    reads them; a cell may repeat (once per horizon or time index). Experts
+    keep their label order, the order of first appearance under
+    ``code_labels``. The first unknown series label in that order, the one
+    the first unknown record names, is refused; ``source`` names the input.
     """
+    (labels, s), (experts, e) = series, expert
     index = {label: i for i, label in enumerate(sys.labels)}
-    experts: dict[str, int] = {}
-    cells: set[tuple[int, int]] = set()
-    for label, expert in pairs:
-        i = index.get(label)
-        if i is None:
-            raise DataError(f"unknown series {label!r} in {source}")
-        cells.add((i, experts.setdefault(expert, len(experts))))
+    var = np.array([index.get(label, -1) for label in labels], dtype=np.int64)
+    if (var < 0).any():
+        raise DataError(f"unknown series {labels[int(np.argmax(var < 0))]!r} in {source}")
     avail = np.zeros((sys.n, len(experts)), dtype=bool)
-    for i, j in cells:
-        avail[i, j] = True
-    return from_availability(avail, sys, experts=tuple(experts))
+    avail[var[s], e] = True
+    return from_availability(avail, sys, experts=experts)
 
 
 def code_labels(column, codes: dict) -> np.ndarray:
@@ -314,11 +314,11 @@ def build_panel(forecasts, sys: ConstraintSystem) -> ForecastPanel:
     deterministic.
     """
     cells = [(str(label), str(expert), value) for label, expert, value in forecasts]
-    panel = panel_from_pairs(((label, expert) for label, expert, _ in cells), sys,
-                             "forecast list")
-    labels, experts, values = zip(*cells)  # not empty: the panel has a forecast
-    _, values = fill_cells(np.ones(len(cells), dtype=np.int64), _label_column(labels),
-                           _label_column(experts), values, panel, "forecast list", "horizon")
+    labels, experts, values = zip(*cells) if cells else ((),) * 3
+    series, expert = _label_column(labels), _label_column(experts)
+    panel = panel_from_cells(series, expert, sys, "forecast list")
+    _, values = fill_cells(np.ones(len(cells), dtype=np.int64), series, expert, values, panel,
+                           "forecast list", "horizon")
     return panel.with_values(values[:, 0])
 
 

@@ -100,10 +100,29 @@ EQUIVALENT = {
         "differs only for a weight exactly at -tol",
     ("combiners.py", "w = 1.0 / variances", "1.0 -> 2.0"):
         "the weights are divided by their sum, and doubling is exact",
+    ("cli.py", "_CHUNK_ROWS = 4096", "4096 -> 4097"):
+        "chunking changes no result: the chunked-read tests agree at 1, 3 and 4096 rows",
+    ("cli.py", "hq, key_idx = np.unique(np.searchsorted(wanted, h) * len(q_values) + "
+     "q_rank.reshape(-1),", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("cli.py", "flat = np.ravel_multi_index((*ranks, key_idx.reshape(-1)), shape)", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("cli.py", "grid.reshape(-1)[flat] = values", "1 -> 2"):
+        "numpy reads any negative size as the one unknown dimension",
+    ("cli.py", "significant = p < 0.05", "p < 0.05 -> p <= 0.05"):
+        "differs only for a p-value exactly at 0.05",
+    ("cli.py", "wins[a, b] = (significant & (stat < 0)).sum(axis=1)", "0 -> 1"):
+        "a significant statistic has |stat| > 1.96, so 0 and 1 split it alike",
+    ("cli.py", "wins[a, b] = (significant & (stat < 0)).sum(axis=1)",
+     "stat < 0 -> stat <= 0"): "a statistic of 0 has p = 1 and is never significant",
+    ("cli.py", "os.umask(umask := os.umask(0))  # mkstemp made each 0600; honour the umask",
+     "0 -> 1"): "the umask is read and set back at once; no file is made in between",
     ("coherent.py", "y_hat = np.asarray(y_hat, dtype=float).reshape(-1)", "1 -> 2"):
         "numpy reads any negative size as the one unknown dimension",
     ("panel.py", "y_hat = np.asarray(self.y_hat, dtype=float).reshape(-1).copy()", "1 -> 2"):
         "numpy reads any negative size as the one unknown dimension",
+    ("panel.py", "var = np.array([index.get(label, -1) for label in labels], dtype=np.int64)",
+     "1 -> 2"): "any negative code reads as an unknown series",
     ("panel.py", "row_of = np.full((panel.n + 1, panel.p + 1), -1)  # code -1: not in the panel",
      "1 -> 2"): "the spare row and column are read only through index -1, and any "
                 "negative code reads as not in the panel",

@@ -522,12 +522,21 @@ def fill_cells_records(records, panel, source, key):
 
 def read_panel_csv(path, sys_):
     """Panel CSV -> (zero-valued panel, horizons, m x H forecasts), row by row."""
-    from cocomb.panel import panel_from_pairs
+    from cocomb.panel import ForecastPanel
 
     records = list(cell_records(path, "panel", "horizon", default=1))
     if not records:
         raise DataError(f"panel CSV {path} holds no forecasts")
-    panel = panel_from_pairs(((s, e) for _, s, e, _ in records), sys_, "panel CSV")
+    experts, cells = {}, []
+    for _, label, expert, _ in records:
+        if label not in sys_.labels:
+            raise DataError(f"unknown series {label!r} in panel CSV")
+        cells.append((sys_.labels.index(label), experts.setdefault(expert, len(experts))))
+    availability = np.zeros((sys_.n, len(experts)), dtype=bool)
+    for i, j in cells:
+        availability[i, j] = True
+    panel = ForecastPanel(sys_.labels, tuple(experts), availability,
+                          np.zeros(int(availability.sum())))
     horizons, y_hat = fill_cells_records(records, panel, "panel CSV", "horizon")
     return panel, horizons, y_hat
 

@@ -228,18 +228,37 @@ def test_reconcile_src_balanced(tmp_path, rng):
     assert abs(rows["total"] - rows["east"] - rows["west"]) <= 1e-9
 
 
-def test_reconcile_src_unbalanced_exits_3(tmp_path, capsys):
-    code = run(
-        "reconcile",
-        "--constraints", SAMPLE / "constraints.json",
-        "--panel", SAMPLE / "panel.csv",
-        "--residuals", SAMPLE / "residuals.csv",
-        "--method", "src",
-        "--output", tmp_path / "x.csv",
-    )
-    assert code == 3
+SAMPLE_INPUTS = ("--constraints", SAMPLE / "constraints.json", "--panel", SAMPLE / "panel.csv",
+                 "--residuals", SAMPLE / "residuals.csv")
+SIMULATE = ("simulate", "--setting", "1", "--p", "3", "--n-train", "40", "--test-len", "10",
+            "--reps", "2")
+# runs the library refuses once every option has parsed: (argv, the error message);
+# a repeated option takes its last value
+REFUSED_RUNS = {
+    "reconcile-src-unbalanced": (
+        ("reconcile", *SAMPLE_INPUTS, "--method", "src"),
+        "src is limited to balanced panels (every expert covers every variable)"),
+    "reconcile-mint-multi-expert": (
+        ("reconcile", *SAMPLE_INPUTS, "--method", "mint"),
+        "mint expects a single expert covering every series"),
+    "simulate-reps-0": (
+        (*SIMULATE, "--reps", "0"), "n_train, test_len and replications must be positive"),
+    "simulate-test-len-0": (
+        (*SIMULATE, "--test-len", "0"), "n_train, test_len and replications must be positive"),
+    "simulate-n-train-1": (
+        (*SIMULATE, "--n-train", "1"), "n_train, test_len and replications must be positive"),
+    "simulate-seed-negative": ((*SIMULATE, "--seed", "-1"), "seed must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RUNS))
+def test_refused_run_exits_3_without_output(tmp_path, capsys, case):
+    argv, message = REFUSED_RUNS[case]
+    out = tmp_path / "out" / "x.csv"
+    assert run(*argv, "--output", out) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["code"] == "schema"
+    assert err == {"code": "schema", "message": message}
+    assert not out.parent.exists()
 
 
 def test_combine_schemes(tmp_path):
@@ -374,6 +393,7 @@ def test_simulate_writes_table_and_manifest(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["command"] == "simulate"
     assert manifest["options"]["seed"] == 7
+    assert manifest["options"]["jobs"] == 1  # the default: no worker pool
 
     first = out.read_bytes(), manifest_path.read_bytes()
     assert run(  # a rerun to the same path rewrites the table and its manifest

@@ -501,6 +501,22 @@ def test_padded_json_labels_match_the_panel_labels(tmp_path, text):
     assert padded_out.read_bytes() == plain_out.read_bytes()
 
 
+def test_c_form_json_far_below_unit_scale_writes_the_a_form_bytes(tmp_path):
+    # the pivot tolerance is relative to each row, so C = 1e-11 [1 -1 -1] is the hierarchy
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text('{"C": [[1e-11, -1e-11, -1e-11]], "vars": ["total", "east", "west"]}')
+    written = []
+    for constraints, name in ((SAMPLE / "constraints.json", "a-form"), (scaled, "c-form")):
+        out = tmp_path / name
+        assert main(["reconcile", "--constraints", str(constraints),
+                     "--panel", str(SAMPLE / "panel.csv"),
+                     "--residuals", str(SAMPLE / "residuals.csv"),
+                     "--output", str(out / "coherent.csv"),
+                     "--emit-weights", str(out / "weights.csv")]) == 0
+        written.append([(out / f).read_bytes() for f in ("coherent.csv", "weights.csv")])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("text", [
     '{"A": [[1, 1]], "upper": ["total"], "bottom": ["east", " east"]}',
     '{"C": [[1, -1, -1]], "vars": ["total", "west ", " west"]}',
@@ -527,6 +543,26 @@ def test_simulate_jobs_below_one_exits_2(tmp_path, capsys, monkeypatch, jobs):
     assert code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["0", "7"])
+def test_simulate_setting_outside_the_paper_exits_2(tmp_path, capsys, setting):
+    # the paper has settings 1-6; click refuses the rest before any config is built
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--setting", setting, "--reps", "2", "--output", str(out)]) == 2
+    assert "--setting" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interrupted_run_exits_1_without_output(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("cocomb.cli.run_experiment", interrupted)
+    out = tmp_path / "out" / "sim.csv"
+    assert main(["simulate", "--setting", "1", "--reps", "2", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "aborted"
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("methods", ["", ",,", " , "])

@@ -216,6 +216,16 @@ def test_general_constraints_scale_each_pivot_row_to_one():
     np.testing.assert_array_equal(sys.A, [[1.0, 2.0]])
 
 
+def test_general_constraints_pivot_tolerance_is_relative_to_each_row():
+    """Each row is scaled by a power of two before elimination: a row far below
+    ``pivot_tol`` reads as the same row at unit scale; a zero row is refused."""
+    sys, perm = from_general_constraints([[1e-11, -1e-11, -1e-11]], ["t", "x", "y"])
+    assert perm == (0, 1, 2)
+    np.testing.assert_array_equal(sys.A, [[1.0, 1.0]])
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        from_general_constraints([[1.0, -1.0, -1.0], [0.0, 0.0, 0.0]], ["t", "x", "y"])
+
+
 def test_is_coherent_holds_at_the_tolerance():
     sys = from_aggregation([[1.0, 1.0]], ["t", "a", "b"])
     assert is_coherent(sys, np.array([1.5, 1.0, 0.25]), tol=0.25)  # C y = 0.25 exactly

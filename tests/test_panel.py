@@ -12,7 +12,7 @@ from cocomb import (
     residuals_from_arrays,
     to_by_variable,
 )
-from cocomb.panel import fill_cells, panel_from_pairs
+from cocomb.panel import fill_cells, panel_from_cells
 from conftest import random_panel, random_system
 from oracles import fill_cells_records
 
@@ -104,6 +104,8 @@ def test_build_panel_errors():
     with pytest.raises(DataError):
         # y2 never covered
         build_panel([("y1", "e1", 1.0), ("y3", "e1", 2.0)], sys)
+    with pytest.raises(DataError, match="variables without any forecast"):
+        build_panel([], sys)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -280,17 +282,19 @@ def test_fill_cells_reports_the_first_defective_record(defects):
     assert str(got.value) == str(expected.value)
 
 
-def test_panel_from_pairs_numbers_experts_by_first_appearance():
+def test_panel_from_cells_numbers_experts_by_first_appearance():
     sys = three_var_system()
-    panel = panel_from_pairs(
-        [("y3", "e2"), ("y1", "e1"), ("y2", "e2"), ("y3", "e2")], sys, "test pairs"
-    )
+    cells = [("y3", "e2"), ("y1", "e1"), ("y2", "e2"), ("y3", "e2")]
+    _, series, expert, _ = record_columns((1, s, e, 0.0) for s, e in cells)
+    panel = panel_from_cells(series, expert, sys, "test cells")
     assert panel.experts == ("e2", "e1")
     np.testing.assert_array_equal(
         panel.availability, [[False, True], [True, False], [True, False]]
     )
-    with pytest.raises(DataError, match="unknown series 'zz' in test pairs"):
-        panel_from_pairs([("zz", "e1")], sys, "test pairs")
+    _, series, expert, _ = record_columns(
+        (1, s, "e1", 0.0) for s in ("y1", "zz", "y2", "qq"))
+    with pytest.raises(DataError, match="unknown series 'zz' in test cells"):
+        panel_from_cells(series, expert, sys, "test cells")
 
 
 @pytest.mark.parametrize("make", [
